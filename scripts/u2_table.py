@@ -1,9 +1,8 @@
 """Print the exact character table of U(2) over F_{q^2} as an aligned grid.
 
 Rows are conjugacy classes, columns are characters, and every entry is
-written exactly: integers and rationals as such, roots of unity as z^k,
-anything else as an explicit cyclotomic combination in the field named
-by the header.  Class sizes sit in the margin, so the identity row
+written exactly: integers and rationals as such, anything else as an
+explicit cyclotomic combination in the field named by the header.  Class sizes sit in the margin, so the identity row
 (size 1) reads off the character degrees directly.
 """
 
@@ -19,8 +18,6 @@ def entry_text(v) -> str:
     kind, val = classify(v)
     if kind == "rational":
         return str(val)
-    if kind == "root":
-        return f"z^{val}"
     # drop the "Q(zeta_M): " prefix, the header already names the field
     return to_text(v).split(": ", 1)[1]
 

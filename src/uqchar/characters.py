@@ -184,10 +184,8 @@ def census_semisimple(ctx: TorusContext, n: int | None = None) -> dict:
     closed form asserts agreement internally for even n, odd q).
     """
     n = ctx.n if n is None else n
-    semisimple = [
-        lam for lam in enumerate_multipartitions(ctx, n, THETA)
-        if is_semisimple(lam)]
-    real = [lam for lam in semisimple if is_real(ctx, lam)]
+    semisimple = sum(map(is_semisimple, enumerate_multipartitions(ctx, n, THETA)))
+    real = real_semisimple_labels(ctx, n)
     orthogonal = symplectic = 0
     cross_checked = 0
     for lam in real:
@@ -201,7 +199,7 @@ def census_semisimple(ctx: TorusContext, n: int | None = None) -> dict:
     return {
         "q": ctx.q,
         "n": n,
-        "semisimple": len(semisimple),
+        "semisimple": semisimple,
         "real_total": len(real),
         "orthogonal": orthogonal,
         "symplectic": symplectic,
@@ -209,10 +207,18 @@ def census_semisimple(ctx: TorusContext, n: int | None = None) -> dict:
     }
 
 
-def symplectic_labels(ctx: TorusContext, n: int | None = None) -> list[MultiPartition]:
-    """The real semisimple labels with indicator -1, in canonical order."""
+def real_semisimple_labels(
+    ctx: TorusContext, n: int | None = None
+) -> list[MultiPartition]:
+    """The real semisimple labels at degree n, in canonical order."""
     n = ctx.n if n is None else n
     return [
         lam for lam in enumerate_multipartitions(ctx, n, THETA)
-        if is_semisimple(lam) and is_real(ctx, lam)
-        and fs_semisimple_regular(ctx, lam) == -1]
+        if is_semisimple(lam) and is_real(ctx, lam)]
+
+
+def symplectic_labels(ctx: TorusContext, n: int | None = None) -> list[MultiPartition]:
+    """The real semisimple labels with indicator -1, in canonical order."""
+    return [
+        lam for lam in real_semisimple_labels(ctx, n)
+        if fs_semisimple_regular(ctx, lam) == -1]

@@ -5,7 +5,7 @@ Six subcommands: census (real semisimple indicator counts), degrees
 fs (indicators with the route used), selfdual (self-dual polynomial
 enumeration), and verify (the cross-validation stack).  Output is JSON with
 sorted keys or TSV with fixed column order, so identical invocations are
-byte-identical; --jobs only parallelizes, never reorders.
+byte-identical.
 
 Exit status: 0 on success, 1 on refusals and internal check failures
 (diagnostic on stderr), 2 on usage errors (argparse).
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cyclotomic
 from .characters import (
@@ -29,8 +28,8 @@ from .characters import (
     is_regular,
     is_semisimple,
     is_unipotent,
+    real_semisimple_labels,
 )
-from .config import RunConfig
 from .conjclasses import class_table, group_order
 from .gf import GF, poly_to_str
 from .multipartition import enumerate_multipartitions
@@ -43,10 +42,40 @@ from .selfdual import (
 from .symfunc import TableTooLarge, char_table
 from .torus import PHI, THETA, TorusContext
 
+# --family choice -> label predicate, shared by degrees and fs
+FAMILIES = {
+    "semisimple": is_semisimple,
+    "regular": is_regular,
+    "unipotent": is_unipotent,
+    "all": lambda lam: True,
+}
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+# indicator route -> how it computes the indicator; _route picks the route.
+# Each function is looked up when called, so a rebinding of the module-level
+# name (as perfbench/tracer.py does) reaches every call.
+INDICATOR_ROUTES = {
+    "non-real": lambda ctx, lam: 0,
+    "closed-form": lambda ctx, lam: fs_semisimple_regular(ctx, lam),
+    "two-core": lambda ctx, lam: fs_unipotent(ctx, lam),
+    # the caller has already vetted the table size, so lift the default bound
+    "brute-force": lambda ctx, lam: fs_bruteforce(ctx, lam, max_n=lam.size),
+}
+
+
+def _route(ctx, lam) -> str:
+    """The key of INDICATOR_ROUTES that computes the indicator of lam."""
+    if not is_real(ctx, lam):
+        return "non-real"
+    if is_semisimple(lam) or is_regular(lam):
+        return "closed-form"
+    if is_unipotent(lam):
+        return "two-core"
+    return "brute-force"
+
+
+def _emit(args, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -60,44 +89,34 @@ def _tsv(rows) -> str:
     return "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
 
 
-def _value_str(cfg: RunConfig, v) -> str:
-    if cfg.approx:
+def _value_str(args, v) -> str:
+    if args.approx:
         z = cyclotomic.approx(v)
         return f"{z.real:.12g}{z.imag:+.12g}j"
     return cyclotomic.to_text(v)
 
 
-def _parallel_map(jobs: int, fn, items):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _family_labels(ctx, args):
+    keep = FAMILIES[args.family]
+    return [lam for lam in enumerate_multipartitions(ctx, args.n, THETA)
+            if keep(lam)]
 
 
-def cmd_census(cfg: RunConfig) -> int:
-    ctx = TorusContext(cfg.q, cfg.n)
+def cmd_census(args) -> int:
+    ctx = TorusContext(args.q, args.n)
     out = census_semisimple(ctx)
-    if cfg.fmt == "tsv":
+    if args.format == "tsv":
         rows = [(k, out[k]) for k in sorted(out)]
-        _emit(cfg, _tsv(rows))
+        _emit(args, _tsv(rows))
     else:
-        _emit(cfg, _json(out))
+        _emit(args, _json(out))
     return 0
 
 
-def cmd_degrees(cfg: RunConfig, family: str) -> int:
-    ctx = TorusContext(cfg.q, cfg.n)
-    labels = enumerate_multipartitions(ctx, cfg.n, THETA)
-    keep = {
-        "all": lambda lam: True,
-        "semisimple": is_semisimple,
-        "regular": is_regular,
-        "unipotent": is_unipotent,
-    }[family]
-    labels = [lam for lam in labels if keep(lam)]
-
-    def entry(lam):
-        return {
+def cmd_degrees(args) -> int:
+    ctx = TorusContext(args.q, args.n)
+    entries = sorted((
+        {
             "label": lam.to_key(),
             "degree": degree(ctx, lam),
             "real": is_real(ctx, lam),
@@ -105,113 +124,90 @@ def cmd_degrees(cfg: RunConfig, family: str) -> int:
             "regular": is_regular(lam),
             "unipotent": is_unipotent(lam),
         }
-
-    entries = _parallel_map(cfg.jobs, entry, labels)
-    entries.sort(key=lambda e: e["label"])
-    if cfg.fmt == "tsv":
+        for lam in _family_labels(ctx, args)), key=lambda e: e["label"])
+    if args.format == "tsv":
         rows = [("label", "degree", "real", "semisimple", "regular", "unipotent")]
         rows += [
             (e["label"], e["degree"], int(e["real"]), int(e["semisimple"]),
              int(e["regular"]), int(e["unipotent"]))
             for e in entries]
-        _emit(cfg, _tsv(rows))
+        _emit(args, _tsv(rows))
     else:
-        _emit(cfg, _json({
-            "q": cfg.q, "n": cfg.n, "family": family, "characters": entries}))
+        _emit(args, _json({
+            "q": args.q, "n": args.n, "family": args.family,
+            "characters": entries}))
     return 0
 
 
-def cmd_chartable(cfg: RunConfig) -> int:
-    ctx = TorusContext(cfg.q, cfg.n)
-    table = char_table(ctx, max_cells=cfg.max_table_cells)
-    if cfg.fmt == "tsv":
+def cmd_chartable(args) -> int:
+    ctx = TorusContext(args.q, args.n)
+    table = char_table(ctx, max_cells=args.max_cells)
+    if args.format == "tsv":
         rows = [("label",) + tuple(mu.to_key() for mu in table.classes)]
         for lam, row in zip(table.chars, table.values):
-            rows.append((lam.to_key(),) + tuple(_value_str(cfg, v) for v in row))
-        _emit(cfg, _tsv(rows))
+            rows.append((lam.to_key(),) + tuple(_value_str(args, v) for v in row))
+        _emit(args, _tsv(rows))
     else:
         data = table.to_json()
-        if cfg.approx:
+        if args.approx:
             data["values"] = {
                 lam.to_key(): {
-                    mu.to_key(): _value_str(cfg, v)
+                    mu.to_key(): _value_str(args, v)
                     for mu, v in zip(table.classes, row)
                 }
                 for lam, row in zip(table.chars, table.values)
             }
-        _emit(cfg, _json(data))
+        _emit(args, _json(data))
     return 0
 
 
-def _indicator(ctx, lam):
-    if not is_real(ctx, lam):
-        return 0, "non-real"
-    if is_semisimple(lam) or is_regular(lam):
-        return fs_semisimple_regular(ctx, lam), "closed-form"
-    if is_unipotent(lam):
-        return fs_unipotent(ctx, lam), "two-core"
-    # the caller has already vetted the table size, so lift the default bound
-    return fs_bruteforce(ctx, lam, max_n=lam.size), "brute-force"
-
-
-def cmd_fs(cfg: RunConfig, family: str) -> int:
-    ctx = TorusContext(cfg.q, cfg.n)
-    labels = enumerate_multipartitions(ctx, cfg.n, THETA)
-    keep = {
-        "all": lambda lam: True,
-        "semisimple": is_semisimple,
-        "regular": is_regular,
-        "unipotent": is_unipotent,
-    }[family]
-    labels = [lam for lam in labels if keep(lam)]
-    # the brute-force fallback builds character rows; refuse oversized tables
-    needs_brute = [
-        lam for lam in labels
-        if is_real(ctx, lam) and not (
-            is_semisimple(lam) or is_regular(lam) or is_unipotent(lam))]
-    if needs_brute:
-        cells = len(needs_brute) * len(enumerate_multipartitions(ctx, cfg.n, PHI))
-        if cells > cfg.max_table_cells:
+def cmd_fs(args) -> int:
+    ctx = TorusContext(args.q, args.n)
+    routed = [(lam, _route(ctx, lam)) for lam in _family_labels(ctx, args)]
+    # the brute-force route builds character rows; refuse oversized tables
+    brute = sum(route == "brute-force" for _, route in routed)
+    if brute:
+        cells = brute * len(enumerate_multipartitions(ctx, args.n, PHI))
+        if cells > args.max_cells:
             raise TableTooLarge(
                 f"indicator run would need {cells} table cells "
-                f"(bound {cfg.max_table_cells})")
-
-    def entry(lam):
-        eps, route = _indicator(ctx, lam)
-        return {"label": lam.to_key(), "indicator": eps, "route": route}
-
-    entries = _parallel_map(cfg.jobs, entry, labels)
-    entries.sort(key=lambda e: e["label"])
-    if cfg.fmt == "tsv":
+                f"(bound {args.max_cells})")
+    entries = sorted((
+        {"label": lam.to_key(),
+         "indicator": INDICATOR_ROUTES[route](ctx, lam),
+         "route": route}
+        for lam, route in routed), key=lambda e: e["label"])
+    if args.format == "tsv":
         rows = [("label", "indicator", "route")]
         rows += [(e["label"], e["indicator"], e["route"]) for e in entries]
-        _emit(cfg, _tsv(rows))
+        _emit(args, _tsv(rows))
     else:
-        _emit(cfg, _json({
-            "q": cfg.q, "n": cfg.n, "family": family, "indicators": entries}))
+        _emit(args, _json({
+            "q": args.q, "n": args.n, "family": args.family,
+            "indicators": entries}))
     return 0
 
 
-def cmd_selfdual(cfg: RunConfig, constant: str) -> int:
-    F = GF(cfg.q)
-    want = None if constant == "any" else int(constant)
-    polys = enumerate_self_dual(F, cfg.n, want)
+def cmd_selfdual(args) -> int:
+    F = GF(args.q)
+    want = None if args.constant == "any" else int(args.constant)
+    polys = enumerate_self_dual(F, args.n, want)
     rendered = [poly_to_str(F, h) for h in polys]
-    if cfg.fmt == "tsv":
-        _emit(cfg, _tsv([(s,) for s in rendered]))
+    if args.format == "tsv":
+        _emit(args, _tsv([(s,) for s in rendered]))
     else:
-        _emit(cfg, _json({
-            "q": cfg.q,
-            "n": cfg.n,
-            "constant": constant,
+        _emit(args, _json({
+            "q": args.q,
+            "n": args.n,
+            "constant": args.constant,
             "count": len(polys),
             "polynomials": rendered,
         }))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, max_n: int) -> int:
-    q = cfg.q
+def cmd_verify(args) -> int:
+    q = args.q
     lines = []
     ok = True
 
@@ -221,7 +217,7 @@ def cmd_verify(cfg: RunConfig, max_n: int) -> int:
         ok = ok and cond
 
     F = GF(q)
-    for n in range(1, max_n + 1):
+    for n in range(1, args.max_n + 1):
         ctx = TorusContext(q, n)
         labels = enumerate_multipartitions(ctx, n, THETA)
         classes = class_table(ctx)
@@ -232,9 +228,7 @@ def cmd_verify(cfg: RunConfig, max_n: int) -> int:
             sum(degree(ctx, lam) ** 2 for lam in labels) == group_order(ctx),
             f"n={n}: degree squares sum to |G|")
         census = census_semisimple(ctx)
-        real_ss = [
-            lam for lam in labels
-            if is_semisimple(lam) and is_real(ctx, lam)]
+        real_ss = real_semisimple_labels(ctx)
         sd_all = enumerate_self_dual(F, n)
         check(
             census["real_total"] == len(real_ss) == len(sd_all),
@@ -252,27 +246,29 @@ def cmd_verify(cfg: RunConfig, max_n: int) -> int:
             image == set(sd_all),
             f"n={n}: realization is a bijection onto self-dual polynomials")
         cells = len(labels) * len(classes)
-        if cells <= cfg.max_table_cells:
-            table = char_table(ctx, max_cells=cfg.max_table_cells)
-            sizes = {c.label: c.size for c in classes}
+        if cells <= args.max_cells:
+            table = char_table(ctx, max_cells=args.max_cells)
+            size = {c.label: c.size for c in classes}
+            order = group_order(ctx)
+            zero = cyclotomic.zero(table.modulus)
             good = True
-            for i, lam in enumerate(table.chars):
-                for lam2 in table.chars[i:]:
-                    acc = cyclotomic.zero(table.modulus)
-                    for mu in table.classes:
-                        acc = acc + (table.value(lam, mu)
-                                     * table.value(lam2, mu).conjugate()
-                                     * sizes[mu])
-                    expect = group_order(ctx) if lam == lam2 else 0
-                    good = good and acc == expect
+            for i, row in enumerate(table.values):
+                # conjugate and weight row i once, then pair it with rows j >= i
+                weighted = [v.conjugate() * size[mu]
+                            for v, mu in zip(row, table.classes)]
+                for j in range(i, len(table.values)):
+                    acc = sum(
+                        (a * b for a, b in zip(table.values[j], weighted)), zero)
+                    good = good and acc == (order if i == j else 0)
             check(good, f"n={n}: row orthogonality over all pairs")
             if q % 2:
                 good = all(
-                    fs_bruteforce(ctx, lam, max_n=n) == _indicator(ctx, lam)[0]
+                    fs_bruteforce(ctx, lam, max_n=n)
+                    == INDICATOR_ROUTES[_route(ctx, lam)](ctx, lam)
                     for lam in labels)
                 check(good, f"n={n}: indicator routes agree with brute force")
     text = "".join(line + "\n" for line in lines)
-    _emit(cfg, text)
+    _emit(args, text)
     return 0 if ok else 1
 
 
@@ -282,70 +278,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact character theory of the finite unitary groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True):
+    # main builds the parser on every call, so each run= is the function
+    # the module holds under that name at that moment, not at import
+    def command(name, run, summary, need_n=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--q", type=int, required=True, help="prime power")
         if need_n:
             p.add_argument("--n", type=int, required=True, help="degree")
         p.add_argument("--format", choices=["json", "tsv"], default="json")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", metavar="FILE")
         p.add_argument("--max-cells", type=int, default=4096,
                        help="refuse table-building work beyond this size")
         p.add_argument("--approx", action="store_true",
                        help="render values as floating-point complex numbers")
+        return p
 
-    p = sub.add_parser("census", help="real semisimple indicator counts")
-    common(p)
-
-    p = sub.add_parser("degrees", help="character degrees")
-    common(p)
-    p.add_argument("--family", default="all",
-                   choices=["semisimple", "regular", "unipotent", "all"])
-
-    p = sub.add_parser("chartable", help="full exact character table")
-    common(p)
-
-    p = sub.add_parser("fs", help="indicators with the route used")
-    common(p)
-    p.add_argument("--family", default="all",
-                   choices=["semisimple", "regular", "unipotent", "all"])
-
-    p = sub.add_parser("selfdual", help="self-dual polynomial enumeration")
-    common(p)
+    command("census", cmd_census, "real semisimple indicator counts")
+    p = command("degrees", cmd_degrees, "character degrees")
+    p.add_argument("--family", default="all", choices=FAMILIES)
+    command("chartable", cmd_chartable, "full exact character table")
+    p = command("fs", cmd_fs, "indicators with the route used")
+    p.add_argument("--family", default="all", choices=FAMILIES)
+    p = command("selfdual", cmd_selfdual, "self-dual polynomial enumeration")
     p.add_argument("--constant", default="any", choices=["-1", "1", "any"])
-
-    p = sub.add_parser("verify", help="cross-validation stack")
-    common(p, need_n=False)
+    p = command("verify", cmd_verify, "cross-validation stack", need_n=False)
     p.add_argument("--max-n", type=int, default=2)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        q=args.q,
-        n=getattr(args, "n", 0),
-        fmt=args.format,
-        jobs=args.jobs,
-        max_table_cells=args.max_cells,
-        approx=args.approx,
-        out=args.out,
-    )
     try:
-        if args.command == "census":
-            return cmd_census(cfg)
-        if args.command == "degrees":
-            return cmd_degrees(cfg, args.family)
-        if args.command == "chartable":
-            return cmd_chartable(cfg)
-        if args.command == "fs":
-            return cmd_fs(cfg, args.family)
-        if args.command == "selfdual":
-            return cmd_selfdual(cfg, args.constant)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.max_n)
-        raise AssertionError(args.command)
+        return args.run(args)
     except (TableTooLarge, ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ ModulusMismatch; callers lift explicitly with embed(a, L) for M | L.
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -30,15 +29,6 @@ MAX_DEGREE = 1500
 
 class ModulusMismatch(ValueError):
     """Arithmetic was attempted between values in different Q(zeta_M)."""
-
-
-def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _poly_divexact_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
@@ -106,15 +96,13 @@ class _Field:
 
 
 _fields: dict[int, _Field] = {}
-_fields_lock = threading.Lock()
 
 
 def _field(modulus: int) -> _Field:
-    with _fields_lock:
-        f = _fields.get(modulus)
-        if f is None:
-            f = _fields[modulus] = _Field(modulus)
-        return f
+    f = _fields.get(modulus)
+    if f is None:
+        f = _fields[modulus] = _Field(modulus)
+    return f
 
 
 class Cyclotomic:

@@ -93,10 +93,6 @@ class MultiPartition:
         return f"<mp {self.to_key()}>"
 
 
-def mp_size(mp: MultiPartition) -> int:
-    return mp.size
-
-
 def mp_n_stat(mp: MultiPartition) -> int:
     """n(mp) = sum |orbit| * n(partition)."""
     return sum(o.size * n_stat(parts) for o, parts in mp.entries)

@@ -29,10 +29,6 @@ def factorint(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in factorint(n))
-
-
 @cache
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""

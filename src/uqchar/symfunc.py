@@ -418,10 +418,6 @@ class CharTable:
     def value(self, lam: MultiPartition, mu: MultiPartition) -> Cyclotomic:
         return self.values[self.chars.index(lam)][self.classes.index(mu)]
 
-    def row(self, lam: MultiPartition) -> dict[MultiPartition, Cyclotomic]:
-        r = self.values[self.chars.index(lam)]
-        return dict(zip(self.classes, r))
-
     def to_json(self) -> dict:
         return {
             "q": self.q,

@@ -1,13 +1,15 @@
 """End-to-end runs of the command-line interface.
 
-Repeated invocations must be byte-identical, including under --jobs, since
-downstream tooling diffs the output.
+Repeated invocations must be byte-identical, since downstream tooling diffs
+the output.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from uqchar import cli
 from uqchar.cli import main
 
 
@@ -62,17 +64,33 @@ def test_verify_exit_zero(capsys):
         assert line.startswith("ok: ")
 
 
+def test_verify_fails_on_a_corrupted_table(capsys, monkeypatch):
+    real_char_table = cli.char_table
+
+    def corrupted(ctx, **kw):
+        table = real_char_table(ctx, **kw)
+        if table.n != 2:
+            return table
+        first = (table.values[0][0] + 1,) + table.values[0][1:]
+        return dataclasses.replace(table, values=(first,) + table.values[1:])
+
+    monkeypatch.setattr(cli, "char_table", corrupted)
+    code, out, err = run(capsys, ["verify", "--q", "3", "--max-n", "2"])
+    assert code == 1
+    assert "FAIL: n=2: row orthogonality over all pairs" in out.splitlines()
+    assert "ok: n=1: row orthogonality over all pairs" in out.splitlines()
+
+
 def test_verify_even_q(capsys):
     code, out, err = run(capsys, ["verify", "--q", "2", "--max-n", "2"])
     assert code == 0, out + err
     assert all(line.startswith("ok: ") for line in out.splitlines())
 
 
-def test_degrees_byte_identical_across_jobs(capsys):
+def test_degrees_byte_identical_repeat(capsys):
     runs = []
-    for jobs in ("1", "3", "1"):
-        code, out, err = run(capsys, ["degrees", "--q", "3", "--n", "2",
-                                      "--jobs", jobs])
+    for _ in range(3):
+        code, out, err = run(capsys, ["degrees", "--q", "3", "--n", "2"])
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1] == runs[2]
@@ -125,6 +143,16 @@ def test_fs_u2_f9(capsys):
     assert routes == {"non-real", "closed-form"}
 
 
+def test_fs_reaches_every_route(capsys):
+    code, out, err = run(capsys, ["fs", "--q", "3", "--n", "3",
+                                  "--format", "tsv"])
+    assert code == 0 and not err
+    routes = [line.split("\t")[2] for line in out.splitlines()[1:]]
+    counts = {r: routes.count(r) for r in set(routes)}
+    assert counts == {"non-real": 44, "closed-form": 10, "two-core": 1,
+                      "brute-force": 1}
+
+
 def test_fs_refusal_when_brute_needed_and_table_large(capsys):
     # q=3, n=3 has real rows outside the closed-form families; with a tiny
     # cell bound the command must refuse instead of grinding
@@ -135,9 +163,11 @@ def test_fs_refusal_when_brute_needed_and_table_large(capsys):
 
 
 def test_usage_error_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--n", "4"])
-    assert exc.value.code == 2
+    for argv in (["census", "--n", "4"],
+                 ["degrees", "--q", "3", "--n", "2", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_unknown_command_exit_two(capsys):

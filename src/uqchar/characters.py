@@ -150,9 +150,8 @@ def fs_bruteforce(
 ) -> int:
     """Indicator as the exact average of chi over squares of group elements.
 
-    Sums |K| chi(K^2) over conjugacy classes K, divided by |G|.  Odd q only
-    (squaring a class is only implemented away from characteristic two), and
-    guarded by max_n because it builds a full character row.
+    Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.
+    Guarded by max_n because it builds a full character row.
     """
     n = lam.size
     if n > max_n:

@@ -8,7 +8,9 @@ The centralizer order of the class labelled by mu is the Ennola-Wall value
 evaluated exactly in Fractions and asserted to be a positive integer.  Class
 squaring works orbit by orbit: the square of the orbit f = [alpha] is the
 orbit f' = [alpha^2], every element of f' has exactly |f| / |f'| preimages,
-so the partition on f is repeated that many times on f'.
+so the partition on f is repeated that many times on f'.  For even q each
+part k is first split into (ceil(k/2), floor(k/2)), the Jordan type of the
+square of a unipotent block in characteristic two.
 """
 
 from __future__ import annotations
@@ -94,14 +96,12 @@ def central_class(ctx: TorusContext, alpha: int, n: int | None = None) -> MultiP
 
 
 def class_square(ctx: TorusContext, mu: MultiPartition) -> MultiPartition:
-    """The class of g^2 for g in the class mu; odd q only.
+    """The class of g^2 for g in the class mu.
 
-    In even characteristic squaring changes the Jordan type of the unipotent
-    part, so the partition transport below would be wrong; indicators for
-    even q are settled by the central-character theorem without squaring.
+    For even q the unipotent part changes too: a Jordan block 1 + N of size k
+    squares to 1 + N^2, whose Jordan type is (ceil(k/2), floor(k/2)).  Tori
+    then have odd order, so every fiber is 1.
     """
-    if ctx.q % 2 == 0:
-        raise ValueError("class squaring is implemented for odd q only")
     if mu.side != PHI:
         raise ValueError("classes live on the phi side")
     merged: dict[OrbitLabel, list[int]] = {}
@@ -110,6 +110,8 @@ def class_square(ctx: TorusContext, mu: MultiPartition) -> MultiPartition:
             ctx, orbit.level, 2 * orbit.min_exponent, PHI)
         fiber = orbit.size // doubled.size
         assert orbit.size % doubled.size == 0
+        if ctx.q % 2 == 0:
+            parts = [h for k in parts for h in ((k + 1) // 2, k // 2) if h]
         merged.setdefault(doubled, []).extend(list(parts) * fiber)
     out = MultiPartition.make(
         PHI, [(o, tuple(sorted(ps, reverse=True))) for o, ps in merged.items()])

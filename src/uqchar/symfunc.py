@@ -15,12 +15,11 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      (-q)^(n(mu)) of P_mu and the sign (-1)^(floor(n/2) + n(lam)), is the
      character value chi^lam at the class mu.
 
-Hall-Littlewood expansions come from the antisymmetrized numerator
-x^lam prod_{i<j}(x_i - t x_j): antisymmetrizing monomial by monomial gives a
-bialternant-free Schur expansion (a_beta / a_delta = s_{beta - delta}), and
-Schur functions expand into monomials by Kostka numbers counted as
-semistandard tableaux.  All of it is exact: Fractions for t-coefficients,
-cyclotomic integers for character values.
+Hall-Littlewood functions expand into monomials by the tableau formula of
+Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): the Kostka
+horizontal-strip recursion with each strip weighted by psi_{lam/nu}(t).  Power
+sums expand by counting the ways to drop their parts into rows.  All of it is
+exact: Fractions for t-coefficients, cyclotomic integers for character values.
 """
 
 from __future__ import annotations
@@ -148,36 +147,26 @@ def schur_m_vector(lam: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], in
     return out
 
 
-def _dense_mul(a, b, scale=1):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = out.get(key, 0) + scale * c1 * c2
-    return {k: v for k, v in out.items() if v}
+@cache
+def _hl_coeff(lam: tuple[int, ...], mu: tuple[int, ...], t: Fraction) -> Fraction:
+    """Coefficient of m_mu in P_lam(t), by Macdonald III (5.11') and (5.8').
 
-
-def _sort_sign(exps):
-    """(descending tuple, permutation sign); None if an exponent repeats."""
-    if len(set(exps)) != len(exps):
-        return None
-    inversions = sum(
-        1 for i in range(len(exps)) for j in range(i + 1, len(exps))
-        if exps[i] < exps[j])
-    return tuple(sorted(exps, reverse=True)), (-1) ** inversions
-
-
-def _v_weight(lam: tuple[int, ...], t: Fraction, nvars: int) -> Fraction:
-    """v_lam(t) = prod over multiplicities m (incl. m_0) of prod_{j<=m} [j]_t.
-
-    [j]_t = 1 + t + .. + t^(j-1), so the weight is fine at t = 1 as well.
+    The largest entry of a tableau fills a horizontal strip lam/nu of size
+    mu[-1], weighted by psi_{lam/nu}(t) = prod (1 - t^(m_j(nu))) over the
+    columns j that hold no box of the strip while column j+1 does.
     """
-    mults = [nvars - len(lam)] + [lam.count(v) for v in sorted(set(lam))]
-    val = Fraction(1)
-    for m in mults:
-        for j in range(2, m + 1):  # j = 1 contributes 1
-            val *= sum((t**i for i in range(1, j)), Fraction(1))
-    return val
+    if not mu:
+        return Fraction(int(not lam))
+    total = Fraction(0)
+    for nu in _horizontal_strips(lam, mu[-1]):
+        padded = nu + (0,) * (len(lam) - len(nu))
+        strip = {j for a, b in zip(lam, padded) for j in range(b + 1, a + 1)}
+        psi = Fraction(1)
+        for j in strip:
+            if j > 1 and j - 1 not in strip:
+                psi *= 1 - t ** nu.count(j - 1)
+        total += psi * _hl_coeff(nu, mu[:-1], t)
+    return total
 
 
 @cache
@@ -186,55 +175,27 @@ def hl_m_vector(
 ) -> dict[tuple[int, ...], Fraction]:
     """Monomial coefficients of the Hall-Littlewood P_lam(x_1..x_nvars; t)."""
     lam = check_partition(lam)
-    if len(lam) > nvars:
-        return {}
-    if nvars == 0:
-        return {(): Fraction(1)}
-    # numerator x^lam prod_{i<j} (x_i - t x_j), expanded monomial by monomial
-    padded = lam + (0,) * (nvars - len(lam))
-    poly = {padded: Fraction(1)}
-    unit = tuple(0 for _ in range(nvars))
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            ei = unit[:i] + (1,) + unit[i + 1:]
-            ej = unit[:j] + (1,) + unit[j + 1:]
-            factor = {ei: Fraction(1), ej: -t}
-            poly = _dense_mul(poly, factor)
-    # antisymmetrize: a_beta / vandermonde = s_{beta - delta}
-    delta = tuple(range(nvars - 1, -1, -1))
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, c in poly.items():
-        hit = _sort_sign(exps)
-        if hit is None:
-            continue
-        beta, sign = hit
-        shape = tuple(a for a in (b - d for b, d in zip(beta, delta)) if a)
-        for mu, k in schur_m_vector(shape, nvars).items():
-            out[mu] = out.get(mu, Fraction(0)) + sign * c * k
-    v = _v_weight(lam, t, nvars)
-    return {mu: c / v for mu, c in out.items() if c}
+    vec = {mu: _hl_coeff(lam, mu, t)
+           for mu in partitions_of(sum(lam)) if len(mu) <= nvars}
+    return {mu: c for mu, c in vec.items() if c}
+
+
+@cache
+def _fillings(parts: tuple[int, ...], rows: tuple[int, ...]) -> int:
+    """Ways to drop the parts, in order, into rows with that much room each."""
+    if not parts:
+        return int(not any(rows))
+    k = parts[0]
+    return sum(_fillings(parts[1:], tuple(sorted(rows[:i] + (r - k,) + rows[i + 1:])))
+               for i, r in enumerate(rows) if r >= k)
 
 
 @cache
 def power_m_vector(nu: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
     """Monomial coefficients of p_nu = prod p_{nu_i} in nvars variables."""
-    if nvars == 0:
-        return {(): 1} if not nu else {}
-    poly = {tuple(0 for _ in range(nvars)): 1}
-    for k in nu:
-        pk = {}
-        for i in range(nvars):
-            e = [0] * nvars
-            e[i] = k
-            pk[tuple(e)] = 1
-        poly = _dense_mul(poly, pk)
-    out = {}
-    for mu in partitions_of(sum(nu)):
-        if len(mu) <= nvars:
-            c = poly.get(mu + (0,) * (nvars - len(mu)))
-            if c:
-                out[mu] = c
-    return out
+    vec = {mu: _fillings(tuple(nu), tuple(sorted(mu)))
+           for mu in partitions_of(sum(nu)) if len(mu) <= nvars}
+    return {mu: c for mu, c in vec.items() if c}
 
 
 @cache
@@ -246,14 +207,13 @@ def power_to_hl(
     n = sum(rho)
     if n == 0:
         return {(): Fraction(1)}
-    nvars = n
-    target = {mu: Fraction(c) for mu, c in power_m_vector(rho, nvars).items()}
+    target = {mu: Fraction(c) for mu, c in power_m_vector(rho, n).items()}
     out = {}
     for lam in partitions_of(n):  # reverse-lex refines dominance, top down
         c = target.get(lam)
         if not c:
             continue
-        vec = hl_m_vector(lam, t, nvars)
+        vec = hl_m_vector(lam, t, n)
         assert vec[lam] == 1, "P_lam is monic at m_lam"
         out[lam] = c
         for mu, k in vec.items():

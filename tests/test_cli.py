@@ -10,7 +10,11 @@ import json
 import pytest
 
 from uqchar import cli
+from uqchar.characters import degree
 from uqchar.cli import main
+from uqchar.conjclasses import central_class, class_square, class_table
+from uqchar.multipartition import enumerate_multipartitions
+from uqchar.torus import THETA, TorusContext
 
 
 def run(capsys, argv):
@@ -82,9 +86,20 @@ def test_verify_fails_on_a_corrupted_table(capsys, monkeypatch):
 
 
 def test_verify_even_q(capsys):
-    code, out, err = run(capsys, ["verify", "--q", "2", "--max-n", "2"])
+    code, out, err = run(capsys, ["verify", "--q", "2", "--max-n", "3"])
     assert code == 0, out + err
     assert all(line.startswith("ok: ") for line in out.splitlines())
+    assert "ok: n=3: indicator routes agree with brute force" in out.splitlines()
+
+
+def test_verify_reports_skipped_tables(capsys):
+    code, out, err = run(capsys, ["verify", "--q", "3", "--max-n", "2",
+                                  "--max-cells", "10"])
+    assert code == 0, out + err
+    skips = [line for line in out.splitlines() if line.startswith("skip: ")]
+    assert skips == [
+        "skip: n=1: row orthogonality and indicator routes (cells 16 > 10)",
+        "skip: n=2: row orthogonality and indicator routes (cells 256 > 10)"]
 
 
 def test_degrees_byte_identical_repeat(capsys):
@@ -153,6 +168,20 @@ def test_fs_reaches_every_route(capsys):
                       "brute-force": 1}
 
 
+@pytest.mark.parametrize("q,n,count", [
+    (3, 2, 8), (3, 3, 128), (5, 2, 22), (2, 4, 316), (4, 3, 196)])
+def test_indicator_sum_counts_square_roots_of_one(q, n, count):
+    # Frobenius-Schur: sum_chi eps(chi) chi(1) = #{g : g^2 = 1}
+    ctx = TorusContext(q, n)
+    eps_deg = sum(
+        cli.INDICATOR_ROUTES[cli._route(ctx, lam)](ctx, lam) * degree(ctx, lam)
+        for lam in enumerate_multipartitions(ctx, n, THETA))
+    identity = central_class(ctx, 0)
+    squares_to_one = sum(
+        c.size for c in class_table(ctx) if class_square(ctx, c.label) == identity)
+    assert eps_deg == squares_to_one == count
+
+
 def test_fs_refusal_when_brute_needed_and_table_large(capsys):
     # q=3, n=3 has real rows outside the closed-form families; with a tiny
     # cell bound the command must refuse instead of grinding
@@ -164,7 +193,9 @@ def test_fs_refusal_when_brute_needed_and_table_large(capsys):
 
 def test_usage_error_exit_two(capsys):
     for argv in (["census", "--n", "4"],
-                 ["degrees", "--q", "3", "--n", "2", "--jobs", "2"]):
+                 ["degrees", "--q", "3", "--n", "2", "--jobs", "2"],
+                 ["census", "--q", "3", "--n", "2", "--approx"],
+                 ["selfdual", "--q", "3", "--n", "2", "--max-cells", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

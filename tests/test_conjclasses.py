@@ -14,7 +14,7 @@ from uqchar.conjclasses import (
     group_order,
 )
 from uqchar.multipartition import MultiPartition, enumerate_multipartitions
-from uqchar.torus import PHI, OrbitLabel, TorusContext
+from uqchar.torus import PHI, OrbitLabel, TorusContext, one_orbit
 
 
 def mp(*pairs):
@@ -101,7 +101,7 @@ def test_class_square_examples():
     assert class_square(ctx, lvl2) == mp((OrbitLabel(1, 3, PHI), (1, 1)))
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (5, 2), (2, 3), (4, 2)])
 def test_class_square_total_size_preserved(q, n):
     ctx = TorusContext(q, n)
     labels = enumerate_multipartitions(ctx, n, PHI)
@@ -111,7 +111,8 @@ def test_class_square_total_size_preserved(q, n):
         assert sq in labels
 
 
-def test_class_square_even_q_refused():
-    ctx = TorusContext(2, 2)
-    with pytest.raises(ValueError):
-        class_square(ctx, central_class(ctx, 1))
+def test_class_square_even_q_splits_unipotent_blocks():
+    # in characteristic two (1 + N)^2 = 1 + N^2: a block of size 3 becomes 2 + 1
+    ctx = TorusContext(2, 3)
+    uni = mp((one_orbit(ctx, PHI), (3,)))
+    assert class_square(ctx, uni) == mp((one_orbit(ctx, PHI), (2, 1)))

@@ -1,10 +1,11 @@
 """Oracles for the symmetric-function engine and small character tables.
 
 The monomial expansion of s_lam (Kostka numbers, computed by horizontal-strip
-recursion) and of p_nu (direct polynomial multiplication) are independent code
-paths; comparing chi-weighted power sums against Kostka vectors checks the
-Murnaghan-Nakayama recursion.  Hall-Littlewood expansions are checked against
-brute-force symmetrization and against classical identities.  Character values
+recursion) and of p_nu (counting the ways to drop parts into rows) are
+independent code paths; comparing chi-weighted power sums against Kostka
+vectors checks the Murnaghan-Nakayama recursion.  Hall-Littlewood expansions
+are checked against Schur and monomial functions at t = 0 and 1, against
+closed forms, and by substituting them back into power sums.  Character values
 for U(1) and U(2) over F_9 are checked against hand calculations.
 """
 
@@ -148,6 +149,9 @@ def test_hl_small_literal():
     assert hl_m_vector((2,), t, 3) == {(2,): Fraction(1), (1, 1): 1 - t}
     # P_(1) = m_(1) = p_1
     assert hl_m_vector((1,), t, 2) == {(1,): Fraction(1)}
+    # P_(2,1) = m_(2,1) + (2 - t - t^2) m_(1,1,1)
+    assert hl_m_vector((2, 1), t, 3) == {
+        (2, 1): Fraction(1), (1, 1, 1): 2 - t - t * t}
 
 
 def test_hl_at_t_zero_is_schur():
@@ -164,6 +168,14 @@ def test_hl_at_t_one_is_monomial():
         for lam in partitions_of(n):
             got = hl_m_vector(lam, Fraction(1), n)
             assert got == {lam: Fraction(1)}
+
+
+def test_hl_one_row_closed_form():
+    # P_(n) = sum_mu (1-t)^(l(mu)-1) m_mu
+    t = Fraction(-1, 3)
+    for n in range(1, 8):
+        assert hl_m_vector((n,), t, n) == {
+            mu: (1 - t) ** (len(mu) - 1) for mu in partitions_of(n)}
 
 
 def test_hl_monic_leading_term():
@@ -195,7 +207,7 @@ def test_power_to_hl_degree_two_identities():
 def test_power_to_hl_round_trip():
     # substituting the monomial expansions back reproduces p_rho
     t = Fraction(-1, 3)
-    for n in range(1, 6):
+    for n in range(1, 8):
         for rho in partitions_of(n):
             acc = {}
             for lam, c in power_to_hl(rho, t).items():
@@ -208,7 +220,7 @@ def test_power_to_hl_round_trip():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=5).flatmap(
+    st.integers(min_value=1, max_value=7).flatmap(
         lambda n: st.sampled_from(partitions_of(n))),
     st.fractions(min_value=Fraction(-3), max_value=Fraction(3)).filter(
         lambda t: t not in (1, -1)))

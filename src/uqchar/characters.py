@@ -43,7 +43,9 @@ from .torus import (
     to_level_one,
 )
 
-BRUTE_FS_MAX_N = 2
+
+class RouteDisagreement(ValueError):
+    """Two indicator routes gave different values for the same label."""
 
 
 def degree(ctx: TorusContext, lam: MultiPartition) -> int:
@@ -109,31 +111,50 @@ def central_value(ctx: TorusContext, lam: MultiPartition, alpha: int) -> Cycloto
     return cyclotomic.zeta(m1, (w * alpha) % m1) * degree(ctx, lam)
 
 
+def fs_via_centre(ctx: TorusContext, lam: MultiPartition) -> int:
+    """Indicator of a real semisimple or regular label from its central character.
+
+    n odd: always orthogonal.  n even: the sign of the central character at a
+    generator of the centre; it is real, so its exponent is 0 or M_1 / 2, and
+    for even q, where the centre has odd order, always 0.
+    """
+    if lam.size % 2:
+        return 1
+    w = omega_exponent(ctx, lam)
+    if w == 0:
+        return 1
+    if 2 * w == ctx.modulus(1):
+        return -1
+    raise ValueError(f"central character of {lam} is not real (exponent {w})")
+
+
+def fs_via_sigma(ctx: TorusContext, lam: MultiPartition) -> int | None:
+    """The same indicator from the parity of the partition on sigma.
+
+    sigma is the order-two character, which exists for odd q only; the rule
+    covers even n.  None where it does not apply.
+    """
+    if lam.size % 2 or ctx.q % 2 == 0:
+        return None
+    return -1 if sum(lam.part_for(sigma_orbit(ctx))) % 2 else 1
+
+
 def fs_semisimple_regular(ctx: TorusContext, lam: MultiPartition) -> int:
     """Indicator of a real character in the semisimple or regular family.
 
-    n odd: always orthogonal.  n even: the sign of the central character at
-    a generator of the centre; for odd q this must agree with the parity of
-    the partition carried by the order-two character, and both are checked.
+    The centre route gives it; where the sigma route applies too, the two must
+    agree, or RouteDisagreement is raised.
     """
     if not (is_semisimple(lam) or is_regular(lam)):
         raise ValueError("closed form only covers semisimple or regular labels")
     if not is_real(ctx, lam):
         raise ValueError("indicator routes expect a real character")
-    n = lam.size
-    if n % 2:
-        return 1
-    w = omega_exponent(ctx, lam)
-    m1 = ctx.modulus(1)
-    if ctx.q % 2 == 0:
-        # the centre has odd order, so a real central character is trivial
-        assert w == 0, (lam, w)
-        return 1
-    assert w in (0, m1 // 2), (lam, w)
-    via_centre = 1 if w == 0 else -1
-    sigma_part = lam.part_for(sigma_orbit(ctx))
-    via_sigma = -1 if sum(sigma_part) % 2 else 1
-    assert via_centre == via_sigma, (lam, via_centre, via_sigma)
+    via_centre = fs_via_centre(ctx, lam)
+    via_sigma = fs_via_sigma(ctx, lam)
+    if via_sigma not in (None, via_centre):
+        raise RouteDisagreement(
+            f"indicator of {lam}: {via_centre} via the centre, "
+            f"{via_sigma} via sigma")
     return via_centre
 
 
@@ -145,19 +166,13 @@ def fs_unipotent(ctx: TorusContext, lam: MultiPartition) -> int:
     return (-1) ** (sum(core) // 2)
 
 
-def fs_bruteforce(
-    ctx: TorusContext, lam: MultiPartition, max_n: int = BRUTE_FS_MAX_N
-) -> int:
+def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
     """Indicator as the exact average of chi over squares of group elements.
 
-    Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.
-    Guarded by max_n because it builds a full character row.
+    Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.  It
+    builds a full character row, so callers bound the work beforehand.
     """
     n = lam.size
-    if n > max_n:
-        raise ValueError(
-            f"brute-force indicator at degree {n} exceeds the bound {max_n}; "
-            "raise max_n explicitly to proceed")
     row = char_row(ctx, lam)
     big = ctx.cyclo_modulus
     zero = cyclotomic.zero(big)
@@ -174,17 +189,17 @@ def fs_bruteforce(
     return eps
 
 
-def census_semisimple(ctx: TorusContext, n: int | None = None) -> dict:
-    """Count real semisimple characters by indicator at degree n.
+def census_semisimple(ctx: TorusContext) -> dict:
+    """Count real semisimple characters by indicator at degree ctx.n.
 
     Returns q, n, the number of semisimple labels, the number of real ones,
-    and the orthogonal/symplectic split.  route_agreement reports how many
-    labels had their indicator confirmed by two independent routes (the
-    closed form asserts agreement internally for even n, odd q).
+    and the orthogonal/symplectic split.  route_agreement counts the labels
+    whose indicator both the centre and the sigma route computed, and agreed
+    on; a disagreement raises RouteDisagreement.
     """
-    n = ctx.n if n is None else n
+    n = ctx.n
     semisimple = sum(map(is_semisimple, enumerate_multipartitions(ctx, n, THETA)))
-    real = real_semisimple_labels(ctx, n)
+    real = real_semisimple_labels(ctx)
     orthogonal = symplectic = 0
     cross_checked = 0
     for lam in real:
@@ -193,8 +208,8 @@ def census_semisimple(ctx: TorusContext, n: int | None = None) -> dict:
             orthogonal += 1
         else:
             symplectic += 1
-        if n % 2 == 0 and ctx.q % 2 == 1:
-            cross_checked += 1
+        # fs_semisimple_regular compared the routes wherever both apply
+        cross_checked += fs_via_sigma(ctx, lam) is not None
     return {
         "q": ctx.q,
         "n": n,
@@ -206,18 +221,15 @@ def census_semisimple(ctx: TorusContext, n: int | None = None) -> dict:
     }
 
 
-def real_semisimple_labels(
-    ctx: TorusContext, n: int | None = None
-) -> list[MultiPartition]:
-    """The real semisimple labels at degree n, in canonical order."""
-    n = ctx.n if n is None else n
+def real_semisimple_labels(ctx: TorusContext) -> list[MultiPartition]:
+    """The real semisimple labels at degree ctx.n, in canonical order."""
     return [
-        lam for lam in enumerate_multipartitions(ctx, n, THETA)
+        lam for lam in enumerate_multipartitions(ctx, ctx.n, THETA)
         if is_semisimple(lam) and is_real(ctx, lam)]
 
 
-def symplectic_labels(ctx: TorusContext, n: int | None = None) -> list[MultiPartition]:
+def symplectic_labels(ctx: TorusContext) -> list[MultiPartition]:
     """The real semisimple labels with indicator -1, in canonical order."""
     return [
-        lam for lam in real_semisimple_labels(ctx, n)
+        lam for lam in real_semisimple_labels(ctx)
         if fs_semisimple_regular(ctx, lam) == -1]

@@ -7,8 +7,9 @@ enumeration), and verify (the cross-validation stack).  Output is JSON with
 sorted keys or TSV with fixed column order, so identical invocations are
 byte-identical.
 
-Exit status: 0 on success, 1 on refusals and internal check failures
-(diagnostic on stderr), 2 on usage errors (argparse).
+Exit status: 0 on success, 1 on refusals, internal check failures and an
+unwritable --out (diagnostic on stderr), 2 on usage errors (argparse),
+including a negative --max-cells.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ INDICATOR_ROUTES = {
     "non-real": lambda ctx, lam: 0,
     "closed-form": lambda ctx, lam: fs_semisimple_regular(ctx, lam),
     "two-core": lambda ctx, lam: fs_unipotent(ctx, lam),
-    # the caller has already vetted the table size, so lift the default bound
-    "brute-force": lambda ctx, lam: fs_bruteforce(ctx, lam, max_n=lam.size),
+    # builds a character row; callers bound the table size with --max-cells
+    "brute-force": lambda ctx, lam: fs_bruteforce(ctx, lam),
 }
 
 
@@ -266,13 +267,19 @@ def cmd_verify(args) -> int:
                     good = good and acc == (order if i == j else 0)
             check(good, f"n={n}: row orthogonality over all pairs")
             good = all(
-                fs_bruteforce(ctx, lam, max_n=n)
-                == INDICATOR_ROUTES[_route(ctx, lam)](ctx, lam)
+                fs_bruteforce(ctx, lam) == INDICATOR_ROUTES[_route(ctx, lam)](ctx, lam)
                 for lam in labels)
             check(good, f"n={n}: indicator routes agree with brute force")
     text = "".join(line + "\n" for line in lines)
     _emit(args, text)
     return 0 if ok else 1
+
+
+def _cell_bound(text: str) -> int:
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {bound}")
+    return bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "tsv"], default="json")
         p.add_argument("--out", metavar="FILE")
         if max_cells:
-            p.add_argument("--max-cells", type=int, default=4096,
+            p.add_argument("--max-cells", type=_cell_bound, default=4096,
                            help="refuse table-building work beyond this size")
         return p
 
@@ -317,7 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (TableTooLarge, ValueError, AssertionError) as exc:
+    except (TableTooLarge, ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -88,11 +88,10 @@ def class_table(ctx: TorusContext, n: int | None = None) -> tuple[ClassData, ...
     )
 
 
-def central_class(ctx: TorusContext, alpha: int, n: int | None = None) -> MultiPartition:
+def central_class(ctx: TorusContext, alpha: int) -> MultiPartition:
     """The class of the central element alpha * I, alpha a T_1 exponent."""
-    n = ctx.n if n is None else n
     orbit = frobenius_orbit(ctx, 1, alpha, PHI)
-    return MultiPartition.make(PHI, [(orbit, (1,) * n)])
+    return MultiPartition.make(PHI, [(orbit, (1,) * ctx.n)])
 
 
 def class_square(ctx: TorusContext, mu: MultiPartition) -> MultiPartition:

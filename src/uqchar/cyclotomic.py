@@ -105,6 +105,17 @@ def _field(modulus: int) -> _Field:
     return f
 
 
+def _power_basis(modulus: int, out: list[Fraction], terms) -> tuple[Fraction, ...]:
+    """Add sum c * z^e over the (e, c) in terms, e mod M, into the basis list out."""
+    row = _field(modulus).row
+    for e, c in terms:
+        if c:
+            for i, r in enumerate(row(e % modulus)):
+                if r:
+                    out[i] += c * r
+    return tuple(out)
+
+
 class Cyclotomic:
     """An element of Q(zeta_M) in reduced power-basis form."""
 
@@ -175,23 +186,15 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        fld = _field(self.modulus)
-        deg = fld.degree
+        deg = len(self.coeffs)
         conv = [_ZERO] * (2 * deg - 1)
         for i, ai in enumerate(self.coeffs):
             if ai:
                 for j, bj in enumerate(o.coeffs):
                     if bj:
                         conv[i + j] += ai * bj
-        out = list(conv[:deg])
-        for e in range(deg, 2 * deg - 1):
-            c = conv[e]
-            if c:
-                row = fld.row(e)
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += c * ri
-        return Cyclotomic._raw(self.modulus, tuple(out))
+        return Cyclotomic._raw(self.modulus, _power_basis(
+            self.modulus, conv[:deg], enumerate(conv[deg:], deg)))
 
     __rmul__ = __mul__
 
@@ -219,15 +222,10 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the automorphism z -> z^(M-1)."""
-        fld = _field(self.modulus)
-        out = [_ZERO] * fld.degree
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                row = fld.row((j * (self.modulus - 1)) % self.modulus)
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += cj * ri
-        return Cyclotomic._raw(self.modulus, tuple(out))
+        m = self.modulus
+        return Cyclotomic._raw(m, _power_basis(
+            m, [_ZERO] * len(self.coeffs),
+            ((j * (m - 1), c) for j, c in enumerate(self.coeffs) if c)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -273,9 +271,8 @@ def from_rational(modulus: int, r) -> Cyclotomic:
 
 def zeta(modulus: int, k: int = 1) -> Cyclotomic:
     """zeta_M^k as an exact value."""
-    fld = _field(modulus)
-    row = fld.row(k % modulus)
-    return Cyclotomic._raw(modulus, tuple(Fraction(c) for c in row))
+    return Cyclotomic._raw(modulus, _power_basis(
+        modulus, [_ZERO] * _field(modulus).degree, [(k, _ONE)]))
 
 
 def classify(a: Cyclotomic) -> tuple[str, Fraction | None]:
@@ -295,15 +292,9 @@ def embed(a: Cyclotomic, modulus: int) -> Cyclotomic:
     if modulus == a.modulus:
         return a
     step = modulus // a.modulus
-    fld = _field(modulus)
-    out = [_ZERO] * fld.degree
-    for j, cj in enumerate(a.coeffs):
-        if cj:
-            row = fld.row((j * step) % modulus)
-            for i, ri in enumerate(row):
-                if ri:
-                    out[i] += cj * ri
-    return Cyclotomic._raw(modulus, tuple(out))
+    return Cyclotomic._raw(modulus, _power_basis(
+        modulus, [_ZERO] * _field(modulus).degree,
+        ((j * step, c) for j, c in enumerate(a.coeffs) if c)))
 
 
 def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
@@ -348,11 +339,10 @@ def from_text(text: str) -> Cyclotomic:
         raise ValueError(f"not a cyclotomic literal: {text!r}")
     modulus = int(m.group(1))
     body = m.group(2).strip()
-    acc = zero(modulus)
     if body == "0" or body == "":
-        return acc
-    body = body.replace(" - ", " + -").split(" + ")
-    for raw in body:
+        return zero(modulus)
+    terms = []
+    for raw in body.replace(" - ", " + -").split(" + "):
         t = _TERM_RE.match(raw.replace(" ", ""))
         if not t:
             raise ValueError(f"bad cyclotomic term {raw!r} in {text!r}")
@@ -365,8 +355,9 @@ def from_text(text: str) -> Cyclotomic:
         else:
             c = Fraction(-1 if t.group("sign") == "-" else 1)
             e = int(t.group("k") or 1)
-        acc = acc + c * zeta(modulus, e)
-    return acc
+        terms.append((e, c))
+    return Cyclotomic._raw(modulus, _power_basis(
+        modulus, [_ZERO] * _field(modulus).degree, terms))
 
 
 def approx(a: Cyclotomic) -> complex:

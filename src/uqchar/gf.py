@@ -60,17 +60,14 @@ class PrimeField:
 class ExtField:
     """base[y] / (modulus), elements as length-degree tuples over base."""
 
-    def __init__(self, base, degree: int, modulus=None):
+    def __init__(self, base, degree: int):
         if degree < 2:
             raise ValueError("extension degree must be at least 2")
         self.base = base
         self.degree = degree
         self.size = base.size**degree
         self.char = base.char
-        if modulus is None:
-            modulus = least_irreducible(base, degree)
-        assert len(modulus) == degree + 1 and modulus[-1] == base.one
-        self.modulus = modulus
+        self.modulus = least_irreducible(base, degree)
         self.zero = (base.zero,) * degree
         self.one = (base.one,) + (base.zero,) * (degree - 1)
 

@@ -229,17 +229,6 @@ def power_to_hl(
 # -- the characteristic-map transform --------------------------------------
 
 
-@dataclass(frozen=True)
-class SymExpr:
-    """A finite sum of basis terms keyed by multipartitions."""
-
-    basis: str
-    terms: tuple[tuple[MultiPartition, Cyclotomic], ...]
-
-    def as_dict(self) -> dict[MultiPartition, Cyclotomic]:
-        return dict(self.terms)
-
-
 @cache
 def _transform_terms(
     ctx: TorusContext, k: int, phi: OrbitLabel
@@ -264,15 +253,18 @@ def _transform_terms(
     return tuple(out)
 
 
-def transform_y_to_x(ctx: TorusContext, k: int, phi: OrbitLabel) -> SymExpr:
-    """The power sum p_k on the character alphabet of phi, in class alphabets."""
+def transform_y_to_x(
+    ctx: TorusContext, k: int, phi: OrbitLabel
+) -> dict[MultiPartition, Cyclotomic]:
+    """The power sum p_k on the character alphabet of phi, in class alphabets.
+
+    Keys are the one-row class multipartitions (f, (r,)) standing for p_r on f.
+    """
     if phi.side != THETA:
         raise ValueError("transform expects a character orbit")
-    terms = []
-    for f, r, val in _transform_terms(ctx, k, phi):
-        mp = MultiPartition.make(PHI, [(f, (r,))])
-        terms.append((mp, val))
-    return SymExpr("power_x", tuple(terms))
+    return {
+        MultiPartition.make(PHI, [(f, (r,))]): val
+        for f, r, val in _transform_terms(ctx, k, phi)}
 
 
 @cache
@@ -395,11 +387,9 @@ class CharTable:
         }
 
 
-def char_table(
-    ctx: TorusContext, n: int | None = None, max_cells: int | None = 4096
-) -> CharTable:
-    """The character table at degree n, refused if larger than max_cells."""
-    n = ctx.n if n is None else n
+def char_table(ctx: TorusContext, max_cells: int | None = 4096) -> CharTable:
+    """The character table at degree ctx.n, refused if larger than max_cells."""
+    n = ctx.n
     chars = enumerate_multipartitions(ctx, n, THETA)
     classes = enumerate_multipartitions(ctx, n, PHI)
     cells = len(chars) * len(classes)

@@ -10,9 +10,9 @@ two-core rule on unipotent labels.
 
 import pytest
 
-from uqchar import cyclotomic
+from uqchar import characters, cyclotomic
 from uqchar.characters import (
-    BRUTE_FS_MAX_N,
+    RouteDisagreement,
     census_semisimple,
     central_value,
     degree,
@@ -199,14 +199,6 @@ def test_fs_bruteforce_u1():
             assert fs_bruteforce(ctx, lam) == expect
 
 
-def test_fs_bruteforce_bound():
-    ctx = TorusContext(3, 3)
-    lam = MultiPartition.make(THETA, [(one_orbit(ctx, THETA), (3,))])
-    with pytest.raises(ValueError):
-        fs_bruteforce(ctx, lam)
-    assert BRUTE_FS_MAX_N == 2
-
-
 def test_fs_unipotent_examples():
     ctx = TorusContext(3, 6)
     lam = MultiPartition.make(THETA, [(one_orbit(ctx, THETA), (3, 2, 1))])
@@ -246,6 +238,30 @@ def test_census_u4_f9():
     assert out["symplectic"] == 3
     assert out["orthogonal"] == 9
     assert out["real_total"] == 12
+    assert out["route_agreement"] == 12
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (2, 4), (4, 2)])
+def test_census_route_agreement_needs_both_routes(q, n):
+    # the sigma route covers even n and odd q only; elsewhere nothing is
+    # cross-checked, though every label still gets its indicator
+    out = census_semisimple(TorusContext(q, n))
+    assert out["real_total"] > 0
+    assert out["route_agreement"] == 0
+
+
+def test_census_raises_when_routes_disagree(monkeypatch):
+    real_sigma = characters.fs_via_sigma
+
+    def flipped(ctx, lam):
+        eps = real_sigma(ctx, lam)
+        return None if eps is None else -eps
+
+    monkeypatch.setattr(characters, "fs_via_sigma", flipped)
+    with pytest.raises(RouteDisagreement):
+        census_semisimple(TorusContext(3, 2))
+    # odd n runs the centre route alone, so there is nothing to disagree with
+    assert census_semisimple(TorusContext(3, 3))["route_agreement"] == 0
 
 
 def test_census_u2_f25():

@@ -6,6 +6,10 @@ the output.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
 from uqchar.multipartition import enumerate_multipartitions
 from uqchar.torus import THETA, TorusContext
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -195,7 +201,10 @@ def test_usage_error_exit_two(capsys):
     for argv in (["census", "--n", "4"],
                  ["degrees", "--q", "3", "--n", "2", "--jobs", "2"],
                  ["census", "--q", "3", "--n", "2", "--approx"],
-                 ["selfdual", "--q", "3", "--n", "2", "--max-cells", "5"]):
+                 ["selfdual", "--q", "3", "--n", "2", "--max-cells", "5"],
+                 ["chartable", "--q", "3", "--n", "2", "--max-cells", "-1"],
+                 ["fs", "--q", "3", "--n", "2", "--max-cells", "-1"],
+                 ["verify", "--q", "3", "--max-n", "2", "--max-cells", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -214,6 +223,33 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and not out
     data = json.loads(target.read_text())
     assert data["symplectic"] == 1
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["census", "--q", "3", "--n", "2",
+                                  "--out", str(target)])
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--q", "3", "--n", "4"],
+    ["verify", "--q", "3", "--max-n", "2"],
+])
+def test_same_output_under_python_O(argv):
+    # python -O strips assert statements; the checks that decide the output
+    # must not depend on them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "uqchar.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        for flags in ([], ["-O"])]
+    assert runs[0].returncode == runs[1].returncode == 0, runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout
 
 
 def test_byte_identical_repeat(capsys):

@@ -8,13 +8,9 @@ the orthogonal ones onto constant +1.
 
 import pytest
 
-from uqchar.characters import (
-    fs_semisimple_regular,
-    is_real,
-    is_semisimple,
-)
+from uqchar.characters import fs_semisimple_regular, real_semisimple_labels
 from uqchar.gf import GF, poly_to_str, poly_trim
-from uqchar.multipartition import MultiPartition, enumerate_multipartitions
+from uqchar.multipartition import MultiPartition
 from uqchar.selfdual import (
     SelfDualFactorization,
     brute_force_self_dual,
@@ -179,17 +175,11 @@ def test_realization_rejects_wrong_labels():
         char_to_polynomial(ctx, nonreal)
 
 
-def _real_semisimple(ctx, n):
-    return [
-        lam for lam in enumerate_multipartitions(ctx, n, THETA)
-        if is_semisimple(lam) and is_real(ctx, lam)]
-
-
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2)])
 def test_bijection_with_self_dual_polynomials(q, n):
     ctx = TorusContext(q, n)
     F = GF(q)
-    labels = _real_semisimple(ctx, n)
+    labels = real_semisimple_labels(ctx)
     image = {}
     for lam in labels:
         h = char_to_polynomial(ctx, lam)

@@ -20,13 +20,13 @@ independently so tests can triangulate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from . import cyclotomic
 from .conjclasses import class_square, class_table, group_order
 from .cyclotomic import Cyclotomic
 from .multipartition import (
     MultiPartition,
-    enumerate_multipartitions,
     mp_bar,
     mp_conjugate,
     mp_n_stat,
@@ -37,8 +37,11 @@ from .symfunc import char_row
 from .torus import (
     THETA,
     TorusContext,
+    conjugate_orbit,
+    count_exact_orbits,
     one_orbit,
     orbit_exponent_sum,
+    orbits_up_to,
     sigma_orbit,
     to_level_one,
 )
@@ -60,9 +63,11 @@ def degree(ctx: TorusContext, lam: MultiPartition) -> int:
     den = 1
     for h in mp_weighted_hooks(lam):
         den *= q**h - (-1) ** h
-    assert num % den == 0, f"hook product does not divide for {lam}"
+    if num % den:
+        raise ValueError(f"hook product does not divide for {lam}")
     deg = num // den
-    assert deg > 0
+    if deg <= 0:
+        raise ValueError(f"degree of {lam} is not positive: {deg}")
     return deg
 
 
@@ -182,11 +187,37 @@ def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
         acc = acc + row.get(sq, zero) * cls.size
     acc = acc * Fraction(1, group_order(ctx, n))
     kind, value = cyclotomic.classify(acc)
-    assert kind == "rational", f"indicator of {lam} is not rational: {acc}"
+    if kind != "rational":
+        raise ValueError(f"indicator of {lam} is not rational: {acc}")
+    if value not in (-1, 0, 1):
+        raise ValueError(f"indicator of {lam} is not -1, 0 or 1: {value}")
     eps = int(value)
-    assert eps in (-1, 0, 1) and Fraction(eps) == value, (lam, value)
-    assert (eps == 0) == (not is_real(ctx, lam)), (lam, eps)
+    if (eps == 0) != (not is_real(ctx, lam)):
+        raise ValueError(
+            f"indicator of {lam} is {eps}, but the label is "
+            f"{'real' if eps == 0 else 'not real'}")
     return eps
+
+
+def _semisimple_count(ctx: TorusContext) -> int:
+    """The number of semisimple labels at degree ctx.n.
+
+    A semisimple label puts a column (1^k), k >= 0, on every orbit, so the
+    count is the coefficient of x^n in prod_{d<=n} (1 - x^d)^(-N_d), where
+    N_d is the number of orbits of size d.
+    """
+    n = ctx.n
+    series = [1] + [0] * n
+    for d in range(1, n + 1):
+        # (1 - x^d)^(-N) = sum_j C(N + j - 1, j) x^(dj); 1 when N = 0
+        orbits = count_exact_orbits(ctx, d)
+        if not orbits:
+            continue
+        series = [
+            sum(series[i - d * j] * comb(orbits + j - 1, j)
+                for j in range(i // d + 1))
+            for i in range(n + 1)]
+    return series[n]
 
 
 def census_semisimple(ctx: TorusContext) -> dict:
@@ -197,8 +228,6 @@ def census_semisimple(ctx: TorusContext) -> dict:
     whose indicator both the centre and the sigma route computed, and agreed
     on; a disagreement raises RouteDisagreement.
     """
-    n = ctx.n
-    semisimple = sum(map(is_semisimple, enumerate_multipartitions(ctx, n, THETA)))
     real = real_semisimple_labels(ctx)
     orthogonal = symplectic = 0
     cross_checked = 0
@@ -212,8 +241,8 @@ def census_semisimple(ctx: TorusContext) -> dict:
         cross_checked += fs_via_sigma(ctx, lam) is not None
     return {
         "q": ctx.q,
-        "n": n,
-        "semisimple": semisimple,
+        "n": ctx.n,
+        "semisimple": _semisimple_count(ctx),
         "real_total": len(real),
         "orthogonal": orthogonal,
         "symplectic": symplectic,
@@ -222,10 +251,39 @@ def census_semisimple(ctx: TorusContext) -> dict:
 
 
 def real_semisimple_labels(ctx: TorusContext) -> list[MultiPartition]:
-    """The real semisimple labels at degree ctx.n, in canonical order."""
-    return [
-        lam for lam in enumerate_multipartitions(ctx, ctx.n, THETA)
-        if is_semisimple(lam) and is_real(ctx, lam)]
+    """The real semisimple labels at degree ctx.n, in canonical order.
+
+    Such a label is built from "units": a self-conjugate orbit (weight |o|)
+    or a pair {o, o-bar} of conjugate orbits (weight 2|o|).  Each chosen unit
+    gets a multiplicity k >= 1, which puts the column (1^k) on each of its
+    orbits; the weights add up to n.
+    """
+    n = ctx.n
+    units = []
+    for o in orbits_up_to(ctx, n, THETA):
+        bar = conjugate_orbit(ctx, o)
+        if bar == o:
+            units.append((o.size, (o,)))
+        elif o < bar and 2 * o.size <= n:
+            units.append((2 * o.size, (o, bar)))
+    units.sort(key=lambda unit: unit[0])
+    out = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            out.append(MultiPartition.make(THETA, acc))
+            return
+        for j in range(idx, len(units)):
+            weight, orbits = units[j]
+            if weight > remaining:
+                break  # units are sorted by weight: every later one is heavier
+            for k in range(1, remaining // weight + 1):
+                rec(j + 1, remaining - weight * k,
+                    acc + [(o, (1,) * k) for o in orbits])
+
+    rec(0, n, [])
+    out.sort(key=MultiPartition.sort_key)
+    return out
 
 
 def symplectic_labels(ctx: TorusContext) -> list[MultiPartition]:

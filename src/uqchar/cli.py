@@ -9,13 +9,14 @@ byte-identical.
 
 Exit status: 0 on success, 1 on refusals, internal check failures and an
 unwritable --out (diagnostic on stderr), 2 on usage errors (argparse),
-including a negative --max-cells.
+including a negative --max-cells and a --max-n below 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cyclotomic
@@ -75,11 +76,20 @@ def _route(ctx, lam) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    # write beside the target, then rename over it: a write that fails
+    # part-way leaves an existing file as it was and no partial file behind
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _json(obj) -> str:
@@ -275,11 +285,19 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def _cell_bound(text: str) -> int:
-    bound = int(text)
-    if bound < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {bound}")
-    return bound
+    return _int_at_least(text, 0)
+
+
+def _max_degree(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", default="any", choices=["-1", "1", "any"])
     p = command("verify", cmd_verify, "cross-validation stack", need_n=False,
                 max_cells=True)
-    p.add_argument("--max-n", type=int, default=2)
+    p.add_argument("--max-n", type=_max_degree, default=2)
     return parser
 
 

@@ -148,7 +148,7 @@ def enumerate_multipartitions(
         for j in range(idx, len(universe)):
             orbit = universe[j]
             if orbit.size > remaining:
-                continue
+                break  # the universe is sorted by level: every later orbit is larger
             for k in range(1, remaining // orbit.size + 1):
                 for parts in partitions_of(k):
                     rec(j + 1, remaining - orbit.size * k, acc + [(orbit, parts)])

@@ -8,6 +8,8 @@ classes, the closed form on the semisimple and regular families, and the
 two-core rule on unipotent labels.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from uqchar import characters, cyclotomic
@@ -24,6 +26,7 @@ from uqchar.characters import (
     is_semisimple,
     is_unipotent,
     omega_exponent,
+    real_semisimple_labels,
     symplectic_labels,
 )
 from uqchar.conjclasses import central_class, group_order
@@ -95,6 +98,23 @@ def test_degree_rejects_class_side():
     mu = _label(ctx, PHI, ((1, 0), (2,)))
     with pytest.raises(ValueError):
         degree(ctx, mu)
+
+
+def test_degree_rejects_a_hook_product_that_does_not_divide(monkeypatch):
+    ctx = TorusContext(3, 1)
+    triv = _label(ctx, THETA, ((1, 0), (1,)))
+    monkeypatch.setattr(characters, "mp_weighted_hooks", lambda lam: (2, 2))
+    with pytest.raises(ValueError, match="hook product does not divide"):
+        degree(ctx, triv)
+
+
+def test_degree_rejects_a_degree_that_is_not_positive():
+    # TorusContext refuses q = -3; with it the hook quotient of the
+    # Steinberg label of U(2) comes out as -3
+    ctx = TorusContext(3, 2)
+    st = _label(ctx, THETA, ((1, 0), (2,)))
+    with pytest.raises(ValueError, match="is not positive"):
+        degree(SimpleNamespace(q=-3), st)
 
 
 # -- predicates ------------------------------------------------------------
@@ -199,6 +219,41 @@ def test_fs_bruteforce_u1():
             assert fs_bruteforce(ctx, lam) == expect
 
 
+def test_fs_bruteforce_rejects_an_irrational_average(monkeypatch):
+    ctx = TorusContext(3, 1)
+    triv = _label(ctx, THETA, ((1, 0), (1,)))
+    real_char_row = characters.char_row
+
+    def rotated(ctx, lam):
+        # every value times a primitive fourth root of unity
+        i = cyclotomic.zeta(ctx.cyclo_modulus, ctx.cyclo_modulus // 4)
+        return {mu: v * i for mu, v in real_char_row(ctx, lam).items()}
+
+    monkeypatch.setattr(characters, "char_row", rotated)
+    with pytest.raises(ValueError, match="is not rational"):
+        fs_bruteforce(ctx, triv)
+
+
+def test_fs_bruteforce_rejects_a_value_outside_minus_one_to_one(monkeypatch):
+    ctx = TorusContext(3, 1)
+    triv = _label(ctx, THETA, ((1, 0), (1,)))
+    real_group_order = characters.group_order
+    monkeypatch.setattr(
+        characters, "group_order", lambda ctx, n: real_group_order(ctx, n) // 2)
+    with pytest.raises(ValueError, match="is not -1, 0 or 1"):
+        fs_bruteforce(ctx, triv)
+
+
+def test_fs_bruteforce_rejects_a_zero_that_disagrees_with_reality(monkeypatch):
+    ctx = TorusContext(3, 1)
+    triv = _label(ctx, THETA, ((1, 0), (1,)))
+    real_is_real = characters.is_real
+    monkeypatch.setattr(
+        characters, "is_real", lambda ctx, lam: not real_is_real(ctx, lam))
+    with pytest.raises(ValueError, match="label is not real"):
+        fs_bruteforce(ctx, triv)
+
+
 def test_fs_unipotent_examples():
     ctx = TorusContext(3, 6)
     lam = MultiPartition.make(THETA, [(one_orbit(ctx, THETA), (3, 2, 1))])
@@ -282,6 +337,35 @@ def test_census_even_q_has_no_symplectics():
     for q, n in [(2, 2), (4, 2)]:
         out = census_semisimple(TorusContext(q, n))
         assert out["symplectic"] == 0
+
+
+# n stops where filtering every label would cost the suite more than about
+# a quarter second; the labels at q <= 5, n <= 6 are enumerated (and
+# cached) for test_multipartition's generating-function test as well
+ORACLE_MAX_N = {2: 8, 3: 6, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3}
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))
+def test_real_semisimple_labels_match_filtered_enumeration(q):
+    # the direct generation against filtering every multipartition
+    for n in range(1, ORACLE_MAX_N[q] + 1):
+        ctx = TorusContext(q, n)
+        semisimple = [
+            lam for lam in enumerate_multipartitions(ctx, n, THETA)
+            if is_semisimple(lam)]
+        real = [lam for lam in semisimple if is_real(ctx, lam)]
+        assert real_semisimple_labels(ctx) == real, (q, n)
+        assert census_semisimple(ctx)["semisimple"] == len(semisimple), (q, n)
+
+
+@pytest.mark.parametrize("q,n", [(3, 10), (3, 12), (5, 8), (9, 6)])
+def test_census_closed_forms(q, n):
+    # U(2m) with q odd: q^(m-1) symplectic and q^m orthogonal characters
+    m = n // 2
+    out = census_semisimple(TorusContext(q, n))
+    assert out["symplectic"] == q ** (m - 1)
+    assert out["orthogonal"] == q**m
+    assert out["real_total"] == out["route_agreement"] == q**m + q ** (m - 1)
 
 
 def test_symplectic_labels_carry_odd_sigma_part():

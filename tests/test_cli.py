@@ -204,7 +204,9 @@ def test_usage_error_exit_two(capsys):
                  ["selfdual", "--q", "3", "--n", "2", "--max-cells", "5"],
                  ["chartable", "--q", "3", "--n", "2", "--max-cells", "-1"],
                  ["fs", "--q", "3", "--n", "2", "--max-cells", "-1"],
-                 ["verify", "--q", "3", "--max-n", "2", "--max-cells", "-1"]):
+                 ["verify", "--q", "3", "--max-n", "2", "--max-cells", "-1"],
+                 ["verify", "--q", "3", "--max-n", "0"],
+                 ["verify", "--q", "3", "--max-n", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -232,6 +234,32 @@ def test_out_into_missing_directory(tmp_path, capsys):
     assert code == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not target.exists()
+
+
+def test_out_write_failure_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "census.json"
+    target.write_text("old\n")
+
+    def open_failing(*args, **kwargs):
+        # a file whose write gets half the text to disk, then fails
+        fh = open(*args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            real_write(text[: len(text) // 2])
+            fh.flush()
+            raise OSError(28, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_failing, raising=False)
+    code, out, err = run(capsys, ["census", "--q", "3", "--n", "2",
+                                  "--out", str(target)])
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["census.json"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ from uqchar.multipartition import (
     mp_stats,
     mp_weighted_hooks,
 )
-from uqchar.torus import PHI, THETA, OrbitLabel, TorusContext
+from uqchar.torus import PHI, THETA, OrbitLabel, TorusContext, count_exact_orbits
 
 
 def mp(side, *pairs):
@@ -79,6 +79,25 @@ def test_enumeration_matches_class_count_q2():
     ctx = TorusContext(2, 2)
     # 3 level-1 orbits, no level-2 orbits: 3*2 + 3 = 9 classes of U(2, F_4)
     assert len(enumerate_multipartitions(ctx, 2, PHI)) == 9
+
+
+@pytest.mark.parametrize("side", [THETA, PHI])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_enumeration_counts_match_generating_function(q, side):
+    # sum_n #{multipartitions of n} x^n = prod_d P(x^d)^(N_d), P(x) the
+    # partition series and N_d the number of orbits of size d; a pruning
+    # step that skips an orbit it should keep shows up as a shortfall
+    n = 6
+    ctx = TorusContext(q, n)
+    series = [1] + [0] * n
+    for d in range(1, n + 1):
+        for _ in range(count_exact_orbits(ctx, d)):
+            for k in range(1, n // d + 1):  # P(x^d) = prod_k 1 / (1 - x^(dk))
+                for i in range(d * k, n + 1):
+                    series[i] += series[i - d * k]
+    for m in range(1, n + 1):
+        assert len(enumerate_multipartitions(TorusContext(q, m), m, side)) \
+            == series[m], (q, m)
 
 
 def test_enumeration_is_sorted_and_canonical():

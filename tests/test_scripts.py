@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("argv", [
     ["u2_table.py", "--q", "3"],
-    ["census_grid.py", "--q", "3", "5", "--n", "2", "4"],
+    ["census_grid.py", "--q", "3", "5", "--n", "2", "4", "6", "8"],
     ["selfdual_scan.py", "--q", "3", "--n", "4", "--list"],
 ])
 def test_script_runs(argv):

@@ -42,6 +42,7 @@ from .torus import (
     one_orbit,
     orbit_exponent_sum,
     orbits_up_to,
+    self_conjugate_orbits,
     sigma_orbit,
     to_level_one,
 )
@@ -260,12 +261,16 @@ def real_semisimple_labels(ctx: TorusContext) -> list[MultiPartition]:
     """
     n = ctx.n
     units = []
-    for o in orbits_up_to(ctx, n, THETA):
+    # conjugate pairs fit only at levels up to n/2; above, scan only the
+    # self-conjugate orbits
+    for o in orbits_up_to(ctx, n // 2, THETA):
         bar = conjugate_orbit(ctx, o)
         if bar == o:
             units.append((o.size, (o,)))
-        elif o < bar and 2 * o.size <= n:
+        elif o < bar:
             units.append((2 * o.size, (o, bar)))
+    for d in range(n // 2 + 1, n + 1):
+        units.extend((d, (o,)) for o in self_conjugate_orbits(ctx, d, THETA))
     units.sort(key=lambda unit: unit[0])
     out = []
 

@@ -217,6 +217,32 @@ def cmd_selfdual(args) -> int:
     return 0
 
 
+def _integer_terms(v):
+    """The nonzero (exponent, int) terms of v, or None if v is not integral."""
+    if any(c.denominator != 1 for c in v.coeffs):
+        return None
+    return [(e, c.numerator) for e, c in enumerate(v.coeffs) if c]
+
+
+def _rows_orthogonal(ctx, table, classes) -> bool:
+    """sum_K |K| chi_j(K) conj(chi_i(K)) = |G| [i == j] for every pair of rows."""
+    rows = [[_integer_terms(v) for v in row] for row in table.values]
+    if any(None in row for row in rows):
+        return False  # character values are cyclotomic integers
+    size = {c.label: c.size for c in classes}
+    order = group_order(ctx)
+    for i, row in enumerate(rows):
+        # conjugate (z^e -> z^-e) and weight row i once, then pair it with
+        # the rows j >= i in integers, reducing each pair's sum once
+        weighted = [[(-e, c * size[mu]) for e, c in terms]
+                    for terms, mu in zip(row, table.classes)]
+        for j in range(i, len(rows)):
+            acc = cyclotomic.sum_of_products(table.modulus, zip(rows[j], weighted))
+            if acc != (order if i == j else 0):
+                return False
+    return True
+
+
 def cmd_verify(args) -> int:
     q = args.q
     lines = []
@@ -263,19 +289,8 @@ def cmd_verify(args) -> int:
                 f"(cells {cells} > {args.max_cells})")
         else:
             table = char_table(ctx, max_cells=args.max_cells)
-            size = {c.label: c.size for c in classes}
-            order = group_order(ctx)
-            zero = cyclotomic.zero(table.modulus)
-            good = True
-            for i, row in enumerate(table.values):
-                # conjugate and weight row i once, then pair it with rows j >= i
-                weighted = [v.conjugate() * size[mu]
-                            for v, mu in zip(row, table.classes)]
-                for j in range(i, len(table.values)):
-                    acc = sum(
-                        (a * b for a, b in zip(table.values[j], weighted)), zero)
-                    good = good and acc == (order if i == j else 0)
-            check(good, f"n={n}: row orthogonality over all pairs")
+            check(_rows_orthogonal(ctx, table, classes),
+                  f"n={n}: row orthogonality over all pairs")
             good = all(
                 fs_bruteforce(ctx, lam) == INDICATOR_ROUTES[_route(ctx, lam)](ctx, lam)
                 for lam in labels)

@@ -8,6 +8,13 @@ approx() exists only so the CLI can attach labelled decimal renderings.
 
 Values carry their modulus.  Mixing moduli in arithmetic raises
 ModulusMismatch; callers lift explicitly with embed(a, L) for M | L.
+
+Sums of many products are cheapest left unreduced: a value is then a sparse
+element of the group ring Z[Z/M], a map from exponent mod M to coefficient,
+in which multiplying adds exponents.  from_terms reduces such an element to
+the power basis once; sum_of_products pairs sparse elements and reduces only
+their sum.  Character rows and verify's orthogonality are built this way,
+with one reduction per table cell or per pair of rows.
 """
 
 from __future__ import annotations
@@ -15,12 +22,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import lcm
 
 from .nt import divisors, euler_phi
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # phi(M) caps the degree of the reduction tables; large moduli would only
 # arise from resource-bounded paths that refuse earlier.
@@ -33,7 +40,8 @@ class ModulusMismatch(ValueError):
 
 def _poly_divexact_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
     """Exact division of integer polynomials (low-to-high coeffs), den monic."""
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise ValueError(f"divisor {den} is not monic")
     num_l = list(num)
     dn, dd = len(num) - 1, len(den) - 1
     out = [0] * (dn - dd + 1)
@@ -43,7 +51,8 @@ def _poly_divexact_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int,
         if c:
             for j, dj in enumerate(den):
                 num_l[k + j] -= c * dj
-    assert all(c == 0 for c in num_l), "non-exact cyclotomic division"
+    if any(num_l):
+        raise ValueError(f"{den} does not divide {num} exactly")
     return tuple(out)
 
 
@@ -58,12 +67,17 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in divisors(m):
         if d < m:
             num = _poly_divexact_int(num, cyclotomic_polynomial(d))
-    assert len(num) - 1 == euler_phi(m)
+    if len(num) - 1 != euler_phi(m):
+        raise ValueError(
+            f"Phi_{m} came out of degree {len(num) - 1}, not {euler_phi(m)}")
     return num
 
 
 class _Field:
-    """Reduction tables for one modulus: z^e mod Phi_M as integer rows."""
+    """Reduction tables for one modulus: z^e mod Phi_M as integer rows.
+
+    A row holds the (index, coefficient) pairs of its nonzero entries.
+    """
 
     def __init__(self, modulus: int):
         self.modulus = modulus
@@ -72,24 +86,25 @@ class _Field:
             raise ValueError(
                 f"cyclotomic modulus {modulus} too large (phi = {self.degree})")
         self.poly = cyclotomic_polynomial(modulus)
-        # z^degree = -(lower part of Phi); higher rows extend on demand.
-        self._rows: list[tuple[int, ...]] = [
-            tuple(1 if i == e else 0 for i in range(self.degree))
-            for e in range(self.degree)
-        ]
+        # z^degree = -(lower part of Phi); higher rows extend on demand from
+        # the dense form of the last one.
+        self._rows: list[tuple[tuple[int, int], ...]] = [
+            ((e, 1),) for e in range(self.degree)]
+        self._last = tuple(int(i == self.degree - 1) for i in range(self.degree))
         self._grow(2 * self.degree - 2)
 
     def _grow(self, upto: int) -> None:
         top = tuple(-c for c in self.poly[: self.degree])
         while len(self._rows) <= upto:
-            prev = self._rows[-1]
+            prev = self._last
             shifted = (0,) + prev[:-1]
             carry = prev[-1]
             if carry:
                 shifted = tuple(s + carry * t for s, t in zip(shifted, top))
-            self._rows.append(shifted)
+            self._last = shifted
+            self._rows.append(tuple((i, r) for i, r in enumerate(shifted) if r))
 
-    def row(self, e: int) -> tuple[int, ...]:
+    def row(self, e: int) -> tuple[tuple[int, int], ...]:
         if e >= len(self._rows):
             self._grow(e)
         return self._rows[e]
@@ -110,9 +125,8 @@ def _power_basis(modulus: int, out: list[Fraction], terms) -> tuple[Fraction, ..
     row = _field(modulus).row
     for e, c in terms:
         if c:
-            for i, r in enumerate(row(e % modulus)):
-                if r:
-                    out[i] += c * r
+            for i, r in row(e % modulus):
+                out[i] += c * r
     return tuple(out)
 
 
@@ -182,7 +196,8 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
-            return Cyclotomic._raw(self.modulus, tuple(a * s for a in self.coeffs))
+            return Cyclotomic._raw(
+                self.modulus, tuple(a * s if a else _ZERO for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -223,12 +238,12 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the automorphism z -> z^(M-1)."""
         m = self.modulus
-        return Cyclotomic._raw(m, _power_basis(
-            m, [_ZERO] * len(self.coeffs),
-            ((j * (m - 1), c) for j, c in enumerate(self.coeffs) if c)))
+        return from_terms(m, ((j * (m - 1), c) for j, c in enumerate(self.coeffs)))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        # zero coefficients are mostly the shared _ZERO, which count()
+        # matches by identity without calling Fraction.__eq__
+        return self.coeffs.count(_ZERO) == len(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -271,8 +286,39 @@ def from_rational(modulus: int, r) -> Cyclotomic:
 
 def zeta(modulus: int, k: int = 1) -> Cyclotomic:
     """zeta_M^k as an exact value."""
-    return Cyclotomic._raw(modulus, _power_basis(
-        modulus, [_ZERO] * _field(modulus).degree, [(k, _ONE)]))
+    return from_terms(modulus, [(k, 1)])
+
+
+def from_terms(modulus: int, terms) -> Cyclotomic:
+    """sum c * zeta_M^e over the (e, c) in terms, reduced to the power basis once.
+
+    terms is a group-ring element of Z/M (or Q[Z/M]) in sparse form: any
+    integer exponents, int or Fraction coefficients.  The reduction runs in
+    integers over the coefficients' common denominator.
+    """
+    terms = [(e, c) for e, c in terms if c]
+    den = lcm(*(c.denominator for _, c in terms))
+    coeffs = _power_basis(modulus, [0] * _field(modulus).degree, (
+        (e, c.numerator * (den // c.denominator)) for e, c in terms))
+    out = [_ZERO] * len(coeffs)
+    for i in compress(range(len(coeffs)), coeffs):
+        out[i] = Fraction(coeffs[i], den)
+    return Cyclotomic._raw(modulus, tuple(out))
+
+
+def sum_of_products(modulus: int, pairs) -> Cyclotomic:
+    """sum a * b over the pairs (a, b) of sparse terms, reduced once.
+
+    Each of a and b is a sequence of (e, c) terms as taken by from_terms; the
+    products are convolved in the group ring of Z/M and only their sum is
+    reduced to the power basis.
+    """
+    conv = [0] * modulus
+    for a, b in pairs:
+        for e, c in a:
+            for f, d in b:
+                conv[(e + f) % modulus] += c * d
+    return from_terms(modulus, enumerate(conv))
 
 
 def classify(a: Cyclotomic) -> tuple[str, Fraction | None]:
@@ -292,9 +338,7 @@ def embed(a: Cyclotomic, modulus: int) -> Cyclotomic:
     if modulus == a.modulus:
         return a
     step = modulus // a.modulus
-    return Cyclotomic._raw(modulus, _power_basis(
-        modulus, [_ZERO] * _field(modulus).degree,
-        ((j * step, c) for j, c in enumerate(a.coeffs) if c)))
+    return from_terms(modulus, ((j * step, c) for j, c in enumerate(a.coeffs)))
 
 
 def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
@@ -356,8 +400,7 @@ def from_text(text: str) -> Cyclotomic:
             c = Fraction(-1 if t.group("sign") == "-" else 1)
             e = int(t.group("k") or 1)
         terms.append((e, c))
-    return Cyclotomic._raw(modulus, _power_basis(
-        modulus, [_ZERO] * _field(modulus).degree, terms))
+    return from_terms(modulus, terms)
 
 
 def approx(a: Cyclotomic) -> complex:

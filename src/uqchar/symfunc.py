@@ -9,17 +9,24 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      orbits f: p_k(Y^(phi)) = (-1)^(k|phi|-1) sum over alpha in T_{k|phi|}
      of xi(alpha) p_{k|phi|/|f_alpha|}(X^(f_alpha)), xi in phi lifted through
      the transpose-of-norm (the fiber sum makes the choice of xi immaterial);
-  3. multiply out and expand each power-sum product in Hall-Littlewood
-     functions P_lambda(X^(f); t) at t = (-q)^(-|f|);
+  3. multiply out, keeping each coefficient as an element of the group ring
+     Z[Z/M] (M = ctx.cyclo_modulus: a map from exponent mod M to integer
+     count, multiplied by adding exponents), and expand each power-sum
+     product in Hall-Littlewood functions P_lambda(X^(f); t) at
+     t = (-q)^(-|f|);
   4. the coefficient of prod_f P_{mu^(f)}, times the normalization
      (-q)^(n(mu)) of P_mu and the sign (-1)^(floor(n/2) + n(lam)), is the
-     character value chi^lam at the class mu.
+     character value chi^lam at the class mu: the group-ring elements of all
+     products that reach mu are summed with these rational weights and the
+     sum is reduced to the power basis of Q(zeta_M) once per cell.
 
 Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): the Kostka
 horizontal-strip recursion with each strip weighted by psi_{lam/nu}(t).  Power
 sums expand by counting the ways to drop their parts into rows.  All of it is
-exact: Fractions for t-coefficients, cyclotomic integers for character values.
+exact: Fractions for t-coefficients and weights, integers in the group ring
+(over one common denominator per row and cell), and cyclotomic integers for
+the character values.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, lcm, prod
 
 from . import cyclotomic
 from .cyclotomic import Cyclotomic
@@ -214,7 +221,8 @@ def power_to_hl(
         if not c:
             continue
         vec = hl_m_vector(lam, t, n)
-        assert vec[lam] == 1, "P_lam is monic at m_lam"
+        if vec.get(lam) != 1:
+            raise ValueError(f"P_{lam} is not monic at m_{lam}")
         out[lam] = c
         for mu, k in vec.items():
             r = target.get(mu, Fraction(0)) - c * k
@@ -222,33 +230,42 @@ def power_to_hl(
                 target[mu] = r
             else:
                 target.pop(mu, None)
-    assert not target, f"power_to_hl left a remainder for {rho}"
+    if target:
+        raise ValueError(f"power_to_hl left a remainder for {rho}")
     return out
 
 
 # -- the characteristic-map transform --------------------------------------
 
 
+# A group-ring element of Z/M in sparse form: (exponent mod M, count) pairs
+# standing for sum count * zeta_M^exponent, exponents increasing.
+Ring = tuple[tuple[int, int], ...]
+
+
 @cache
 def _transform_terms(
     ctx: TorusContext, k: int, phi: OrbitLabel
-) -> tuple[tuple[OrbitLabel, int, Cyclotomic], ...]:
-    """p_k(Y^(phi)) as sum of coeff * p_r(X^(f)); coeffs in Q(zeta_{M_{k|phi|}})."""
+) -> tuple[tuple[OrbitLabel, int, Ring], ...]:
+    """p_k(Y^(phi)) as sum of coeff * p_r(X^(f)); coeffs in Z[Z/M_{k|phi|}].
+
+    Terms whose coefficient is zero in Q(zeta_{M_{k|phi|}}) are dropped.
+    """
     d = phi.size
     level = k * d
     mod = ctx.modulus(level)
     lifted = lift_character(ctx, d, level, phi.min_exponent)
-    acc: dict[tuple[OrbitLabel, int], Cyclotomic] = {}
+    sign = (-1) ** (level - 1)
+    acc: dict[tuple[OrbitLabel, int], dict[int, int]] = {}
     for e in range(mod):
         f = frobenius_orbit(ctx, level, e, PHI)
-        key = (f, level // f.size)
-        val = cyclotomic.zeta(mod, (lifted * e) % mod)
-        acc[key] = acc[key] + val if key in acc else val
-    sign = (-1) ** (level - 1)
+        ring = acc.setdefault((f, level // f.size), {})
+        x = (lifted * e) % mod
+        ring[x] = ring.get(x, 0) + sign
     out = []
-    for (f, r), val in sorted(acc.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        val = val if sign == 1 else -val
-        if not val.is_zero():
+    for (f, r), ring in sorted(acc.items()):
+        val = tuple(sorted(ring.items()))
+        if not cyclotomic.from_terms(mod, val).is_zero():
             out.append((f, r, val))
     return tuple(out)
 
@@ -262,18 +279,23 @@ def transform_y_to_x(
     """
     if phi.side != THETA:
         raise ValueError("transform expects a character orbit")
+    mod = ctx.modulus(k * phi.size)
     return {
-        MultiPartition.make(PHI, [(f, (r,))]): val
+        MultiPartition.make(PHI, [(f, (r,))]): cyclotomic.from_terms(mod, val)
         for f, r, val in _transform_terms(ctx, k, phi)}
 
 
 @cache
 def _transform_embedded(
     ctx: TorusContext, k: int, phi: OrbitLabel
-) -> tuple[tuple[OrbitLabel, int, Cyclotomic], ...]:
-    big = ctx.cyclo_modulus
+) -> tuple[tuple[OrbitLabel, int, Ring], ...]:
+    """_transform_terms in Z[Z/M], M = ctx.cyclo_modulus.
+
+    zeta_{M_level} -> zeta_M^(M/M_level): each exponent is scaled by M/M_level.
+    """
+    step = ctx.cyclo_modulus // ctx.modulus(k * phi.size)
     return tuple(
-        (f, r, cyclotomic.embed(val, big))
+        (f, r, tuple((x * step, c) for x, c in val))
         for f, r, val in _transform_terms(ctx, k, phi))
 
 
@@ -284,47 +306,54 @@ def _transform_embedded(
 def char_row(
     ctx: TorusContext, lam: MultiPartition
 ) -> dict[MultiPartition, Cyclotomic]:
-    """All nonzero values of chi^lam, keyed by class multipartition."""
+    """All nonzero values of chi^lam, keyed by class multipartition.
+
+    Every intermediate is a group-ring element {exponent mod M: coefficient};
+    each cell is reduced to the power basis once.
+    """
     if lam.side != THETA:
         raise ValueError("characters are labelled on the theta side")
     n = lam.size
     if n > ctx.n:
         raise ValueError(f"label of size {n} exceeds context degree {ctx.n}")
     big = ctx.cyclo_modulus
-    one_big = cyclotomic.one(big)
 
-    # per orbit: list of (nu, weight) from the Schur expansion
-    orbit_terms = []
-    for phi, parts in lam.entries:
-        expansion = [(nu, w) for nu, w in schur_to_power(parts).items()]
-        orbit_terms.append((phi, expansion))
+    # expand: per orbit, the (nu, weight) pairs of the Schur expansion, with
+    # the weights over one common denominator so the group ring stays integral
+    orbit_terms = [(phi, list(schur_to_power(parts).items()))
+                   for phi, parts in lam.entries]
+    den = prod(lcm(*(w.denominator for _, w in e)) for _, e in orbit_terms)
 
-    acc: dict[tuple, Cyclotomic] = {}
+    # transform: distribute each product of transforms over all (phi, k)
+    # powers, summed per product key ((f, r), ...) of class power sums
+    acc: dict[tuple, dict[int, int]] = {}
     for combo in iproduct(*(e for _, e in orbit_terms)):
-        weight = Fraction(1)
+        weight = Fraction(den)
         pairs: list[tuple[OrbitLabel, int]] = []
         for (phi, _), (nu, w) in zip(orbit_terms, combo):
             weight *= w
             pairs.extend((phi, k) for k in nu)
-        # distribute the product of transforms over all (phi, k) powers
-        terms: dict[tuple, Cyclotomic] = {(): one_big * weight}
+        terms: dict[tuple, dict[int, int]] = {(): {0: weight.numerator}}
         for phi, k in pairs:
-            nxt: dict[tuple, Cyclotomic] = {}
+            nxt: dict[tuple, dict[int, int]] = {}
             for f, r, val in _transform_embedded(ctx, k, phi):
-                for key, coeff in terms.items():
-                    nkey = tuple(sorted(key + ((f, r),)))
-                    add = coeff * val
-                    nxt[nkey] = nxt[nkey] + add if nkey in nxt else add
+                for key, ring in terms.items():
+                    dst = nxt.setdefault(tuple(sorted(key + ((f, r),))), {})
+                    for e, c in ring.items():
+                        for x, y in val:
+                            z = (e + x) % big
+                            dst[z] = dst.get(z, 0) + c * y
             terms = nxt
-        for key, coeff in terms.items():
-            acc[key] = acc[key] + coeff if key in acc else coeff
+        for key, ring in terms.items():
+            dst = acc.setdefault(key, {})
+            for e, c in ring.items():
+                dst[e] = dst.get(e, 0) + c
 
-    # per class-orbit Hall-Littlewood expansion and final assembly
-    out: dict[MultiPartition, Cyclotomic] = {}
+    # assemble: per class mu, the Hall-Littlewood coefficient on every class
+    # orbit times the normalization (-q)^(n(mu)) of P_mu and the sign
     sign = (-1) ** (n // 2 + mp_n_stat(lam))
-    for key, coeff in acc.items():
-        if coeff.is_zero():
-            continue
+    cells: dict[MultiPartition, list[tuple[Fraction, dict[int, int]]]] = {}
+    for key, ring in acc.items():
         by_orbit: dict[OrbitLabel, list[int]] = {}
         for f, r in key:
             by_orbit.setdefault(f, []).append(r)
@@ -334,15 +363,31 @@ def char_row(
             rho = tuple(sorted(rs, reverse=True))
             expansions.append((f, list(power_to_hl(rho, t).items())))
         for picks in iproduct(*(e for _, e in expansions)):
-            scalar = Fraction(1)
+            scalar = Fraction(sign)
             assignment = []
             for (f, _), (shape, c) in zip(expansions, picks):
                 scalar *= c
                 assignment.append((f, shape))
             mu = MultiPartition.make(PHI, assignment)
-            val = coeff * (scalar * Fraction(-ctx.q) ** mp_n_stat(mu) * sign)
-            out[mu] = out[mu] + val if mu in out else val
-    return {mu: v for mu, v in out.items() if not v.is_zero()}
+            scalar *= Fraction(-ctx.q) ** mp_n_stat(mu)
+            cells.setdefault(mu, []).append((scalar, ring))
+
+    # reduce: bring each cell's scalars to one denominator, sum its group-ring
+    # elements with integer coefficients, and reduce the sum once
+    out: dict[MultiPartition, Cyclotomic] = {}
+    for mu, parts in cells.items():
+        common = lcm(*(s.denominator for s, _ in parts))
+        total: dict[int, int] = {}
+        for s, ring in parts:
+            c = s.numerator * (common // s.denominator)
+            for e, x in ring.items():
+                total[e] = total.get(e, 0) + c * x
+        scale = common * den
+        val = cyclotomic.from_terms(
+            big, ((e, Fraction(c, scale)) for e, c in total.items()))
+        if not val.is_zero():
+            out[mu] = val
+    return out
 
 
 def char_value(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from . import cyclotomic
 from .nt import divisors, moebius, prime_power
@@ -161,6 +161,32 @@ def exact_orbits(ctx: TorusContext, d: int, side: str) -> tuple[OrbitLabel, ...]
         for x in orbit:
             seen[x] = 1
         if len(orbit) == d:
+            out.append(OrbitLabel(d, e, side))
+    return tuple(out)
+
+
+def self_conjugate_orbits(
+    ctx: TorusContext, d: int, side: str
+) -> tuple[OrbitLabel, ...]:
+    """The orbits of exact size d closed under e -> -e, in canonical order.
+
+    Such an orbit has -e = (-q)^i e with 2i a multiple of d.  For even d,
+    i = d/2: ((-q)^(d/2) + 1) e = 0 (mod M_d), i.e. M_{d/2} divides e, so
+    only the cyclic subgroup of multiples of M_{d/2} (order M_d / M_{d/2}) is
+    scanned.  Otherwise i = 0 and 2e = 0, an orbit of size 1: none for odd
+    d > 1.
+    """
+    mod = ctx.modulus(d)
+    if d % 2:
+        if d > 1:
+            return ()
+        step = mod // gcd(2, mod)
+    else:
+        step = ctx.modulus(d // 2)
+    out = []
+    for e in range(0, mod, step):
+        orbit = _orbit_exponents_at(ctx.q, d, e)
+        if len(orbit) == d and e == min(orbit):
             out.append(OrbitLabel(d, e, side))
     return tuple(out)
 

@@ -358,7 +358,8 @@ def test_real_semisimple_labels_match_filtered_enumeration(q):
         assert census_semisimple(ctx)["semisimple"] == len(semisimple), (q, n)
 
 
-@pytest.mark.parametrize("q,n", [(3, 10), (3, 12), (5, 8), (9, 6)])
+@pytest.mark.parametrize(
+    "q,n", [(3, 10), (3, 12), (5, 8), (9, 6), (3, 16), (7, 8)])
 def test_census_closed_forms(q, n):
     # U(2m) with q odd: q^(m-1) symplectic and q^m orthogonal characters
     m = n // 2

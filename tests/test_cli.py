@@ -5,15 +5,17 @@ the output.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from uqchar import cli
+from uqchar import cli, cyclotomic
 from uqchar.characters import degree
 from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
@@ -91,6 +93,29 @@ def test_verify_fails_on_a_corrupted_table(capsys, monkeypatch):
     assert "ok: n=1: row orthogonality over all pairs" in out.splitlines()
 
 
+def test_verify_fails_on_a_non_integral_value(capsys, monkeypatch):
+    # character values are cyclotomic integers; 1/2 in a cell where the table
+    # holds 0 must fail the check, not be rounded back to 0
+    real_char_table = cli.char_table
+
+    def halved(ctx, **kw):
+        table = real_char_table(ctx, **kw)
+        if table.n != 2:
+            return table
+        i, j = next((i, j) for i, row in enumerate(table.values)
+                    for j, v in enumerate(row) if v.is_zero())
+        row = list(table.values[i])
+        row[j] = cyclotomic.from_rational(table.modulus, Fraction(1, 2))
+        values = table.values[:i] + (tuple(row),) + table.values[i + 1:]
+        return dataclasses.replace(table, values=values)
+
+    monkeypatch.setattr(cli, "char_table", halved)
+    code, out, err = run(capsys, ["verify", "--q", "3", "--max-n", "2"])
+    assert code == 1
+    assert "FAIL: n=2: row orthogonality over all pairs" in out.splitlines()
+    assert "ok: n=1: row orthogonality over all pairs" in out.splitlines()
+
+
 def test_verify_even_q(capsys):
     code, out, err = run(capsys, ["verify", "--q", "2", "--max-n", "3"])
     assert code == 0, out + err
@@ -136,6 +161,21 @@ def test_chartable_json(capsys):
     assert len(data["characters"]) == 4
     assert len(data["classes"]) == 4
     assert data["zeta_modulus"] == 4
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["--q", "2", "--n", "4"],
+     "706c4e964fe2ea87c3bba1f66cd9671f1bfff6dd36af14dc71e247376ad4f85b"),
+    (["--q", "3", "--n", "3", "--format", "tsv"],
+     "5e8156d9b443a732f67894d086f21ab6a0556f64c157a1b443300f07ba753904"),
+    (["--q", "9", "--n", "2", "--max-cells", "100000"],
+     "d163ed929e8ff6f4544cad5d604f61c7f2c2e1e4d13431af775411a94788bf37"),
+], ids=["2-4", "3-3-tsv", "9-2"])
+def test_chartable_bytes_are_pinned(capsys, argv, sha256):
+    # recorded from the dense power-basis implementation of char_row
+    code, out, err = run(capsys, ["chartable", *argv])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_chartable_refusal(capsys):

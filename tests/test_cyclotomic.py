@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqchar import cyclotomic
 from uqchar.cyclotomic import (
     Cyclotomic,
     ModulusMismatch,
+    _poly_divexact_int,
     approx,
     classify,
     cyclotomic_polynomial,
     embed,
     from_rational,
+    from_terms,
     from_text,
     one,
     same_value,
+    sum_of_products,
     to_text,
     zero,
     zeta,
@@ -162,3 +166,44 @@ def test_approx_is_consistent():
     z = approx(zeta(8))
     assert abs(z - complex(2**-0.5, 2**-0.5)) < 1e-12
     assert abs(approx(zeta(8) + zeta(8, 7)) - 2**0.5) < 1e-12
+
+
+def test_poly_division_rejects_a_divisor_that_is_not_monic():
+    with pytest.raises(ValueError, match="not monic"):
+        _poly_divexact_int((1, 0, 1), (1, 2))
+
+
+def test_poly_division_rejects_a_remainder():
+    # x^2 + 1 = (x - 1)(x + 1) + 2
+    with pytest.raises(ValueError, match="does not divide"):
+        _poly_divexact_int((1, 0, 1), (1, 1))
+
+
+def test_cyclotomic_polynomial_rejects_a_wrong_degree(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "euler_phi", lambda m: 1)
+    with pytest.raises(ValueError, match="degree"):
+        cyclotomic_polynomial.__wrapped__(12)
+
+
+def test_from_terms_sums_powers_of_zeta():
+    terms = [(0, 2), (3, -1), (13, Fraction(1, 2)), (-1, 5), (3, 1)]
+    want = zero(12)
+    for e, c in terms:
+        want = want + zeta(12, e % 12) * c
+    assert from_terms(12, terms) == want
+    assert from_terms(12, []) == zero(12)
+    assert from_terms(4, [(0, 1), (1, 1), (2, 1), (3, 1)]).is_zero()
+
+
+sparse_terms = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(-5, 5)), max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 8, 12, 15]),
+       st.lists(st.tuples(sparse_terms, sparse_terms), max_size=4))
+def test_sum_of_products_matches_field_arithmetic(m, pairs):
+    want = zero(m)
+    for a, b in pairs:
+        want = want + from_terms(m, a) * from_terms(m, b)
+    assert sum_of_products(m, pairs) == want

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqchar import cyclotomic
+from uqchar import cyclotomic, symfunc
 from uqchar.conjclasses import centralizer_order, class_table, group_order
 from uqchar.cyclotomic import Cyclotomic
 from uqchar.multipartition import (
@@ -47,6 +47,7 @@ from uqchar.torus import (
     OrbitLabel,
     TorusContext,
     frobenius_orbit,
+    lift_character,
     one_orbit,
     sigma_orbit,
 )
@@ -225,13 +226,70 @@ def test_power_to_hl_round_trip():
     st.fractions(min_value=Fraction(-3), max_value=Fraction(3)).filter(
         lambda t: t not in (1, -1)))
 def test_power_to_hl_never_leaves_remainder(rho, t):
-    # the zero-remainder assertion lives inside power_to_hl; also check grading
+    # the zero-remainder check lives inside power_to_hl; also check grading
     out = power_to_hl(rho, t)
     assert out
     assert all(sum(lam) == sum(rho) for lam in out)
 
 
+def test_power_to_hl_rejects_a_non_monic_expansion(monkeypatch):
+    def doubled(lam, t, nvars):
+        return {mu: 2 * c for mu, c in hl_m_vector(lam, t, nvars).items()}
+
+    monkeypatch.setattr(symfunc, "hl_m_vector", doubled)
+    with pytest.raises(ValueError, match="not monic"):
+        power_to_hl.__wrapped__((1, 1), Fraction(1, 3))
+
+
+def test_power_to_hl_rejects_a_remainder(monkeypatch):
+    # a monomial that is no partition of |rho| is never cleared
+    monkeypatch.setattr(symfunc, "power_m_vector", lambda rho, n: {(3,): 1})
+    with pytest.raises(ValueError, match="left a remainder"):
+        power_to_hl.__wrapped__((1, 1), Fraction(1, 3))
+
+
 # -- transform to class alphabets ------------------------------------------
+
+
+def field_transform(ctx, k, phi):
+    """The fiber sum of _transform_terms, summed in Q(zeta_{M_{k|phi|}}).
+
+    For each class exponent e at level k|phi|, add xi(e) to the term of the
+    class orbit f of e; xi is phi lifted through the transpose of the norm.
+    """
+    level = k * phi.size
+    mod = ctx.modulus(level)
+    lifted = lift_character(ctx, phi.size, level, phi.min_exponent)
+    acc = {}
+    for e in range(mod):
+        f = frobenius_orbit(ctx, level, e, PHI)
+        key = (f, level // f.size)
+        val = cyclotomic.zeta(mod, (lifted * e) % mod)
+        acc[key] = acc[key] + val if key in acc else val
+    sign = (-1) ** (level - 1)
+    return tuple(
+        (f, r, val * sign) for (f, r), val in sorted(acc.items())
+        if not val.is_zero())
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (2, 4), (9, 2)])
+def test_group_ring_transforms_match_the_field_oracle(q, n):
+    # every (k, phi) that char_table reaches: the parts k of the power sums
+    # in the Schur expansion of each partition lam^(phi)
+    ctx = TorusContext(q, n)
+    reached = {
+        (k, phi)
+        for lam in enumerate_multipartitions(ctx, n, THETA)
+        for phi, parts in lam.entries
+        for nu in schur_to_power(parts)
+        for k in nu}
+    big = ctx.cyclo_modulus
+    for k, phi in sorted(reached):
+        want = field_transform(ctx, k, phi)
+        got = symfunc._transform_embedded(ctx, k, phi)
+        assert [(f, r) for f, r, _ in got] == [(f, r) for f, r, _ in want]
+        for (_, _, ring), (_, _, val) in zip(got, want):
+            assert cyclotomic.from_terms(big, ring) == cyclotomic.embed(val, big)
 
 
 def test_transform_trivial_character_level_one():

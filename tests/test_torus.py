@@ -28,6 +28,7 @@ from uqchar.torus import (
     orbit_exponents,
     orbits_up_to,
     pairing,
+    self_conjugate_orbits,
     sigma_orbit,
     to_level_one,
 )
@@ -225,3 +226,12 @@ def test_odd_self_conjugate_orbits_are_one_or_sigma(q):
 def test_sigma_needs_odd_q():
     with pytest.raises(ValueError):
         sigma_orbit(TorusContext(4, 2))
+
+
+@pytest.mark.parametrize("q,n", [(3, 8), (5, 6), (2, 8), (4, 6), (9, 4), (3, 12)])
+def test_self_conjugate_orbits_match_the_full_scan(q, n):
+    ctx = TorusContext(q, n)
+    for d in range(1, n + 1):
+        scanned = tuple(o for o in exact_orbits(ctx, d, THETA)
+                        if conjugate_orbit(ctx, o) == o)
+        assert self_conjugate_orbits(ctx, d, THETA) == scanned

@@ -175,18 +175,23 @@ def fs_unipotent(ctx: TorusContext, lam: MultiPartition) -> int:
 def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
     """Indicator as the exact average of chi over squares of group elements.
 
-    Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.  It
-    builds a full character row, so callers bound the work beforehand.
+    Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.  The
+    row values are reduced already, so the sum runs over their power-basis
+    coefficients and makes one value.  It builds a full character row, so
+    callers bound the work beforehand.
     """
     n = lam.size
     row = char_row(ctx, lam)
-    big = ctx.cyclo_modulus
-    zero = cyclotomic.zero(big)
-    acc = zero
+    coeffs: dict[int, Fraction] = {}
     for cls in class_table(ctx, n):
-        sq = class_square(ctx, cls.label)
-        acc = acc + row.get(sq, zero) * cls.size
-    acc = acc * Fraction(1, group_order(ctx, n))
+        chi = row.get(class_square(ctx, cls.label))
+        if chi is not None:
+            for i, c in enumerate(chi.coeffs):
+                if c:
+                    coeffs[i] = coeffs.get(i, 0) + c * cls.size
+    order = group_order(ctx, n)
+    acc = cyclotomic.from_terms(
+        ctx.cyclo_modulus, ((i, c / order) for i, c in coeffs.items()))
     kind, value = cyclotomic.classify(acc)
     if kind != "rational":
         raise ValueError(f"indicator of {lam} is not rational: {acc}")
@@ -289,10 +294,3 @@ def real_semisimple_labels(ctx: TorusContext) -> list[MultiPartition]:
     rec(0, n, [])
     out.sort(key=MultiPartition.sort_key)
     return out
-
-
-def symplectic_labels(ctx: TorusContext) -> list[MultiPartition]:
-    """The real semisimple labels with indicator -1, in canonical order."""
-    return [
-        lam for lam in real_semisimple_labels(ctx)
-        if fs_semisimple_regular(ctx, lam) == -1]

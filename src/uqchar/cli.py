@@ -79,14 +79,20 @@ def _emit(args, text: str) -> None:
     if not args.out:
         sys.stdout.write(text)
         return
-    # write beside the target, then rename over it: a write that fails
+    # a symlink is followed; a device or FIFO is written to as it is
+    path = os.path.realpath(args.out)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    # write beside the file, then rename over it: a write that fails
     # part-way leaves an existing file as it was and no partial file behind
-    tmp = f"{args.out}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             fh.write(text)
-        os.replace(tmp, args.out)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise

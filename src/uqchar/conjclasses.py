@@ -5,7 +5,7 @@ The centralizer order of the class labelled by mu is the Ennola-Wall value
     a_mu = (-1)^|mu| prod_f a_{mu^(f)}((-q)^|f|),
     a_lam(x) = x^(|lam| + 2 n(lam)) prod_i prod_{j=1}^{m_i} (1 - x^(-j)),
 
-evaluated exactly in Fractions and asserted to be a positive integer.  Class
+evaluated exactly in Fractions and checked to be a positive integer.  Class
 squaring works orbit by orbit: the square of the orbit f = [alpha] is the
 orbit f' = [alpha^2], every element of f' has exactly |f| / |f'| preimages,
 so the partition on f is repeated that many times on f'.  For even q each
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .multipartition import MultiPartition, enumerate_multipartitions
 from .partitions import n_stat
-from .torus import PHI, OrbitLabel, TorusContext, frobenius_orbit, orbit_exponents
+from .torus import PHI, OrbitLabel, TorusContext, frobenius_orbit
 
 
 def a_partition_poly(parts: tuple[int, ...], x: Fraction) -> Fraction:
@@ -48,20 +48,22 @@ def group_order(ctx: TorusContext, n: int | None = None) -> int:
 
 
 def centralizer_order(ctx: TorusContext, mu: MultiPartition) -> int:
-    """Exact centralizer order of the class mu; asserted integral and positive."""
+    """Exact centralizer order of the class mu; checked integral and positive."""
     if mu.side != PHI:
         raise ValueError("classes live on the phi side")
     val = Fraction((-1) ** mu.size)
     for orbit, parts in mu.entries:
         val *= a_partition_poly(parts, Fraction(-ctx.q) ** orbit.size)
-    assert val.denominator == 1 and val > 0, (mu, val)
+    if val.denominator != 1 or val <= 0:
+        raise ValueError(f"centralizer order of {mu} is not a positive integer: {val}")
     return int(val)
 
 
 def class_size(ctx: TorusContext, mu: MultiPartition) -> int:
     order = group_order(ctx, mu.size)
     cent = centralizer_order(ctx, mu)
-    assert order % cent == 0, (mu, cent)
+    if order % cent:
+        raise ValueError(f"centralizer order {cent} of {mu} does not divide |G|")
     return order // cent
 
 
@@ -70,13 +72,6 @@ class ClassData:
     label: MultiPartition
     centralizer: int
     size: int
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label.to_json(),
-            "centralizer": self.centralizer,
-            "size": self.size,
-        }
 
 
 def class_table(ctx: TorusContext, n: int | None = None) -> tuple[ClassData, ...]:
@@ -107,12 +102,14 @@ def class_square(ctx: TorusContext, mu: MultiPartition) -> MultiPartition:
     for orbit, parts in mu.entries:
         doubled = frobenius_orbit(
             ctx, orbit.level, 2 * orbit.min_exponent, PHI)
+        if orbit.size % doubled.size:
+            raise ValueError(f"the square of {orbit} has size {doubled.size}")
         fiber = orbit.size // doubled.size
-        assert orbit.size % doubled.size == 0
         if ctx.q % 2 == 0:
             parts = [h for k in parts for h in ((k + 1) // 2, k // 2) if h]
         merged.setdefault(doubled, []).extend(list(parts) * fiber)
     out = MultiPartition.make(
         PHI, [(o, tuple(sorted(ps, reverse=True))) for o, ps in merged.items()])
-    assert out.size == mu.size
+    if out.size != mu.size:
+        raise ValueError(f"the square of {mu} came out of size {out.size}")
     return out

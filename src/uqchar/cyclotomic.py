@@ -19,7 +19,6 @@ with one reduction per table cell or per pair of rows.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import cache
 from itertools import compress
@@ -213,14 +212,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            if s == 0:
-                raise ZeroDivisionError("division of cyclotomic value by zero")
-            return self * (1 / s)
-        return NotImplemented
-
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers are supported")
@@ -351,12 +342,6 @@ def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
 
 # -- canonical text form ---------------------------------------------------
 
-_HEADER_RE = re.compile(r"^Q\(zeta_(\d+)\):\s*(.*)$")
-_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>-?\d+(?:/\d+)?)(?:\*(?P<mz>z(?:\^(?P<mk>\d+))?))?"
-    r"|(?P<sign>-?)(?P<z>z(?:\^(?P<k>\d+))?))$")
-
-
 def to_text(a: Cyclotomic) -> str:
     """Canonical text form, e.g. 'Q(zeta_8): 1/2 - z + 3*z^2'."""
     parts = []
@@ -375,32 +360,6 @@ def to_text(a: Cyclotomic) -> str:
             parts.append(f"- {body}" if c < 0 else f"+ {body}")
     body = " ".join(parts) if parts else "0"
     return f"Q(zeta_{a.modulus}): {body}"
-
-
-def from_text(text: str) -> Cyclotomic:
-    m = _HEADER_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not a cyclotomic literal: {text!r}")
-    modulus = int(m.group(1))
-    body = m.group(2).strip()
-    if body == "0" or body == "":
-        return zero(modulus)
-    terms = []
-    for raw in body.replace(" - ", " + -").split(" + "):
-        t = _TERM_RE.match(raw.replace(" ", ""))
-        if not t:
-            raise ValueError(f"bad cyclotomic term {raw!r} in {text!r}")
-        if t.group("coeff") is not None:
-            c = Fraction(t.group("coeff"))
-            if t.group("mz"):
-                e = int(t.group("mk") or 1)
-            else:
-                e = 0
-        else:
-            c = Fraction(-1 if t.group("sign") == "-" else 1)
-            e = int(t.group("k") or 1)
-        terms.append((e, c))
-    return from_terms(modulus, terms)
 
 
 def approx(a: Cyclotomic) -> complex:

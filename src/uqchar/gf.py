@@ -110,12 +110,8 @@ class ExtField:
         scale = self.base.inv(r0[0])
         return self._pad(tuple(self.base.mul(scale, c) for c in s0))
 
-    def embed(self, c):
-        """The copy of a base element inside the extension."""
-        return (c,) + (self.base.zero,) * (self.degree - 1)
-
     def to_base(self, a):
-        """Inverse of embed; raises if the element is not in the base field."""
+        """The base field element a stands for; raises if a is not in the base field."""
         if any(c != self.base.zero for c in a[1:]):
             raise ValueError(f"{a} does not lie in the base field")
         return a[0]
@@ -169,13 +165,6 @@ def poly_trim(F, cs):
     return cs
 
 
-def poly_add(F, a, b):
-    n = max(len(a), len(b))
-    a = a + (F.zero,) * (n - len(a))
-    b = b + (F.zero,) * (n - len(b))
-    return poly_trim(F, tuple(F.add(x, y) for x, y in zip(a, b)))
-
-
 def poly_sub(F, a, b):
     n = max(len(a), len(b))
     a = a + (F.zero,) * (n - len(a))
@@ -225,13 +214,6 @@ def poly_pow(F, a, k: int):
     return out
 
 
-def poly_eval(F, a, x):
-    acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def monic_polys(F, degree: int):
     """All monic polynomials of the given degree, in counter order."""
     elts = list(F.elements())
@@ -256,12 +238,6 @@ def is_irreducible(F, h) -> bool:
             if not poly_divmod(F, h, g)[1]:
                 return False
     return True
-
-
-@cache
-def irreducibles(F, degree: int) -> tuple:
-    """All monic irreducibles of the given degree, in counter order."""
-    return tuple(g for g in monic_polys(F, degree) if is_irreducible(F, g))
 
 
 def least_irreducible(F, degree: int):

@@ -6,13 +6,12 @@ sum |orbit| * |partition|; size-n multipartitions on the phi side index the
 conjugacy classes of U(n, F_q2), on the theta side the irreducible characters.
 
 Canonical order: entries sorted by orbit label; multipartitions compare by
-their entry sequences with partitions in reverse-lexicographic order.  The
-JSON form is a list of [orbit-string, [parts...]] pairs.
+their entry sequences with partitions in reverse-lexicographic order.
+to_key() is the string form that JSON and TSV output use.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -24,7 +23,6 @@ from .torus import (
     TorusContext,
     conjugate_orbit,
     delta_orbit,
-    delta_orbit_inv,
     orbits_up_to,
 )
 
@@ -75,20 +73,6 @@ class MultiPartition:
             f"{o.to_str()}[{','.join(map(str, parts))}]" for o, parts in self.entries
         ) or "empty:" + self.side
 
-    def to_json(self) -> list:
-        return [[o.to_str(), list(parts)] for o, parts in self.entries]
-
-    @staticmethod
-    def from_json(doc, side: str | None = None) -> "MultiPartition":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        pairs = [(OrbitLabel.from_str(o), tuple(parts)) for o, parts in doc]
-        if side is None:
-            if not pairs:
-                raise ValueError("cannot infer the side of an empty multipartition")
-            side = pairs[0][0].side
-        return MultiPartition.make(side, pairs)
-
     def __repr__(self):
         return f"<mp {self.to_key()}>"
 
@@ -96,10 +80,6 @@ class MultiPartition:
 def mp_n_stat(mp: MultiPartition) -> int:
     """n(mp) = sum |orbit| * n(partition)."""
     return sum(o.size * n_stat(parts) for o, parts in mp.entries)
-
-
-def mp_length(mp: MultiPartition) -> int:
-    return sum(len(parts) for _, parts in mp.entries)
 
 
 def mp_weighted_hooks(mp: MultiPartition) -> tuple[int, ...]:
@@ -120,17 +100,6 @@ def mp_bar(ctx: TorusContext, mp: MultiPartition) -> MultiPartition:
     """Relabel along orbit conjugation (inverse elements / inverse characters)."""
     return MultiPartition.make(
         mp.side, [(conjugate_orbit(ctx, o), parts) for o, parts in mp.entries])
-
-
-def mp_stats(ctx: TorusContext, mp: MultiPartition) -> dict:
-    return {
-        "size": mp.size,
-        "length": mp_length(mp),
-        "n": mp_n_stat(mp),
-        "n_conjugate": mp_n_stat(mp_conjugate(mp)),
-        "weighted_hooks": mp_weighted_hooks(mp),
-        "bar": mp_bar(ctx, mp),
-    }
 
 
 @cache
@@ -162,8 +131,3 @@ def delta_map(ctx: TorusContext, mp: MultiPartition) -> MultiPartition:
     """The exponent-identity bijection from Theta-labels to Phi-labels."""
     return MultiPartition.make(
         PHI, [(delta_orbit(o), parts) for o, parts in mp.entries])
-
-
-def delta_map_inv(ctx: TorusContext, mp: MultiPartition) -> MultiPartition:
-    return MultiPartition.make(
-        THETA, [(delta_orbit_inv(o), parts) for o, parts in mp.entries])

@@ -2,9 +2,8 @@
 
 Partitions are plain tuples of weakly decreasing positive ints, () for the
 empty partition.  Enumeration follows reverse-lexicographic order: (n) first,
-(1,...,1) last.  The 2-core is computed on a 2-runner abacus via beta-numbers,
-which also yields the 2-weight; hook lengths use the standard formula
-h(i,j) = lam_i + lam'_j - i - j + 1.
+(1,...,1) last.  The 2-core is computed on a 2-runner abacus via beta-numbers;
+hook lengths use the standard formula h(i,j) = lam_i + lam'_j - i - j + 1.
 """
 
 from functools import cache
@@ -35,11 +34,6 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
 
     rec(n, n, ())
     return tuple(out)
-
-
-def partitions_upto_length(n: int, max_len: int):
-    """Partitions of n with at most max_len parts, reverse-lex order."""
-    return tuple(p for p in partitions_of(n) if len(p) <= max_len)
 
 
 def conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -89,13 +83,6 @@ def two_core(p: tuple[int, ...]) -> tuple[int, ...]:
         counts[b % 2] += 1
     settled = [r + 2 * j for r in (0, 1) for j in range(counts[r])]
     return from_beta_set(settled)
-
-
-def two_weight(p: tuple[int, ...]) -> int:
-    """Number of dominoes removed when passing to the 2-core."""
-    diff = sum(p) - sum(two_core(p))
-    assert diff % 2 == 0
-    return diff // 2
 
 
 def odd_even_hooks(p: tuple[int, ...]) -> tuple[int, int]:

@@ -19,7 +19,6 @@ subject of the census cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .characters import is_real, is_semisimple
@@ -27,9 +26,7 @@ from .gf import (
     GF,
     ext_field,
     field_pow,
-    irreducibles,
     poly_mul,
-    poly_divmod,
     poly_pow,
     poly_trim,
     subgroup_generator,
@@ -52,88 +49,6 @@ def is_self_dual(F, h) -> bool:
     if not h or h[0] == F.zero:
         return False
     return dual_poly(F, h) == h
-
-
-def factor_monic(F, h):
-    """Factor a monic polynomial into irreducibles, in (degree, counter) order."""
-    h = poly_trim(F, h)
-    if not h or h[-1] != F.one:
-        raise ValueError("expected a monic polynomial")
-    out = []
-    rest = h
-    d = 1
-    while len(rest) - 1 >= 1:
-        if d > (len(rest) - 1) // 2:
-            out.append((rest, 1))
-            break
-        for g in irreducibles(F, d):
-            mult = 0
-            while True:
-                quot, rem = poly_divmod(F, rest, g)
-                if rem:
-                    break
-                rest = quot
-                mult += 1
-            if mult:
-                out.append((g, mult))
-        d += 1
-    # merge the possible top-level irreducible with equal earlier factors
-    merged: dict = {}
-    for g, m in out:
-        merged[g] = merged.get(g, 0) + m
-    return tuple(sorted(merged.items(), key=lambda gm: (len(gm[0]), gm[0])))
-
-
-@dataclass(frozen=True)
-class SelfDualFactorization:
-    """Factor structure of a self-dual polynomial.
-
-    s and t count the factors x - 1 and x + 1; pairs holds (g, g~, mult) for
-    dual pairs of distinct irreducibles, selfduals holds (v, mult) for
-    self-dual irreducibles other than x -+ 1.  In characteristic two the two
-    linear factors coincide and t is zero by convention.
-    """
-
-    s: int
-    t: int
-    pairs: tuple
-    selfduals: tuple
-
-
-def selfdual_factorization(F, h) -> SelfDualFactorization:
-    h = poly_trim(F, h)
-    if not is_self_dual(F, h):
-        raise ValueError("not a self-dual polynomial")
-    x_minus_1 = (F.neg(F.one), F.one)
-    x_plus_1 = (F.one, F.one)
-    s = t = 0
-    pairs = []
-    selfduals = []
-    factors = dict(factor_monic(F, h))
-    for g in sorted(factors, key=lambda g: (len(g), g)):
-        if g not in factors:
-            continue
-        m = factors.pop(g)
-        gd = dual_poly(F, g)
-        if g == x_minus_1:
-            s = m
-        elif g == x_plus_1:
-            t = m
-        elif gd == g:
-            selfduals.append((g, m))
-        else:
-            m2 = factors.pop(gd, 0)
-            assert m2 == m, f"dual factor multiplicities differ for {g}"
-            pairs.append((g, gd, m))
-    # reassemble and compare
-    acc = poly_pow(F, x_minus_1, s)
-    acc = poly_mul(F, acc, poly_pow(F, x_plus_1, t))
-    for g, gd, m in pairs:
-        acc = poly_mul(F, acc, poly_pow(F, poly_mul(F, g, gd), m))
-    for v, m in selfduals:
-        acc = poly_mul(F, acc, poly_pow(F, v, m))
-    assert acc == h, "factorization failed to reassemble"
-    return SelfDualFactorization(s, t, tuple(pairs), tuple(selfduals))
 
 
 def enumerate_self_dual(F, n: int, constant: int | None = None):
@@ -167,7 +82,8 @@ def enumerate_self_dual(F, n: int, constant: int | None = None):
                 h[n - i] = h[i] if sign == 1 else F.neg(h[i])
             # middle coefficient: forced zero when the constant is -1
             hh = tuple(h)
-            assert is_self_dual(F, hh), hh
+            if not is_self_dual(F, hh):
+                raise ValueError(f"enumerated {hh}, which is not self-dual")
             out.append(hh)
     return tuple(sorted(out))
 
@@ -225,10 +141,13 @@ def char_to_polynomial(ctx: TorusContext, lam: MultiPartition):
         if f in done:
             continue
         partner = conjugate_orbit(ctx, f)
-        assert delta.part_for(partner) == parts, (f, partner)
+        if delta.part_for(partner) != parts:
+            raise ValueError(f"{lam} puts different parts on {f} and {partner}")
         done.add(f)
         done.add(partner)
         h = poly_mul(base, h, poly_pow(base, orbit_polynomial(ctx, f), sum(parts)))
-    assert len(h) - 1 == n and h[-1] == base.one, (lam, h)
-    assert is_self_dual(base, h), (lam, h)
+    if len(h) - 1 != n or h[-1] != base.one:
+        raise ValueError(f"polynomial {h} of {lam} is not monic of degree {n}")
+    if not is_self_dual(base, h):
+        raise ValueError(f"polynomial {h} of {lam} is not self-dual")
     return h

@@ -21,7 +21,7 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      sum is reduced to the power basis of Q(zeta_M) once per cell.
 
 Hall-Littlewood functions expand into monomials by the tableau formula of
-Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): the Kostka
+Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
 horizontal-strip recursion with each strip weighted by psi_{lam/nu}(t).  Power
 sums expand by counting the ways to drop their parts into rows.  All of it is
 exact: Fractions for t-coefficients and weights, integers in the group ring
@@ -108,20 +108,6 @@ def schur_to_power(lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
 # -- monomial expansions ---------------------------------------------------
 
 
-@cache
-def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of shape lam and content mu."""
-    if sum(lam) != sum(mu):
-        return 0
-    if not mu:
-        return 1
-    k, rest = mu[-1], mu[:-1]
-    total = 0
-    for smaller in _horizontal_strips(lam, k):
-        total += kostka(smaller, rest)
-    return total
-
-
 def _horizontal_strips(lam, k):
     """Partitions lam2 with lam/lam2 a horizontal strip of size k."""
     lam = tuple(lam)
@@ -138,20 +124,6 @@ def _horizontal_strips(lam, k):
 
     rec(0, k, [])
     return results
-
-
-@cache
-def schur_m_vector(lam: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
-    """Monomial coefficients of s_lam in nvars variables (Kostka numbers)."""
-    if len(lam) > nvars:
-        return {}
-    out = {}
-    for mu in partitions_of(sum(lam)):
-        if len(mu) <= nvars:
-            c = kostka(lam, mu)
-            if c:
-                out[mu] = c
-    return out
 
 
 @cache
@@ -270,21 +242,6 @@ def _transform_terms(
     return tuple(out)
 
 
-def transform_y_to_x(
-    ctx: TorusContext, k: int, phi: OrbitLabel
-) -> dict[MultiPartition, Cyclotomic]:
-    """The power sum p_k on the character alphabet of phi, in class alphabets.
-
-    Keys are the one-row class multipartitions (f, (r,)) standing for p_r on f.
-    """
-    if phi.side != THETA:
-        raise ValueError("transform expects a character orbit")
-    mod = ctx.modulus(k * phi.size)
-    return {
-        MultiPartition.make(PHI, [(f, (r,))]): cyclotomic.from_terms(mod, val)
-        for f, r, val in _transform_terms(ctx, k, phi)}
-
-
 @cache
 def _transform_embedded(
     ctx: TorusContext, k: int, phi: OrbitLabel
@@ -390,17 +347,6 @@ def char_row(
     return out
 
 
-def char_value(
-    ctx: TorusContext, lam: MultiPartition, mu: MultiPartition
-) -> Cyclotomic:
-    """chi^lam evaluated on the class mu, exactly."""
-    if mu.side != PHI:
-        raise ValueError("classes live on the phi side")
-    if mu.size != lam.size:
-        raise ValueError("character and class labels must have equal size")
-    return char_row(ctx, lam).get(mu, cyclotomic.zero(ctx.cyclo_modulus))
-
-
 @dataclass(frozen=True)
 class CharTable:
     """Full exact character table of U(n, F_q2)."""
@@ -449,54 +395,3 @@ def char_table(ctx: TorusContext, max_cells: int | None = 4096) -> CharTable:
         rows.append(tuple(row.get(mu, zero_big) for mu in classes))
     return CharTable(ctx.q, n, ctx.cyclo_modulus, chars, classes, tuple(rows))
 
-
-# -- Deligne-Lusztig style virtual characters ------------------------------
-
-
-def dl_label(
-    ctx: TorusContext, nu: tuple[int, ...], theta: tuple[int, ...]
-) -> MultiPartition:
-    """The Theta-multipartition of the torus datum (T_nu, theta).
-
-    theta[i] is a character exponent at level nu[i]; characters falling in one
-    orbit phi contribute parts nu_i / |phi| to the partition on phi.
-    """
-    nu = check_partition(nu)
-    if len(nu) != len(theta):
-        raise ValueError("need one character exponent per part of nu")
-    grouped: dict[OrbitLabel, list[int]] = {}
-    for part, c in zip(nu, theta):
-        phi = frobenius_orbit(ctx, part, c, THETA)
-        if part % phi.size:
-            raise ValueError(
-                f"part {part} is not a multiple of the orbit size {phi.size}")
-        grouped.setdefault(phi, []).append(part // phi.size)
-    return MultiPartition.make(
-        THETA, [(phi, tuple(sorted(ps, reverse=True))) for phi, ps in grouped.items()])
-
-
-def dl_expand(ctx: TorusContext, nu_mp: MultiPartition) -> dict[MultiPartition, int]:
-    """Decompose R_nu = ch^{-1}((-1)^(|nu|+l(nu)) p_nu) into irreducible labels."""
-    if nu_mp.side != THETA:
-        raise ValueError("torus data live on the theta side")
-    n = nu_mp.size
-    base_sign = (-1) ** (n + sum(len(parts) for _, parts in nu_mp.entries))
-    out: dict[MultiPartition, int] = {}
-    per_orbit = []
-    for phi, parts in nu_mp.entries:
-        shapes = [(lam, sym_group_char(lam, parts)) for lam in partitions_of(sum(parts))]
-        per_orbit.append((phi, [(lam, c) for lam, c in shapes if c]))
-    for combo in iproduct(*(s for _, s in per_orbit)):
-        coeff = base_sign
-        assignment = []
-        for (phi, _), (shape, c) in zip(per_orbit, combo):
-            coeff *= c
-            assignment.append((phi, shape))
-        lam_mp = MultiPartition.make(THETA, assignment)
-        coeff *= (-1) ** (n // 2 + mp_n_stat(lam_mp))
-        total = out.get(lam_mp, 0) + coeff
-        if total:
-            out[lam_mp] = total
-        else:
-            out.pop(lam_mp, None)
-    return out

@@ -8,8 +8,8 @@ against g_d.  In these coordinates:
   * the Frobenius acts on both sides by e -> -q e  (mod M_d);
   * the norm N_{m,r}: T_m -> T_r for r | m is reduction mod M_r, because the
     geometric multiplier S_{m,r} = sum_{i<m/r} (-q)^{ri} satisfies
-    S_{N,m} S_{m,r} = S_{N,r} as integers (norm() recomputes the literal
-    multiplier and asserts the equivalence on every call);
+    S_{N,m} S_{m,r} = S_{N,r} as integers (the torus tests compare the
+    reduction with the literal multiplier);
   * the inclusion T_r -> T_m is multiplication by S_{m,r};
   * the transpose-of-norm on characters is multiplication by M_m / M_r.
 
@@ -101,11 +101,6 @@ class OrbitLabel:
 
     def to_str(self) -> str:
         return f"{self.side}:{self.level}:{self.min_exponent}"
-
-    @staticmethod
-    def from_str(text: str) -> "OrbitLabel":
-        side, level, min_exponent = text.split(":")
-        return OrbitLabel(int(level), int(min_exponent), side)
 
 
 def _orbit_exponents_at(q: int, m: int, e: int) -> tuple[int, ...]:
@@ -218,17 +213,6 @@ def lift_element(ctx: TorusContext, r: int, m: int, e: int) -> int:
     return (norm_multiplier(ctx.q, m, r) * e) % ctx.modulus(m)
 
 
-def norm(ctx: TorusContext, m: int, r: int, e: int) -> int:
-    """N_{m,r} in exponent coordinates; reduction mod M_r in the g_d family."""
-    if m % r:
-        raise ValueError(f"need r | m, got r={r}, m={m}")
-    out = e % ctx.modulus(r)
-    # the literal norm multiplies the ambient exponent by S_{m,r}
-    literal = (norm_multiplier(ctx.q, m, r) * e) % ctx.modulus(m)
-    assert lift_element(ctx, r, m, out) == literal
-    return out
-
-
 def lift_character(ctx: TorusContext, r: int, m: int, c: int) -> int:
     """Transpose of the norm on characters: multiply by M_m / M_r."""
     if m % r:
@@ -269,12 +253,6 @@ def delta_orbit(o: OrbitLabel) -> OrbitLabel:
     if o.side != THETA:
         raise ValueError("delta maps character orbits to element orbits")
     return OrbitLabel(o.level, o.min_exponent, PHI)
-
-
-def delta_orbit_inv(o: OrbitLabel) -> OrbitLabel:
-    if o.side != PHI:
-        raise ValueError("inverse delta maps element orbits to character orbits")
-    return OrbitLabel(o.level, o.min_exponent, THETA)
 
 
 def one_orbit(ctx: TorusContext, side: str = THETA) -> OrbitLabel:

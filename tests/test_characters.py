@@ -27,10 +27,10 @@ from uqchar.characters import (
     is_unipotent,
     omega_exponent,
     real_semisimple_labels,
-    symplectic_labels,
 )
 from uqchar.conjclasses import central_class, group_order
 from uqchar.multipartition import MultiPartition, enumerate_multipartitions
+from uqchar.nt import prime_power
 from uqchar.symfunc import char_table
 from uqchar.torus import (
     PHI,
@@ -118,6 +118,18 @@ def test_degree_rejects_a_degree_that_is_not_positive():
 
 
 # -- predicates ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,max_n", [
+    (2, 6), (3, 5), (4, 3), (5, 3), (7, 2), (8, 2), (9, 2)])
+def test_degree_is_prime_to_p_exactly_on_semisimple_labels(q, max_n):
+    # the paper counts the characters of degree prime to p; they are the
+    # semisimple labels, so census's "semisimple" counts them too
+    p = prime_power(q)[0]
+    for n in range(1, max_n + 1):
+        ctx = TorusContext(q, n)
+        for lam in enumerate_multipartitions(ctx, n, THETA):
+            assert (degree(ctx, lam) % p != 0) == is_semisimple(lam), (q, lam)
 
 
 def test_family_predicates():
@@ -371,7 +383,8 @@ def test_census_closed_forms(q, n):
 
 def test_symplectic_labels_carry_odd_sigma_part():
     ctx = TorusContext(3, 4)
-    labels = symplectic_labels(ctx)
+    labels = [lam for lam in real_semisimple_labels(ctx)
+              if fs_semisimple_regular(ctx, lam) == -1]
     assert len(labels) == 3
     sig = sigma_orbit(ctx)
     for lam in labels:

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -300,6 +301,35 @@ def test_out_write_failure_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["census.json"]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "census.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, err = run(capsys, ["census", "--q", "3", "--n", "2",
+                                  "--out", str(link)])
+    assert code == 0 and not out
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["symplectic"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["census.json", "link.json"]
+
+
+def test_out_into_a_fifo_writes_to_its_reader(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a reader opened first lets the writer open without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, err = run(capsys, ["census", "--q", "3", "--n", "2",
+                                      "--out", str(fifo)])
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0 and not out, err
+    assert json.loads(got)["symplectic"] == 1
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 @pytest.mark.parametrize("argv", [

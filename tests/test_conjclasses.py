@@ -1,9 +1,11 @@
 """Centralizer orders, class sizes, central classes, and class squaring."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from uqchar import conjclasses
 from uqchar.conjclasses import (
     a_partition_poly,
     central_class,
@@ -116,3 +118,42 @@ def test_class_square_even_q_splits_unipotent_blocks():
     ctx = TorusContext(2, 3)
     uni = mp((one_orbit(ctx, PHI), (3,)))
     assert class_square(ctx, uni) == mp((one_orbit(ctx, PHI), (2, 1)))
+
+
+# -- checks that survive python -O: each is fed a broken input ------------
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1)])
+def test_centralizer_order_rejects_a_value_that_is_not_a_positive_integer(
+        monkeypatch, bad):
+    # one orbit of size 1: the order is -a(-q), so 1/2 is not integral and 1
+    # makes it negative
+    monkeypatch.setattr(conjclasses, "a_partition_poly", lambda parts, x: bad)
+    ctx = TorusContext(3, 1)
+    with pytest.raises(ValueError, match="not a positive integer"):
+        centralizer_order(ctx, mp((one_orbit(ctx, PHI), (1,))))
+
+
+def test_class_size_rejects_a_centralizer_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr(conjclasses, "centralizer_order", lambda ctx, mu: 7)
+    ctx = TorusContext(3, 2)  # |G| = 96
+    with pytest.raises(ValueError, match="does not divide"):
+        class_size(ctx, mp((one_orbit(ctx, PHI), (2,))))
+
+
+def test_class_square_rejects_a_square_orbit_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr(conjclasses, "frobenius_orbit",
+                        lambda ctx, d, e, side: OrbitLabel(3, 0, PHI))
+    ctx = TorusContext(3, 2)
+    with pytest.raises(ValueError, match="has size 3"):
+        class_square(ctx, mp((OrbitLabel(2, 1, PHI), (1,))))
+
+
+def test_class_square_rejects_a_square_of_another_size(monkeypatch):
+    # a label constructor that loses the last orbit
+    monkeypatch.setattr(conjclasses, "MultiPartition", SimpleNamespace(
+        make=lambda side, pairs: MultiPartition.make(side, list(pairs)[:-1])))
+    ctx = TorusContext(3, 2)
+    mu = mp((OrbitLabel(1, 0, PHI), (1,)), (OrbitLabel(1, 1, PHI), (1,)))
+    with pytest.raises(ValueError, match="of size 1"):
+        class_square(ctx, mu)

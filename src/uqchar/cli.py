@@ -263,7 +263,8 @@ def cmd_verify(args) -> int:
     for n in range(1, args.max_n + 1):
         ctx = TorusContext(q, n)
         labels = enumerate_multipartitions(ctx, n, THETA)
-        classes = class_table(ctx)
+        # the same cache key as fs_bruteforce's, so the table is built once
+        classes = class_table(ctx, n)
         check(
             sum(c.size for c in classes) == group_order(ctx),
             f"n={n}: class sizes sum to |G|")

@@ -5,7 +5,9 @@ The centralizer order of the class labelled by mu is the Ennola-Wall value
     a_mu = (-1)^|mu| prod_f a_{mu^(f)}((-q)^|f|),
     a_lam(x) = x^(|lam| + 2 n(lam)) prod_i prod_{j=1}^{m_i} (1 - x^(-j)),
 
-evaluated exactly in Fractions and checked to be a positive integer.  Class
+evaluated exactly in Fractions and checked to be a positive integer.
+class_table computes it once per class and is cached, so the class data of
+one (q, n) are built once however many rows or labels read them.  Class
 squaring works orbit by orbit: the square of the orbit f = [alpha] is the
 orbit f' = [alpha^2], every element of f' has exactly |f| / |f'| preimages,
 so the partition on f is repeated that many times on f'.  For even q each
@@ -18,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .multipartition import MultiPartition, enumerate_multipartitions
 from .partitions import n_stat
@@ -59,14 +62,6 @@ def centralizer_order(ctx: TorusContext, mu: MultiPartition) -> int:
     return int(val)
 
 
-def class_size(ctx: TorusContext, mu: MultiPartition) -> int:
-    order = group_order(ctx, mu.size)
-    cent = centralizer_order(ctx, mu)
-    if order % cent:
-        raise ValueError(f"centralizer order {cent} of {mu} does not divide |G|")
-    return order // cent
-
-
 @dataclass(frozen=True)
 class ClassData:
     label: MultiPartition
@@ -74,13 +69,22 @@ class ClassData:
     size: int
 
 
+@cache
 def class_table(ctx: TorusContext, n: int | None = None) -> tuple[ClassData, ...]:
-    """All classes of U(n, F_q2) with centralizer orders and sizes, sorted."""
+    """All classes of U(n, F_q2) with centralizer orders and sizes, sorted.
+
+    Built once per (ctx, n); the size of a class is |G| / |C(K)|, checked to
+    be integral.
+    """
     n = ctx.n if n is None else n
-    return tuple(
-        ClassData(mu, centralizer_order(ctx, mu), class_size(ctx, mu))
-        for mu in enumerate_multipartitions(ctx, n, PHI)
-    )
+    order = group_order(ctx, n)
+    out = []
+    for mu in enumerate_multipartitions(ctx, n, PHI):
+        cent = centralizer_order(ctx, mu)
+        if order % cent:
+            raise ValueError(f"centralizer order {cent} of {mu} does not divide |G|")
+        out.append(ClassData(mu, cent, order // cent))
+    return tuple(out)
 
 
 def central_class(ctx: TorusContext, alpha: int) -> MultiPartition:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
+from operator import is_not
 
 from .nt import divisors, euler_phi
 
@@ -345,19 +346,23 @@ def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
 def to_text(a: Cyclotomic) -> str:
     """Canonical text form, e.g. 'Q(zeta_8): 1/2 - z + 3*z^2'."""
     parts = []
-    for e, c in enumerate(a.coeffs):
+    coeffs = a.coeffs
+    # most zero coefficients are the shared _ZERO: skip those by identity
+    # and test only the rest with Fraction.__eq__
+    for e, c in compress(enumerate(coeffs), map(is_not, coeffs, repeat(_ZERO))):
         if c == 0:
             continue
-        mag = -c if c < 0 else c
+        neg = c < 0
+        mag = -c if neg else c
         if e == 0:
             body = str(mag)
         else:
             zs = "z" if e == 1 else f"z^{e}"
             body = zs if mag == 1 else f"{mag}*{zs}"
         if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
+            parts.append(f"-{body}" if neg else body)
         else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+            parts.append(f"- {body}" if neg else f"+ {body}")
     body = " ".join(parts) if parts else "0"
     return f"Q(zeta_{a.modulus}): {body}"
 

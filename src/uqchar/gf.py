@@ -106,7 +106,8 @@ class ExtField:
             quot, rem = poly_divmod(self.base, r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, poly_sub(self.base, s0, poly_mul(self.base, quot, s1))
-        assert len(r0) == 1, "modulus is not irreducible"
+        if len(r0) != 1:
+            raise ValueError(f"modulus {self.modulus} is not irreducible")
         scale = self.base.inv(r0[0])
         return self._pad(tuple(self.base.mul(scale, c) for c in s0))
 
@@ -265,11 +266,14 @@ def subgroup_generator(F, order: int):
         if all(field_pow(F, a, group // p) != F.one for p in primes):
             prim = a
             break
-    assert prim is not None
+    if prim is None:
+        raise ValueError(f"no primitive root found in {F.describe()}")
     g = field_pow(F, prim, group // order)
     for p, _ in factorint(order):
-        assert field_pow(F, g, order // p) != F.one
-    assert field_pow(F, g, order) == F.one
+        if field_pow(F, g, order // p) == F.one:
+            raise ValueError(f"generator for order {order} has a smaller order")
+    if field_pow(F, g, order) != F.one:
+        raise ValueError(f"generator's order does not divide {order}")
     return g
 
 

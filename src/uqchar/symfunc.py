@@ -18,7 +18,11 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      (-q)^(n(mu)) of P_mu and the sign (-1)^(floor(n/2) + n(lam)), is the
      character value chi^lam at the class mu: the group-ring elements of all
      products that reach mu are summed with these rational weights and the
-     sum is reduced to the power basis of Q(zeta_M) once per cell.
+     sum is reduced to the power basis of Q(zeta_M) once per cell.  The
+     Hall-Littlewood expansion of a power-sum product, with its
+     normalizations, depends only on (q, n) and the product
+     (_class_expansion), so it is computed once per product and shared by
+     every row; only the sign belongs to the character.
 
 Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
@@ -260,6 +264,36 @@ def _transform_embedded(
 
 
 @cache
+def _class_expansion(
+    ctx: TorusContext, key: tuple[tuple[OrbitLabel, int], ...]
+) -> tuple[tuple[MultiPartition, Fraction], ...]:
+    """The power-sum product prod p_r(X^(f)) over key's (f, r) by class.
+
+    Each (mu, c): c is the coefficient of prod_f P_{mu^(f)}(X^(f); t),
+    t = (-q)^(-|f|), times the normalization (-q)^(n(mu)) of P_mu.  It
+    depends only on (q, n) and the key, not on the character.
+    """
+    by_orbit: dict[OrbitLabel, list[int]] = {}
+    for f, r in key:
+        by_orbit.setdefault(f, []).append(r)
+    expansions = []
+    for f, rs in sorted(by_orbit.items()):
+        t = Fraction(-ctx.q) ** (-f.size)
+        rho = tuple(sorted(rs, reverse=True))
+        expansions.append((f, list(power_to_hl(rho, t).items())))
+    out = []
+    for picks in iproduct(*(e for _, e in expansions)):
+        scalar = Fraction(1)
+        assignment = []
+        for (f, _), (shape, c) in zip(expansions, picks):
+            scalar *= c
+            assignment.append((f, shape))
+        mu = MultiPartition.make(PHI, assignment)
+        out.append((mu, scalar * Fraction(-ctx.q) ** mp_n_stat(mu)))
+    return tuple(out)
+
+
+@cache
 def char_row(
     ctx: TorusContext, lam: MultiPartition
 ) -> dict[MultiPartition, Cyclotomic]:
@@ -306,31 +340,16 @@ def char_row(
             for e, c in ring.items():
                 dst[e] = dst.get(e, 0) + c
 
-    # assemble: per class mu, the Hall-Littlewood coefficient on every class
-    # orbit times the normalization (-q)^(n(mu)) of P_mu and the sign
-    sign = (-1) ** (n // 2 + mp_n_stat(lam))
+    # assemble: per class mu, the scalars of _class_expansion
     cells: dict[MultiPartition, list[tuple[Fraction, dict[int, int]]]] = {}
     for key, ring in acc.items():
-        by_orbit: dict[OrbitLabel, list[int]] = {}
-        for f, r in key:
-            by_orbit.setdefault(f, []).append(r)
-        expansions = []
-        for f, rs in sorted(by_orbit.items()):
-            t = Fraction(-ctx.q) ** (-f.size)
-            rho = tuple(sorted(rs, reverse=True))
-            expansions.append((f, list(power_to_hl(rho, t).items())))
-        for picks in iproduct(*(e for _, e in expansions)):
-            scalar = Fraction(sign)
-            assignment = []
-            for (f, _), (shape, c) in zip(expansions, picks):
-                scalar *= c
-                assignment.append((f, shape))
-            mu = MultiPartition.make(PHI, assignment)
-            scalar *= Fraction(-ctx.q) ** mp_n_stat(mu)
-            cells.setdefault(mu, []).append((scalar, ring))
+        for mu, c in _class_expansion(ctx, key):
+            cells.setdefault(mu, []).append((c, ring))
 
     # reduce: bring each cell's scalars to one denominator, sum its group-ring
-    # elements with integer coefficients, and reduce the sum once
+    # elements with integer coefficients, and reduce the sum once; the row's
+    # sign goes into that denominator
+    sign = (-1) ** (n // 2 + mp_n_stat(lam))
     out: dict[MultiPartition, Cyclotomic] = {}
     for mu, parts in cells.items():
         common = lcm(*(s.denominator for s, _ in parts))
@@ -339,7 +358,7 @@ def char_row(
             c = s.numerator * (common // s.denominator)
             for e, x in ring.items():
                 total[e] = total.get(e, 0) + c * x
-        scale = common * den
+        scale = sign * common * den
         val = cyclotomic.from_terms(
             big, ((e, Fraction(c, scale)) for e, c in total.items()))
         if not val.is_zero():

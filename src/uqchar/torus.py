@@ -38,9 +38,11 @@ def modulus_of(q: int, d: int) -> int:
 
 def norm_multiplier(q: int, m: int, r: int) -> int:
     """S_{m,r} = sum_{i=0}^{m/r-1} (-q)^{ri} = (-1)^(m-r) M_m / M_r."""
-    assert m % r == 0
+    if m % r:
+        raise ValueError(f"need r | m, got r={r}, m={m}")
     s = sum((-q) ** (r * i) for i in range(m // r))
-    assert s == (-1) ** (m - r) * modulus_of(q, m) // modulus_of(q, r)
+    if s != (-1) ** (m - r) * modulus_of(q, m) // modulus_of(q, r):
+        raise ValueError(f"S_{{{m},{r}}} = {s} is not (-1)^(m-r) M_m / M_r")
     return s
 
 
@@ -127,20 +129,25 @@ def frobenius_orbit(ctx: TorusContext, d: int, e: int, side: str) -> OrbitLabel:
     if s == d:
         return OrbitLabel(d, min(orbit), side)
     # descend e to level s: e must be a multiple of M_d / M_s
+    if d % s:
+        raise ValueError(f"orbit of {e} at level {d} has size {s}, not a divisor")
     big, small = ctx.modulus(d), ctx.modulus(s)
     step = big // small
     e %= big
-    assert d % s == 0 and e % step == 0, (d, s, e)
+    if e % step:
+        raise ValueError(f"exponent {e} at level {d} does not lie in T_{s}")
     down = ((-1) ** (d - s) * (e // step)) % small
     sub = _orbit_exponents_at(ctx.q, s, down)
-    assert len(sub) == s
+    if len(sub) != s:
+        raise ValueError(f"orbit of {down} at level {s} has size {len(sub)}")
     return OrbitLabel(s, min(sub), side)
 
 
 def orbit_exponents(ctx: TorusContext, o: OrbitLabel) -> tuple[int, ...]:
     """All exponents of the orbit at its own level, starting at the minimum."""
     orbit = _orbit_exponents_at(ctx.q, o.level, o.min_exponent)
-    assert len(orbit) == o.size
+    if len(orbit) != o.size:
+        raise ValueError(f"orbit {o.to_str()} has {len(orbit)} exponents")
     return orbit
 
 
@@ -189,7 +196,8 @@ def self_conjugate_orbits(
 def count_exact_orbits(ctx: TorusContext, d: int) -> int:
     """Moebius count: (1/d) sum_{e | d} mu(d/e) M_e."""
     total = sum(moebius(d // e) * ctx.modulus(e) for e in divisors(d))
-    assert total % d == 0
+    if total % d:
+        raise ValueError(f"Moebius count {total} is not divisible by d = {d}")
     return total // d
 
 
@@ -208,8 +216,6 @@ def conjugate_orbit(ctx: TorusContext, o: OrbitLabel) -> OrbitLabel:
 
 def lift_element(ctx: TorusContext, r: int, m: int, e: int) -> int:
     """Exponent of the inclusion T_r -> T_m: multiply by S_{m,r}."""
-    if m % r:
-        raise ValueError(f"need r | m, got r={r}, m={m}")
     return (norm_multiplier(ctx.q, m, r) * e) % ctx.modulus(m)
 
 
@@ -237,9 +243,11 @@ def to_level_one(ctx: TorusContext, d: int, c: int) -> int:
     if (-ctx.q * c) % mod != c:
         raise ValueError(f"character exponent {c} at level {d} is not Frobenius-fixed")
     step = mod // m1
-    assert c % step == 0, (c, d)
+    if c % step:
+        raise ValueError(f"Frobenius-fixed exponent {c} at level {d} is not in T_1")
     down = c // step
-    assert lift_character(ctx, 1, d, down) == c
+    if lift_character(ctx, 1, d, down) != c:
+        raise ValueError(f"level-one exponent {down} does not lift back to {c}")
     return down
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from uqchar import cli, cyclotomic
+from uqchar import characters, cli, conjclasses, cyclotomic
 from uqchar.characters import degree
 from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
@@ -115,6 +115,25 @@ def test_verify_fails_on_a_non_integral_value(capsys, monkeypatch):
     assert code == 1
     assert "FAIL: n=2: row orthogonality over all pairs" in out.splitlines()
     assert "ok: n=1: row orthogonality over all pairs" in out.splitlines()
+
+
+def test_verify_computes_each_centralizer_order_once(capsys, monkeypatch):
+    # U(1), U(2), U(3) over F_9 have 4 + 16 + 56 classes; the class table of
+    # each degree is built once, for verify and every brute-force label
+    conjclasses.class_table.cache_clear()
+    characters._square_classes.cache_clear()
+    real_centralizer_order = conjclasses.centralizer_order
+    calls = []
+
+    def counted(ctx, mu):
+        calls.append(mu)
+        return real_centralizer_order(ctx, mu)
+
+    monkeypatch.setattr(conjclasses, "centralizer_order", counted)
+    code, out, err = run(
+        capsys, ["verify", "--q", "3", "--max-n", "3", "--max-cells", "100000"])
+    assert code == 0, out + err
+    assert len(calls) == 76
 
 
 def test_verify_even_q(capsys):

@@ -10,7 +10,6 @@ from uqchar.conjclasses import (
     a_partition_poly,
     central_class,
     centralizer_order,
-    class_size,
     class_square,
     class_table,
     group_order,
@@ -42,20 +41,25 @@ def test_group_orders():
     assert group_order(TorusContext(5, 2)) == 5 * 6 * 24
 
 
+def class_sizes(ctx):
+    return {row.label: row.size for row in class_table(ctx)}
+
+
 def test_centralizer_examples_q3():
     ctx = TorusContext(3, 2)
+    sizes = class_sizes(ctx)
     central = mp((OrbitLabel(1, 0, PHI), (1, 1)))
     assert centralizer_order(ctx, central) == 96
-    assert class_size(ctx, central) == 1
+    assert sizes[central] == 1
     two_singletons = mp((OrbitLabel(1, 0, PHI), (1,)), (OrbitLabel(1, 1, PHI), (1,)))
     assert centralizer_order(ctx, two_singletons) == 16
-    assert class_size(ctx, two_singletons) == 6
+    assert sizes[two_singletons] == 6
     level2 = mp((OrbitLabel(2, 1, PHI), (1,)))
     assert centralizer_order(ctx, level2) == 8
-    assert class_size(ctx, level2) == 12
+    assert sizes[level2] == 12
     unipotent = mp((OrbitLabel(1, 0, PHI), (2,)))
     assert centralizer_order(ctx, unipotent) == 12
-    assert class_size(ctx, unipotent) == 8
+    assert sizes[unipotent] == 8
 
 
 def test_classes_only_on_phi_side():
@@ -77,12 +81,19 @@ def test_class_count_q3_n2():
     assert len(class_table(TorusContext(3, 2))) == 16
 
 
+def test_class_table_is_built_once_per_degree():
+    ctx = TorusContext(3, 3)
+    assert class_table(ctx, 2) is class_table(ctx, 2)
+    assert class_table(ctx, 2) == class_table(TorusContext(3, 2))
+
+
 def test_central_classes():
     ctx = TorusContext(3, 2)
+    sizes = class_sizes(ctx)
     for alpha in range(4):
         cls = central_class(ctx, alpha)
         assert cls.size == 2
-        assert class_size(ctx, cls) == 1
+        assert sizes[cls] == 1
         assert centralizer_order(ctx, cls) == 96
 
 
@@ -134,11 +145,12 @@ def test_centralizer_order_rejects_a_value_that_is_not_a_positive_integer(
         centralizer_order(ctx, mp((one_orbit(ctx, PHI), (1,))))
 
 
-def test_class_size_rejects_a_centralizer_that_does_not_divide(monkeypatch):
+def test_class_table_rejects_a_centralizer_that_does_not_divide(monkeypatch):
+    # __wrapped__: the patched result must not stay in class_table's cache
     monkeypatch.setattr(conjclasses, "centralizer_order", lambda ctx, mu: 7)
     ctx = TorusContext(3, 2)  # |G| = 96
     with pytest.raises(ValueError, match="does not divide"):
-        class_size(ctx, mp((one_orbit(ctx, PHI), (2,))))
+        class_table.__wrapped__(ctx)
 
 
 def test_class_square_rejects_a_square_orbit_that_does_not_divide(monkeypatch):

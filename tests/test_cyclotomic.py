@@ -174,6 +174,14 @@ def test_poly_division_rejects_a_remainder():
         _poly_divexact_int((1, 0, 1), (1, 1))
 
 
+def test_to_text_renders_zeros_that_are_not_the_shared_zero():
+    # the constructor makes a fresh Fraction(0) for every 0
+    assert to_text(Cyclotomic(8, [0, 1, 0, 0])) == "Q(zeta_8): z"
+    assert to_text(Cyclotomic(8, [0, 0, 0, 0])) == "Q(zeta_8): 0"
+    assert to_text(Cyclotomic(8, [0, -1, Fraction(1, 2), 0])) == \
+        "Q(zeta_8): -z + 1/2*z^2"
+
+
 def test_cyclotomic_polynomial_rejects_a_wrong_degree(monkeypatch):
     monkeypatch.setattr(cyclotomic, "euler_phi", lambda m: 1)
     with pytest.raises(ValueError, match="degree"):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqchar import gf
 from uqchar.gf import (
     GF,
     ExtField,
@@ -235,3 +236,38 @@ def test_poly_pow_and_eval():
     assert poly_divmod(F, sq, (F.neg(2), 1))[1] == ()  # 4 + 4 + 1 = 9
     assert poly_divmod(F, sq, (F.neg(1), 1))[1] == (1,)  # 1 + 2 + 1 = 4
     assert poly_divmod(F, (), (F.neg(1), 1))[1] == ()
+
+
+# -- checks that survive python -O: each is fed a broken input ------------
+
+
+def test_inverse_rejects_a_reducible_modulus(monkeypatch):
+    # y^2 + 1 = (y + 1)^2 over GF(2): y + 1 has no inverse
+    monkeypatch.setattr(gf, "least_irreducible", lambda F, degree: (1, 0, 1))
+    F = ExtField(PrimeField(2), 2)
+    with pytest.raises(ValueError, match="not irreducible"):
+        F.inv((1, 1))
+
+
+def test_subgroup_generator_rejects_a_field_without_primitive_root(monkeypatch):
+    monkeypatch.setattr(gf, "field_pow", lambda F, a, k: F.one)
+    with pytest.raises(ValueError, match="no primitive root"):
+        subgroup_generator(GF(7), 3)
+
+
+def test_subgroup_generator_rejects_a_generator_of_smaller_order(monkeypatch):
+    # in GF(7) only the exact-order check raises to the power 3 // 3 = 1
+    real = gf.field_pow
+    monkeypatch.setattr(
+        gf, "field_pow", lambda F, a, k: F.one if k == 1 else real(F, a, k))
+    with pytest.raises(ValueError, match="has a smaller order"):
+        subgroup_generator(GF(7), 3)
+
+
+def test_subgroup_generator_rejects_a_generator_of_larger_order(monkeypatch):
+    # in GF(13) only the last check raises to the power order = 3
+    real = gf.field_pow
+    monkeypatch.setattr(
+        gf, "field_pow", lambda F, a, k: F.zero if k == 3 else real(F, a, k))
+    with pytest.raises(ValueError, match="does not divide 3"):
+        subgroup_generator(GF(13), 3)

@@ -533,6 +533,18 @@ def test_table_size_refusal():
         char_table(ctx, max_cells=10)
 
 
+@pytest.mark.parametrize("q,n,classes", [(4, 3, 110), (9, 2, 100)])
+def test_class_expansions_are_shared_by_all_rows(q, n, classes):
+    # the Hall-Littlewood expansion of a power-sum product depends only on
+    # (q, n) and the product, and there is one product per class
+    ctx = TorusContext(q, n)
+    char_row.cache_clear()
+    symfunc._class_expansion.cache_clear()
+    table = char_table(ctx, max_cells=None)
+    assert len(table.classes) == classes
+    assert symfunc._class_expansion.cache_info().currsize == classes
+
+
 # -- scalar products through centralizer weights ---------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqchar import torus
 from uqchar.cyclotomic import embed, from_rational, zeta
 from uqchar.torus import (
     PHI,
@@ -245,3 +246,70 @@ def test_self_conjugate_orbits_match_the_full_scan(q, n):
         scanned = tuple(o for o in exact_orbits(ctx, d, THETA)
                         if conjugate_orbit(ctx, o) == o)
         assert self_conjugate_orbits(ctx, d, THETA) == scanned
+
+
+# -- checks that survive python -O: each is fed a broken input ------------
+
+
+def test_norm_multiplier_and_lift_element_reject_a_level_that_does_not_divide():
+    with pytest.raises(ValueError, match="need r | m"):
+        norm_multiplier(3, 4, 3)
+    with pytest.raises(ValueError, match="need r | m"):
+        lift_element(TorusContext(3, 4), 3, 4, 1)
+
+
+def test_norm_multiplier_rejects_a_sum_that_is_not_the_modulus_ratio(monkeypatch):
+    monkeypatch.setattr(torus, "modulus_of", lambda q, d: 1)
+    with pytest.raises(ValueError, match="is not"):
+        norm_multiplier(3, 2, 1)
+
+
+def test_frobenius_orbit_rejects_an_orbit_size_that_does_not_divide(monkeypatch):
+    monkeypatch.setattr(torus, "_orbit_exponents_at", lambda q, m, e: (0, 1, 2))
+    with pytest.raises(ValueError, match="has size 3, not a divisor"):
+        frobenius_orbit(TorusContext(3, 4), 4, 1, PHI)
+
+
+def test_frobenius_orbit_rejects_an_exponent_outside_the_subtorus(monkeypatch):
+    # exponent 1 at level 2 claimed to be Frobenius-fixed, but T_1 is the
+    # multiples of M_2 / M_1 = 2
+    monkeypatch.setattr(torus, "_orbit_exponents_at", lambda q, m, e: (e,))
+    with pytest.raises(ValueError, match="does not lie in T_1"):
+        frobenius_orbit(TorusContext(3, 2), 2, 1, PHI)
+
+
+def test_frobenius_orbit_rejects_a_descended_orbit_of_another_size(monkeypatch):
+    real = torus._orbit_exponents_at
+    # exponent 2 at level 2 is fixed; its descent is given a second exponent
+    monkeypatch.setattr(torus, "_orbit_exponents_at",
+                        lambda q, m, e: real(q, m, e) if m == 2 else (e, e + 1))
+    with pytest.raises(ValueError, match="has size 2"):
+        frobenius_orbit(TorusContext(3, 2), 2, 2, PHI)
+
+
+def test_orbit_exponents_rejects_an_orbit_of_another_size(monkeypatch):
+    monkeypatch.setattr(torus, "_orbit_exponents_at", lambda q, m, e: (e,))
+    with pytest.raises(ValueError, match="has 1 exponents"):
+        orbit_exponents(TorusContext(3, 2), OrbitLabel(2, 1, PHI))
+
+
+def test_count_exact_orbits_rejects_a_count_that_does_not_divide(monkeypatch):
+    # without the Moebius correction, M_3 = 28 elements are not 3-orbits
+    monkeypatch.setattr(torus, "divisors", lambda d: [d])
+    with pytest.raises(ValueError, match="not divisible by d = 3"):
+        count_exact_orbits(TorusContext(3, 3), 3)
+
+
+def test_to_level_one_rejects_a_fixed_exponent_outside_level_one(monkeypatch):
+    # with M_1 read as 2 the step is 4, and the fixed exponent 2 is off it
+    real = TorusContext.modulus
+    monkeypatch.setattr(TorusContext, "modulus",
+                        lambda self, d: 2 if d == 1 else real(self, d))
+    with pytest.raises(ValueError, match="is not in T_1"):
+        to_level_one(TorusContext(3, 2), 2, 2)
+
+
+def test_to_level_one_rejects_an_exponent_that_does_not_lift_back(monkeypatch):
+    monkeypatch.setattr(torus, "lift_character", lambda ctx, r, m, c: 0)
+    with pytest.raises(ValueError, match="does not lift back"):
+        to_level_one(TorusContext(3, 2), 2, 2)

@@ -36,3 +36,6 @@ def test_tracer_finds_every_target(argv):
     for name in ("symfunc.char_row", "symfunc._transform_embedded",
                  "symfunc._transform_terms"):
         assert trace["targets"][name]["calls"] > 0, name
+    # class_table is cached: its misses are the tables built, one per degree
+    builds = trace["targets"]["conjclasses.class_table"]["misses"]
+    assert builds == (2 if argv[0] == "verify" else 0)

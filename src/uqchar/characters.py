@@ -19,9 +19,8 @@ independently so tests can triangulate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 from . import cyclotomic
 from .conjclasses import class_square, class_table, group_order
@@ -29,8 +28,7 @@ from .cyclotomic import Cyclotomic
 from .multipartition import (
     MultiPartition,
     mp_bar,
-    mp_conjugate,
-    mp_n_stat,
+    mp_n_conjugate,
     mp_weighted_hooks,
 )
 from .partitions import two_core
@@ -59,7 +57,7 @@ def degree(ctx: TorusContext, lam: MultiPartition) -> int:
         raise ValueError("character labels live on the theta side")
     n = lam.size
     q = ctx.q
-    num = q ** mp_n_stat(mp_conjugate(lam))
+    num = q ** mp_n_conjugate(lam)
     for k in range(1, n + 1):
         num *= q**k - (-1) ** k
     den = 1
@@ -191,22 +189,24 @@ def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
 
     Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.  The
     classes are grouped by their square once per degree.  The row values are
-    reduced already, so the sum runs over their power-basis coefficients and
-    makes one value.  It builds a full character row, so callers bound the
-    work beforehand.
+    reduced already, so the sum runs over their integer power-basis
+    numerators and makes one value, with |G| in its denominator.  It builds
+    a full character row, so callers bound the work beforehand.
     """
     n = lam.size
     row = char_row(ctx, lam)
-    coeffs: dict[int, Fraction] = {}
-    for square, size in _square_classes(ctx, n):
-        chi = row.get(square)
-        if chi is not None:
-            for i, c in enumerate(chi.coeffs):
-                if c:
-                    coeffs[i] = coeffs.get(i, 0) + c * size
-    order = group_order(ctx, n)
+    values = [(row[square], size)
+              for square, size in _square_classes(ctx, n) if square in row]
+    # integer numerators over the values' common denominator, then over |G|
+    den = lcm(*(chi.den for chi, _ in values))
+    coeffs: dict[int, int] = {}
+    for chi, size in values:
+        weight = size * (den // chi.den)
+        for i, c in enumerate(chi.coeffs):
+            if c:
+                coeffs[i] = coeffs.get(i, 0) + c * weight
     acc = cyclotomic.from_terms(
-        ctx.cyclo_modulus, ((i, c / order) for i, c in coeffs.items()))
+        ctx.cyclo_modulus, coeffs.items(), den * group_order(ctx, n))
     kind, value = cyclotomic.classify(acc)
     if kind != "rational":
         raise ValueError(f"indicator of {lam} is not rational: {acc}")

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 
 from . import cyclotomic
 from .characters import (
@@ -169,8 +170,8 @@ def cmd_chartable(args) -> int:
         if args.approx:
             data["values"] = {
                 lam.to_key(): {
-                    mu.to_key(): _value_str(args, v)
-                    for mu, v in zip(table.classes, row)
+                    key: _value_str(args, v)
+                    for key, v in zip(data["classes"], row)
                 }
                 for lam, row in zip(table.chars, table.values)
             }
@@ -225,9 +226,9 @@ def cmd_selfdual(args) -> int:
 
 def _integer_terms(v):
     """The nonzero (exponent, int) terms of v, or None if v is not integral."""
-    if any(c.denominator != 1 for c in v.coeffs):
+    if v.den != 1:
         return None
-    return [(e, c.numerator) for e, c in enumerate(v.coeffs) if c]
+    return list(compress(enumerate(v.coeffs), v.coeffs))
 
 
 def _rows_orthogonal(ctx, table, classes) -> bool:

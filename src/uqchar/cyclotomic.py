@@ -1,33 +1,37 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_M).
 
-A value is a vector of Fractions in the power basis 1, z, ..., z^(phi(M)-1)
-of Q[z]/(Phi_M(z)), eagerly reduced, so equality of values is equality of
-coefficient tuples and hashing is sound.  Complex conjugation is the field
-automorphism z -> z^(M-1).  Nothing in this module touches floating point;
-approx() exists only so the CLI can attach labelled decimal renderings.
+A value is a vector of integer numerators in the power basis 1, z, ...,
+z^(phi(M)-1) of Q[z]/(Phi_M(z)) over one positive denominator, eagerly
+reduced: the denominator and the numerators have no common factor, and zero
+has denominator 1.  So equality of values is equality of (numerators,
+denominator) and hashing is sound.  Character values are cyclotomic
+integers, so their denominator is 1 and no Fraction is built for them; a
+Fraction appears only to render or return a rational that is not an integer.
+Coefficients come in as int or Fraction; anything else, a float say, raises
+ValueError.  Complex conjugation is the field automorphism z -> z^(M-1).
+Nothing in this module touches floating point; approx() exists only so the
+CLI can attach labelled decimal renderings.
 
 Values carry their modulus.  Mixing moduli in arithmetic raises
 ModulusMismatch; callers lift explicitly with embed(a, L) for M | L.
 
 Sums of many products are cheapest left unreduced: a value is then a sparse
 element of the group ring Z[Z/M], a map from exponent mod M to coefficient,
-in which multiplying adds exponents.  from_terms reduces such an element to
-the power basis once; sum_of_products pairs sparse elements and reduces only
-their sum.  Character rows and verify's orthogonality are built this way,
-with one reduction per table cell or per pair of rows.
+in which multiplying adds exponents.  from_terms reduces such an element,
+divided by one integer, to the power basis once; sum_of_products pairs
+sparse elements and reduces only their sum.  Character rows and verify's
+orthogonality are built this way, with one reduction per table cell or per
+pair of rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress, repeat
-from math import lcm
-from operator import is_not
+from itertools import compress
+from math import gcd, lcm
 
 from .nt import divisors, euler_phi
-
-_ZERO = Fraction(0)
 
 # phi(M) caps the degree of the reduction tables; large moduli would only
 # arise from resource-bounded paths that refuse earlier.
@@ -120,29 +124,73 @@ def _field(modulus: int) -> _Field:
     return f
 
 
-def _power_basis(modulus: int, out: list[Fraction], terms) -> tuple[Fraction, ...]:
+def _power_basis(modulus: int, out: list[int], terms) -> list[int]:
     """Add sum c * z^e over the (e, c) in terms, e mod M, into the basis list out."""
     row = _field(modulus).row
     for e, c in terms:
         if c:
             for i, r in row(e % modulus):
                 out[i] += c * r
-    return tuple(out)
+    return out
+
+
+def _over_one_denominator(values: list) -> tuple[list[int], int]:
+    """(numerators, d): the int or Fraction values as integers over d > 0.
+
+    A list of ints comes back as it is, with d = 1.  Raises ValueError on
+    any other type, such as a float.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values, 1
+    for kind in kinds:
+        if not issubclass(kind, (int, Fraction)):
+            raise ValueError(
+                f"inexact coefficient of type {kind.__name__}; "
+                "need int or Fraction")
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den with den > 0 and gcd(den, *nums) == 1; zero gets den 1."""
+    if not den:
+        raise ValueError("zero denominator")
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    # most coefficients of a table cell are 0: divide only the others
+    out = [0] * len(nums)
+    for i in compress(range(len(nums)), nums):
+        out[i] = nums[i] // g
+    return tuple(out), den // g
+
+
+def _rational(num: int, den: int) -> int | Fraction:
+    """num / den as an int when den is 1, else as a Fraction."""
+    return num if den == 1 else Fraction(num, den)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_M) in reduced power-basis form."""
+    """An element of Q(zeta_M) in reduced power-basis form.
 
-    __slots__ = ("modulus", "coeffs")
+    coeffs are the integer numerators and den the positive denominator.
+    """
+
+    __slots__ = ("modulus", "coeffs", "den")
 
     def __init__(self, modulus: int, coeffs):
         fld = _field(modulus)
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != fld.degree:
+        nums, den = _over_one_denominator(list(coeffs))
+        if len(nums) != fld.degree:
             raise ValueError(
-                f"need {fld.degree} coefficients for Q(zeta_{modulus}), got {len(cs)}")
+                f"need {fld.degree} coefficients for Q(zeta_{modulus}), got {len(nums)}")
+        nums, den = _canonical(nums, den)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
@@ -150,10 +198,13 @@ class Cyclotomic:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _raw(modulus: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+    def _reduced(modulus: int, nums: list[int], den: int) -> "Cyclotomic":
+        """nums / den, integers in the power basis, in canonical form."""
+        coeffs, den = _canonical(nums, den)
         obj = object.__new__(Cyclotomic)
         object.__setattr__(obj, "modulus", modulus)
         object.__setattr__(obj, "coeffs", coeffs)
+        object.__setattr__(obj, "den", den)
         return obj
 
     # -- ring ops ----------------------------------------------------------
@@ -172,20 +223,21 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._raw(
-            self.modulus, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return Cyclotomic._reduced(
+            self.modulus,
+            [a * db + b * da for a, b in zip(self.coeffs, o.coeffs)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._raw(self.modulus, tuple(-a for a in self.coeffs))
+        return Cyclotomic._reduced(self.modulus, [-a for a in self.coeffs], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._raw(
-            self.modulus, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -195,21 +247,23 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return Cyclotomic._raw(
-                self.modulus, tuple(a * s if a else _ZERO for a in self.coeffs))
+            s = other.numerator
+            return Cyclotomic._reduced(
+                self.modulus, [a * s for a in self.coeffs],
+                self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         deg = len(self.coeffs)
-        conv = [_ZERO] * (2 * deg - 1)
+        conv = [0] * (2 * deg - 1)
         for i, ai in enumerate(self.coeffs):
             if ai:
                 for j, bj in enumerate(o.coeffs):
                     if bj:
                         conv[i + j] += ai * bj
-        return Cyclotomic._raw(self.modulus, _power_basis(
-            self.modulus, conv[:deg], enumerate(conv[deg:], deg)))
+        return Cyclotomic._reduced(self.modulus, _power_basis(
+            self.modulus, conv[:deg], enumerate(conv[deg:], deg)),
+            self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -230,33 +284,35 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the automorphism z -> z^(M-1)."""
         m = self.modulus
-        return from_terms(m, ((j * (m - 1), c) for j, c in enumerate(self.coeffs)))
+        return from_terms(
+            m, ((j * (m - 1), c) for j, c in enumerate(self.coeffs)), self.den)
 
     def is_zero(self) -> bool:
-        # zero coefficients are mostly the shared _ZERO, which count()
-        # matches by identity without calling Fraction.__eq__
-        return self.coeffs.count(_ZERO) == len(self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> int | Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return _rational(self.coeffs[0], self.den)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            # both denominators are positive: compare by cross-multiplying
+            return (self.is_rational()
+                    and self.coeffs[0] * other.denominator == other.numerator * self.den)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.modulus == other.modulus and self.coeffs == other.coeffs
+        return (self.modulus == other.modulus and self.den == other.den
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.modulus, self.coeffs))
+        return hash((self.modulus, self.coeffs, self.den))
 
     def __repr__(self):
         return f"<{to_text(self)}>"
@@ -271,9 +327,9 @@ def one(modulus: int) -> Cyclotomic:
 
 
 def from_rational(modulus: int, r) -> Cyclotomic:
-    fld = _field(modulus)
-    return Cyclotomic._raw(
-        modulus, (Fraction(r),) + (_ZERO,) * (fld.degree - 1))
+    (num,), den = _over_one_denominator([r])
+    return Cyclotomic._reduced(
+        modulus, [num] + [0] * (_field(modulus).degree - 1), den)
 
 
 def zeta(modulus: int, k: int = 1) -> Cyclotomic:
@@ -281,21 +337,23 @@ def zeta(modulus: int, k: int = 1) -> Cyclotomic:
     return from_terms(modulus, [(k, 1)])
 
 
-def from_terms(modulus: int, terms) -> Cyclotomic:
-    """sum c * zeta_M^e over the (e, c) in terms, reduced to the power basis once.
+def from_terms(modulus: int, terms, den: int = 1) -> Cyclotomic:
+    """(sum c * zeta_M^e over the (e, c) in terms) / den, reduced once.
 
     terms is a group-ring element of Z/M (or Q[Z/M]) in sparse form: any
-    integer exponents, int or Fraction coefficients.  The reduction runs in
-    integers over the coefficients' common denominator.
+    integer exponents, int or Fraction coefficients.  den is a nonzero
+    integer.  The reduction runs in integers over den times the
+    coefficients' common denominator.
     """
-    terms = [(e, c) for e, c in terms if c]
-    den = lcm(*(c.denominator for _, c in terms))
-    coeffs = _power_basis(modulus, [0] * _field(modulus).degree, (
-        (e, c.numerator * (den // c.denominator)) for e, c in terms))
-    out = [_ZERO] * len(coeffs)
-    for i in compress(range(len(coeffs)), coeffs):
-        out[i] = Fraction(coeffs[i], den)
-    return Cyclotomic._raw(modulus, tuple(out))
+    if not isinstance(den, int):
+        raise ValueError(f"denominator {den!r} is not an integer")
+    terms = list(terms)
+    cs = [c for _, c in terms]
+    nums, scale = _over_one_denominator(cs)
+    if nums is not cs:  # not all ints: reduce the numerators instead
+        terms = zip([e for e, _ in terms], nums)
+    out = _power_basis(modulus, [0] * _field(modulus).degree, terms)
+    return Cyclotomic._reduced(modulus, out, den * scale)
 
 
 def sum_of_products(modulus: int, pairs) -> Cyclotomic:
@@ -313,10 +371,10 @@ def sum_of_products(modulus: int, pairs) -> Cyclotomic:
     return from_terms(modulus, enumerate(conv))
 
 
-def classify(a: Cyclotomic) -> tuple[str, Fraction | None]:
+def classify(a: Cyclotomic) -> tuple[str, int | Fraction | None]:
     """("rational", value) / ("real", None) / ("nonreal", None), exactly."""
     if a.is_rational():
-        return ("rational", a.coeffs[0])
+        return ("rational", a.rational_value())
     if a.is_real():
         return ("real", None)
     return ("nonreal", None)
@@ -330,7 +388,8 @@ def embed(a: Cyclotomic, modulus: int) -> Cyclotomic:
     if modulus == a.modulus:
         return a
     step = modulus // a.modulus
-    return from_terms(modulus, ((j * step, c) for j, c in enumerate(a.coeffs)))
+    return from_terms(
+        modulus, ((j * step, c) for j, c in enumerate(a.coeffs)), a.den)
 
 
 def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
@@ -346,14 +405,11 @@ def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
 def to_text(a: Cyclotomic) -> str:
     """Canonical text form, e.g. 'Q(zeta_8): 1/2 - z + 3*z^2'."""
     parts = []
-    coeffs = a.coeffs
-    # most zero coefficients are the shared _ZERO: skip those by identity
-    # and test only the rest with Fraction.__eq__
-    for e, c in compress(enumerate(coeffs), map(is_not, coeffs, repeat(_ZERO))):
-        if c == 0:
-            continue
+    coeffs, den = a.coeffs, a.den
+    for e in compress(range(len(coeffs)), coeffs):
+        c = coeffs[e]
         neg = c < 0
-        mag = -c if neg else c
+        mag = _rational(-c if neg else c, den)
         if e == 0:
             body = str(mag)
         else:
@@ -373,6 +429,7 @@ def approx(a: Cyclotomic) -> complex:
 
     z = exp(2j * pi / a.modulus)
     val = 0j
+    # c / den is the correctly rounded float of the rational coefficient
     for e in range(len(a.coeffs) - 1, -1, -1):
-        val = val * z + complex(a.coeffs[e])
+        val = val * z + complex(a.coeffs[e] / a.den)
     return val

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import check_partition, conjugate, hooks, n_stat, partitions_of
+from .partitions import check_partition, hooks, n_stat, partitions_of
 from .torus import (
     PHI,
     THETA,
@@ -90,10 +90,10 @@ def mp_weighted_hooks(mp: MultiPartition) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def mp_conjugate(mp: MultiPartition) -> MultiPartition:
-    """Conjugate every constituent partition in place."""
-    return MultiPartition.make(
-        mp.side, [(o, conjugate(parts)) for o, parts in mp.entries])
+def mp_n_conjugate(mp: MultiPartition) -> int:
+    """n(mp') = sum |orbit| * n(partition'), with n(p') = sum C(p_i, 2)."""
+    return sum(o.size * sum(a * (a - 1) for a in parts)
+               for o, parts in mp.entries) // 2
 
 
 def mp_bar(ctx: TorusContext, mp: MultiPartition) -> MultiPartition:

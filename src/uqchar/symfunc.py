@@ -28,9 +28,11 @@ Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
 horizontal-strip recursion with each strip weighted by psi_{lam/nu}(t).  Power
 sums expand by counting the ways to drop their parts into rows.  All of it is
-exact: Fractions for t-coefficients and weights, integers in the group ring
-(over one common denominator per row and cell), and cyclotomic integers for
-the character values.
+exact: Fractions for t-coefficients and weights, integers from there on.
+Each cell's group-ring sum is integral over one common denominator, and
+cyclotomic.from_terms takes the sum and that denominator as integers; the
+character values come out as cyclotomic integers with denominator 1, so no
+Fraction is built per table cell.
 """
 
 from __future__ import annotations
@@ -266,12 +268,13 @@ def _transform_embedded(
 @cache
 def _class_expansion(
     ctx: TorusContext, key: tuple[tuple[OrbitLabel, int], ...]
-) -> tuple[tuple[MultiPartition, Fraction], ...]:
+) -> tuple[tuple[MultiPartition, int, int], ...]:
     """The power-sum product prod p_r(X^(f)) over key's (f, r) by class.
 
-    Each (mu, c): c is the coefficient of prod_f P_{mu^(f)}(X^(f); t),
-    t = (-q)^(-|f|), times the normalization (-q)^(n(mu)) of P_mu.  It
-    depends only on (q, n) and the key, not on the character.
+    Each (mu, a, b): a / b, in lowest terms, is the coefficient of
+    prod_f P_{mu^(f)}(X^(f); t), t = (-q)^(-|f|), times the normalization
+    (-q)^(n(mu)) of P_mu.  It depends only on (q, n) and the key, not on
+    the character.
     """
     by_orbit: dict[OrbitLabel, list[int]] = {}
     for f, r in key:
@@ -289,7 +292,8 @@ def _class_expansion(
             scalar *= c
             assignment.append((f, shape))
         mu = MultiPartition.make(PHI, assignment)
-        out.append((mu, scalar * Fraction(-ctx.q) ** mp_n_stat(mu)))
+        scalar *= Fraction(-ctx.q) ** mp_n_stat(mu)
+        out.append((mu, scalar.numerator, scalar.denominator))
     return tuple(out)
 
 
@@ -341,26 +345,24 @@ def char_row(
                 dst[e] = dst.get(e, 0) + c
 
     # assemble: per class mu, the scalars of _class_expansion
-    cells: dict[MultiPartition, list[tuple[Fraction, dict[int, int]]]] = {}
+    cells: dict[MultiPartition, list[tuple[int, int, dict[int, int]]]] = {}
     for key, ring in acc.items():
-        for mu, c in _class_expansion(ctx, key):
-            cells.setdefault(mu, []).append((c, ring))
+        for mu, a, b in _class_expansion(ctx, key):
+            cells.setdefault(mu, []).append((a, b, ring))
 
     # reduce: bring each cell's scalars to one denominator, sum its group-ring
-    # elements with integer coefficients, and reduce the sum once; the row's
-    # sign goes into that denominator
+    # elements with integer coefficients, and reduce the sum once over that
+    # denominator, which also carries the row's sign
     sign = (-1) ** (n // 2 + mp_n_stat(lam))
     out: dict[MultiPartition, Cyclotomic] = {}
     for mu, parts in cells.items():
-        common = lcm(*(s.denominator for s, _ in parts))
+        common = lcm(*(b for _, b, _ in parts))
         total: dict[int, int] = {}
-        for s, ring in parts:
-            c = s.numerator * (common // s.denominator)
+        for a, b, ring in parts:
+            c = a * (common // b)
             for e, x in ring.items():
                 total[e] = total.get(e, 0) + c * x
-        scale = sign * common * den
-        val = cyclotomic.from_terms(
-            big, ((e, Fraction(c, scale)) for e, c in total.items()))
+        val = cyclotomic.from_terms(big, total.items(), sign * common * den)
         if not val.is_zero():
             out[mu] = val
     return out
@@ -381,17 +383,15 @@ class CharTable:
         return self.values[self.chars.index(lam)][self.classes.index(mu)]
 
     def to_json(self) -> dict:
+        classes = [c.to_key() for c in self.classes]
         return {
             "q": self.q,
             "n": self.n,
             "zeta_modulus": self.modulus,
             "characters": [c.to_key() for c in self.chars],
-            "classes": [c.to_key() for c in self.classes],
+            "classes": classes,
             "values": {
-                lam.to_key(): {
-                    mu.to_key(): cyclotomic.to_text(v)
-                    for mu, v in zip(self.classes, row)
-                }
+                lam.to_key(): dict(zip(classes, map(cyclotomic.to_text, row)))
                 for lam, row in zip(self.chars, self.values)
             },
         }

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from uqchar import characters, cli, conjclasses, cyclotomic
+from uqchar import characters, cli, conjclasses, cyclotomic, symfunc
 from uqchar.characters import degree
 from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
@@ -196,6 +196,35 @@ def test_chartable_bytes_are_pinned(capsys, argv, sha256):
     code, out, err = run(capsys, ["chartable", *argv])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_fs_bytes_are_pinned(capsys):
+    # the brute-force route sums power-basis numerators; recorded from the
+    # implementation that held every coefficient as a Fraction
+    code, out, err = run(capsys, ["fs", "--q", "3", "--n", "4"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1ed3937f549f5f7ec44f40bfc0797893977ae50e6f04044b545efb7bfeb56f7a"
+
+
+def test_an_inexact_coefficient_exits_one_with_one_error_line(capsys, monkeypatch):
+    # a float that reaches the cyclotomic layer is refused, not rounded into
+    # a table
+    real_transform = symfunc._transform_embedded
+
+    def floating(ctx, k, phi):
+        return tuple((f, r, tuple((x, float(c)) for x, c in val))
+                     for f, r, val in real_transform(ctx, k, phi))
+
+    monkeypatch.setattr(symfunc, "_transform_embedded", floating)
+    symfunc.char_row.cache_clear()
+    try:
+        code, out, err = run(capsys, ["chartable", "--q", "2", "--n", "2"])
+    finally:
+        symfunc.char_row.cache_clear()
+    assert code == 1 and not out
+    assert err.splitlines() == [
+        "error: inexact coefficient of type float; need int or Fraction"]
 
 
 def test_chartable_refusal(capsys):

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic: reduction, conjugation, classification, text."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -175,11 +176,41 @@ def test_poly_division_rejects_a_remainder():
 
 
 def test_to_text_renders_zeros_that_are_not_the_shared_zero():
-    # the constructor makes a fresh Fraction(0) for every 0
+    # zeros given as int or Fraction render as nothing; a numerator equal to
+    # the common denominator renders as 1
     assert to_text(Cyclotomic(8, [0, 1, 0, 0])) == "Q(zeta_8): z"
-    assert to_text(Cyclotomic(8, [0, 0, 0, 0])) == "Q(zeta_8): 0"
+    assert to_text(Cyclotomic(8, [0, Fraction(0), 0, 0])) == "Q(zeta_8): 0"
     assert to_text(Cyclotomic(8, [0, -1, Fraction(1, 2), 0])) == \
         "Q(zeta_8): -z + 1/2*z^2"
+    assert to_text(Cyclotomic(8, [Fraction(-1, 3), 0, 0, 1])) == \
+        "Q(zeta_8): -1/3 + z^3"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Cyclotomic(4, [1.0, 0]),
+    lambda: Cyclotomic(4, [0, Fraction(1, 2), 0.5][1:]),
+    lambda: from_terms(8, [(0, 1), (3, 0.5)]),
+    lambda: from_terms(8, [(0, 0.0)]),
+    lambda: from_terms(8, [(0, 1)], 2.0),
+    lambda: from_rational(8, 0.5),
+    lambda: from_terms(8, [(0, 1)], 0),
+], ids=["constructor", "constructor-mixed", "from_terms", "float-zero",
+        "float-denominator", "from_rational", "zero-denominator"])
+def test_inexact_or_undefined_input_raises_value_error(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_integral_values_hold_ints_over_one():
+    a = from_terms(12, [(0, 2), (5, -3), (13, 1)])
+    assert a.den == 1
+    assert all(type(c) is int for c in a.coeffs)
+    # integral in the field although a term is not: (z + z^-1)/2 + (z - z^-1)/2
+    b = from_terms(8, [(1, Fraction(1, 2)), (7, Fraction(1, 2)),
+                       (1, Fraction(1, 2)), (7, Fraction(-1, 2))])
+    assert (b.coeffs, b.den) == (zeta(8).coeffs, 1)
+    assert classify(from_rational(8, 3)) == ("rational", 3)
+    assert type(from_rational(8, 3).rational_value()) is int
 
 
 def test_cyclotomic_polynomial_rejects_a_wrong_degree(monkeypatch):
@@ -210,3 +241,72 @@ def test_sum_of_products_matches_field_arithmetic(m, pairs):
     for a, b in pairs:
         want = want + from_terms(m, a) * from_terms(m, b)
     assert sum_of_products(m, pairs) == want
+
+
+def _oracle(m, terms):
+    """sum c * z^e as Fractions in the power basis, one power of z at a time.
+
+    Each z^e is reached by multiplying 1 by z e mod m times and replacing
+    z^phi by -(Phi_m - z^phi) at every step.
+    """
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    out = [Fraction(0)] * deg
+    for e, c in terms:
+        v = [Fraction(1)] + [Fraction(0)] * (deg - 1)
+        for _ in range(e % m):
+            top = v[-1]
+            v = [a - top * p for a, p in zip([Fraction(0)] + v[:-1], phi)]
+        out = [o + Fraction(c) * a for o, a in zip(out, v)]
+    return tuple(out)
+
+
+def _is_canonical(a):
+    return (a.den > 0 and all(type(c) is int for c in a.coeffs)
+            and math.gcd(a.den, *a.coeffs) == 1
+            and (a.den == 1 or not a.is_zero()))
+
+
+exact_terms = st.lists(
+    st.tuples(st.integers(-40, 40), small_fracs | st.integers(-6, 6)),
+    max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]),
+       terms=exact_terms, other=exact_terms,
+       den=st.integers(-12, 12).filter(bool), k=st.integers(-3, 3))
+def test_canonical_form(m, terms, other, den, k):
+    a = from_terms(m, terms, den)
+    b = from_terms(m, other)
+    for v in (a, b, a + b, a - b, a * b, -a, a * Fraction(k, 7), a * k,
+              a.conjugate(), a - a, embed(a, 2 * m),
+              Cyclotomic(m, [Fraction(c, a.den) for c in a.coeffs])):
+        assert _is_canonical(v), v
+    assert (a - a).den == 1
+    assert zero(m).den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from([1, 3, 4, 5, 6, 8, 9, 12]), terms=exact_terms,
+       other=exact_terms, split=st.booleans(), lap=st.integers(-2, 2))
+def test_equality_and_hash_agree_with_a_fraction_oracle(m, terms, other, split, lap):
+    a = from_terms(m, terms)
+    want = _oracle(m, terms)
+    assert tuple(Fraction(c, a.den) for c in a.coeffs) == want
+    # the same value written another way: exponents moved by a multiple of
+    # m, coefficients halved into two terms, plus a sum of roots that is 0
+    p = next(p for p in range(2, m + 1) if m % p == 0) if m > 1 else 1
+    same = [(e + lap * m, Fraction(c) / (2 if split else 1)) for e, c in terms]
+    if split:
+        same += [(e, Fraction(c, 2)) for e, c in terms]
+    if m > 1:
+        same += [(1 + j * (m // p), 3) for j in range(p)]
+    b = from_terms(m, same)
+    assert a == b and hash(a) == hash(b)
+    c = from_terms(m, other)
+    assert (a == c) == (want == _oracle(m, other))
+    if a == c:
+        assert hash(a) == hash(c)
+    if all(x == 0 for x in want[1:]):
+        assert a == want[0] and a.rational_value() == want[0]

@@ -7,15 +7,22 @@ from uqchar.multipartition import (
     delta_map,
     enumerate_multipartitions,
     mp_bar,
-    mp_conjugate,
+    mp_n_conjugate,
     mp_n_stat,
     mp_weighted_hooks,
 )
+from uqchar.partitions import conjugate
 from uqchar.torus import PHI, THETA, OrbitLabel, TorusContext, count_exact_orbits
 
 
 def mp(side, *pairs):
     return MultiPartition.make(side, [(o, p) for o, p in pairs])
+
+
+def mp_conjugate(a):
+    """Oracle: conjugate every constituent partition in place."""
+    return MultiPartition.make(
+        a.side, [(o, conjugate(parts)) for o, parts in a.entries])
 
 
 O10 = OrbitLabel(1, 0, THETA)
@@ -46,6 +53,17 @@ def test_stats():
     assert mp_weighted_hooks(a) == (4, 3, 2, 1, 1)
     assert mp_conjugate(a).part_for(O10) == (2, 1)
     assert mp_conjugate(a).part_for(O21) == (2,)
+    assert mp_n_conjugate(a) == mp_n_stat(mp_conjugate(a)) == 1 * 1 + 2 * 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_n_of_the_conjugate_read_from_the_parts(q):
+    # n(lam') summed from the parts equals n of the conjugated label, at
+    # every label up to n = 4
+    for n in range(1, 5):
+        ctx = TorusContext(q, n)
+        for lam in enumerate_multipartitions(ctx, n, THETA):
+            assert mp_n_conjugate(lam) == mp_n_stat(mp_conjugate(lam)), lam
 
 
 def test_bar_relabels_conjugate_orbits():

@@ -172,13 +172,13 @@ def fs_unipotent(ctx: TorusContext, lam: MultiPartition) -> int:
 
 
 @cache
-def _square_classes(ctx: TorusContext, n: int) -> tuple[tuple[MultiPartition, int], ...]:
-    """(class L, sum of |K| over the classes K with K^2 = L) at degree n.
+def _square_classes(ctx: TorusContext) -> tuple[tuple[MultiPartition, int], ...]:
+    """(class L, sum of |K| over the classes K with K^2 = L) at degree ctx.n.
 
     Depends only on (q, n), so fs_bruteforce reads it once per degree.
     """
     sizes: dict[MultiPartition, int] = {}
-    for cls in class_table(ctx, n):
+    for cls in class_table(ctx):
         square = class_square(ctx, cls.label)
         sizes[square] = sizes.get(square, 0) + cls.size
     return tuple(sizes.items())
@@ -188,25 +188,24 @@ def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
     """Indicator as the exact average of chi over squares of group elements.
 
     Sums |K| chi(K^2) over conjugacy classes K, divided by |G|; any q.  The
-    classes are grouped by their square once per degree.  The row values are
-    reduced already, so the sum runs over their integer power-basis
-    numerators and makes one value, with |G| in its denominator.  It builds
-    a full character row, so callers bound the work beforehand.
+    label's size must be ctx.n.  The classes are grouped by their square
+    once per degree.  The row values are reduced already, so their weighted
+    terms go to one from_terms call, which sums repeated powers and makes
+    one value, with |G| in its denominator.  It builds a full character
+    row, so callers bound the work beforehand.
     """
-    n = lam.size
+    if lam.size != ctx.n:
+        raise ValueError(f"label {lam} of size {lam.size} at degree {ctx.n}")
     row = char_row(ctx, lam)
     values = [(row[square], size)
-              for square, size in _square_classes(ctx, n) if square in row]
+              for square, size in _square_classes(ctx) if square in row]
     # integer numerators over the values' common denominator, then over |G|
     den = lcm(*(chi.den for chi, _ in values))
-    coeffs: dict[int, int] = {}
-    for chi, size in values:
-        weight = size * (den // chi.den)
-        for i, c in enumerate(chi.coeffs):
-            if c:
-                coeffs[i] = coeffs.get(i, 0) + c * weight
     acc = cyclotomic.from_terms(
-        ctx.cyclo_modulus, coeffs.items(), den * group_order(ctx, n))
+        ctx.cyclo_modulus,
+        [(i, c * size * (den // chi.den))
+         for chi, size in values for i, c in chi.coeffs],
+        den * group_order(ctx))
     kind, value = cyclotomic.classify(acc)
     if kind != "rational":
         raise ValueError(f"indicator of {lam} is not rational: {acc}")

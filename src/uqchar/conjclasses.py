@@ -40,10 +40,9 @@ def a_partition_poly(parts: tuple[int, ...], x: Fraction) -> Fraction:
     return val
 
 
-def group_order(ctx: TorusContext, n: int | None = None) -> int:
-    """|U(n, F_q2)| = q^(n(n-1)/2) prod_{i<=n} (q^i - (-1)^i)."""
-    n = ctx.n if n is None else n
-    q = ctx.q
+def group_order(ctx: TorusContext) -> int:
+    """|U(n, F_q2)| = q^(n(n-1)/2) prod_{i<=n} (q^i - (-1)^i), n = ctx.n."""
+    n, q = ctx.n, ctx.q
     order = q ** (n * (n - 1) // 2)
     for i in range(1, n + 1):
         order *= q**i - (-1) ** i
@@ -70,16 +69,15 @@ class ClassData:
 
 
 @cache
-def class_table(ctx: TorusContext, n: int | None = None) -> tuple[ClassData, ...]:
-    """All classes of U(n, F_q2) with centralizer orders and sizes, sorted.
+def class_table(ctx: TorusContext) -> tuple[ClassData, ...]:
+    """All classes of U(n, F_q2), n = ctx.n, with centralizer orders and sizes.
 
-    Built once per (ctx, n); the size of a class is |G| / |C(K)|, checked to
-    be integral.
+    Built once per ctx; the size of a class is |G| / |C(K)|, checked to be
+    integral.
     """
-    n = ctx.n if n is None else n
-    order = group_order(ctx, n)
+    order = group_order(ctx)
     out = []
-    for mu in enumerate_multipartitions(ctx, n, PHI):
+    for mu in enumerate_multipartitions(ctx, ctx.n, PHI):
         cent = centralizer_order(ctx, mu)
         if order % cent:
             raise ValueError(f"centralizer order {cent} of {mu} does not divide |G|")

@@ -1,25 +1,28 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_M).
 
-A value is a vector of integer numerators in the power basis 1, z, ...,
-z^(phi(M)-1) of Q[z]/(Phi_M(z)) over one positive denominator, eagerly
-reduced: the denominator and the numerators have no common factor, and zero
-has denominator 1.  So equality of values is equality of (numerators,
-denominator) and hashing is sound.  Character values are cyclotomic
-integers, so their denominator is 1 and no Fraction is built for them; a
-Fraction appears only to render or return a rational that is not an integer.
-Coefficients come in as int or Fraction; anything else, a float say, raises
-ValueError.  Complex conjugation is the field automorphism z -> z^(M-1).
-Nothing in this module touches floating point; approx() exists only so the
-CLI can attach labelled decimal renderings.
+A value is sum c_i z^i over the power basis 1, z, ..., z^(phi(M)-1) of
+Q[z]/(Phi_M(z)), divided by one positive denominator, and it is stored as its
+nonzero terms: coeffs = ((i, c_i), ...) with i increasing and every c_i a
+nonzero int, and den > 0 with gcd(den, *c_i) == 1; zero is ((), 1).  So
+equality of values is equality of (coeffs, den) and hashing is sound.
+Character values are cyclotomic integers, mostly sparse in this basis: their
+denominator is 1, and no Fraction is built for them; a Fraction appears only
+to render or return a rational that is not an integer.  Coefficients come in
+as int or Fraction; anything else, a float say, raises ValueError.  Complex
+conjugation is the field automorphism z -> z^(M-1).  Nothing in this module
+touches floating point; approx() exists only so the CLI can attach labelled
+decimal renderings.
 
 Values carry their modulus.  Mixing moduli in arithmetic raises
 ModulusMismatch; callers lift explicitly with embed(a, L) for M | L.
 
 Sums of many products are cheapest left unreduced: a value is then a sparse
-element of the group ring Z[Z/M], a map from exponent mod M to coefficient,
-in which multiplying adds exponents.  from_terms reduces such an element,
-divided by one integer, to the power basis once; sum_of_products pairs
-sparse elements and reduces only their sum.  Character rows and verify's
+element of the group ring Z[Z/M], a sequence of (exponent mod M,
+coefficient) terms, in which multiplying adds exponents.  A value's own
+coeffs are such terms.  from_terms reduces an element, divided by one
+integer, to the power basis and to canonical form; every value is made
+there.  sum_of_products pairs sparse elements and reduces only their sum; a
+product of two values is one such pair.  Character rows and verify's
 orthogonality are built this way, with one reduction per table cell or per
 pair of rows.
 """
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress
 from math import gcd, lcm
 
 from .nt import divisors, euler_phi
@@ -124,16 +126,6 @@ def _field(modulus: int) -> _Field:
     return f
 
 
-def _power_basis(modulus: int, out: list[int], terms) -> list[int]:
-    """Add sum c * z^e over the (e, c) in terms, e mod M, into the basis list out."""
-    row = _field(modulus).row
-    for e, c in terms:
-        if c:
-            for i, r in row(e % modulus):
-                out[i] += c * r
-    return out
-
-
 def _over_one_denominator(values: list) -> tuple[list[int], int]:
     """(numerators, d): the int or Fraction values as integers over d > 0.
 
@@ -152,60 +144,32 @@ def _over_one_denominator(values: list) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
-def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """nums / den with den > 0 and gcd(den, *nums) == 1; zero gets den 1."""
-    if not den:
-        raise ValueError("zero denominator")
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return tuple(nums), den
-    # most coefficients of a table cell are 0: divide only the others
-    out = [0] * len(nums)
-    for i in compress(range(len(nums)), nums):
-        out[i] = nums[i] // g
-    return tuple(out), den // g
-
-
 def _rational(num: int, den: int) -> int | Fraction:
     """num / den as an int when den is 1, else as a Fraction."""
     return num if den == 1 else Fraction(num, den)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_M) in reduced power-basis form.
+    """An element of Q(zeta_M): its nonzero power-basis terms over den.
 
-    coeffs are the integer numerators and den the positive denominator.
+    coeffs = ((i, c), ...) with i increasing in [0, phi(M)) and every c a
+    nonzero int; den > 0 is coprime to the c.  Cyclotomic(M, dense) takes
+    all phi(M) power-basis coefficients, int or Fraction; from_terms makes
+    every value.
     """
 
     __slots__ = ("modulus", "coeffs", "den")
 
-    def __init__(self, modulus: int, coeffs):
-        fld = _field(modulus)
-        nums, den = _over_one_denominator(list(coeffs))
-        if len(nums) != fld.degree:
+    def __new__(cls, modulus: int, coeffs):
+        coeffs = list(coeffs)
+        degree = _field(modulus).degree
+        if len(coeffs) != degree:
             raise ValueError(
-                f"need {fld.degree} coefficients for Q(zeta_{modulus}), got {len(nums)}")
-        nums, den = _canonical(nums, den)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", nums)
-        object.__setattr__(self, "den", den)
+                f"need {degree} coefficients for Q(zeta_{modulus}), got {len(coeffs)}")
+        return from_terms(modulus, enumerate(coeffs))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def _reduced(modulus: int, nums: list[int], den: int) -> "Cyclotomic":
-        """nums / den, integers in the power basis, in canonical form."""
-        coeffs, den = _canonical(nums, den)
-        obj = object.__new__(Cyclotomic)
-        object.__setattr__(obj, "modulus", modulus)
-        object.__setattr__(obj, "coeffs", coeffs)
-        object.__setattr__(obj, "den", den)
-        return obj
 
     # -- ring ops ----------------------------------------------------------
 
@@ -224,14 +188,15 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
-        return Cyclotomic._reduced(
+        return from_terms(
             self.modulus,
-            [a * db + b * da for a, b in zip(self.coeffs, o.coeffs)], da * db)
+            [(i, a * db) for i, a in self.coeffs] + [(i, b * da) for i, b in o.coeffs],
+            da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._reduced(self.modulus, [-a for a in self.coeffs], self.den)
+        return from_terms(self.modulus, [(i, -a) for i, a in self.coeffs], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -248,22 +213,14 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             s = other.numerator
-            return Cyclotomic._reduced(
-                self.modulus, [a * s for a in self.coeffs],
+            return from_terms(
+                self.modulus, [(i, a * s) for i, a in self.coeffs],
                 self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = len(self.coeffs)
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(o.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return Cyclotomic._reduced(self.modulus, _power_basis(
-            self.modulus, conv[:deg], enumerate(conv[deg:], deg)),
-            self.den * o.den)
+        return sum_of_products(
+            self.modulus, [(self.coeffs, o.coeffs)], self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -285,18 +242,28 @@ class Cyclotomic:
         """Complex conjugation, the automorphism z -> z^(M-1)."""
         m = self.modulus
         return from_terms(
-            m, ((j * (m - 1), c) for j, c in enumerate(self.coeffs)), self.den)
+            m, ((j * (m - 1), c) for j, c in self.coeffs), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.coeffs
+
+    def _constant(self) -> int | None:
+        """The numerator c of a rational value c / den; None if not rational."""
+        terms = self.coeffs
+        if not terms:
+            return 0
+        if len(terms) == 1 and terms[0][0] == 0:
+            return terms[0][1]
+        return None
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return self._constant() is not None
 
     def rational_value(self) -> int | Fraction:
-        if not self.is_rational():
+        c = self._constant()
+        if c is None:
             raise ValueError(f"{self!r} is not rational")
-        return _rational(self.coeffs[0], self.den)
+        return _rational(c, self.den)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -304,8 +271,8 @@ class Cyclotomic:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # both denominators are positive: compare by cross-multiplying
-            return (self.is_rational()
-                    and self.coeffs[0] * other.denominator == other.numerator * self.den)
+            c = self._constant()
+            return c is not None and c * other.denominator == other.numerator * self.den
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return (self.modulus == other.modulus and self.den == other.den
@@ -327,9 +294,7 @@ def one(modulus: int) -> Cyclotomic:
 
 
 def from_rational(modulus: int, r) -> Cyclotomic:
-    (num,), den = _over_one_denominator([r])
-    return Cyclotomic._reduced(
-        modulus, [num] + [0] * (_field(modulus).degree - 1), den)
+    return from_terms(modulus, [(0, r)])
 
 
 def zeta(modulus: int, k: int = 1) -> Cyclotomic:
@@ -338,37 +303,56 @@ def zeta(modulus: int, k: int = 1) -> Cyclotomic:
 
 
 def from_terms(modulus: int, terms, den: int = 1) -> Cyclotomic:
-    """(sum c * zeta_M^e over the (e, c) in terms) / den, reduced once.
+    """(sum c * zeta_M^e over the (e, c) in terms) / den, in canonical form.
 
     terms is a group-ring element of Z/M (or Q[Z/M]) in sparse form: any
-    integer exponents, int or Fraction coefficients.  den is a nonzero
-    integer.  The reduction runs in integers over den times the
-    coefficients' common denominator.
+    integer exponents, repeated or not, with int or Fraction coefficients; a
+    value's coeffs are such terms.  den is a nonzero integer.  The sum is
+    reduced to the power basis once, in integers over den times the
+    coefficients' common denominator, and then divided by its gcd with that
+    denominator.  This is the only place a value is made.
     """
     if not isinstance(den, int):
         raise ValueError(f"denominator {den!r} is not an integer")
+    if not den:
+        raise ValueError("zero denominator")
     terms = list(terms)
     cs = [c for _, c in terms]
     nums, scale = _over_one_denominator(cs)
     if nums is not cs:  # not all ints: reduce the numerators instead
         terms = zip([e for e, _ in terms], nums)
-    out = _power_basis(modulus, [0] * _field(modulus).degree, terms)
-    return Cyclotomic._reduced(modulus, out, den * scale)
+    fld = _field(modulus)
+    row = fld.row
+    out = [0] * fld.degree
+    for e, c in terms:
+        if c:
+            for i, r in row(e % modulus):
+                out[i] += c * r
+    den *= scale
+    g = gcd(den, *out)  # den itself when the sum is zero
+    if den < 0:
+        g = -g
+    obj = object.__new__(Cyclotomic)
+    object.__setattr__(obj, "modulus", modulus)
+    object.__setattr__(
+        obj, "coeffs", tuple((i, c // g) for i, c in enumerate(out) if c))
+    object.__setattr__(obj, "den", den // g)
+    return obj
 
 
-def sum_of_products(modulus: int, pairs) -> Cyclotomic:
-    """sum a * b over the pairs (a, b) of sparse terms, reduced once.
+def sum_of_products(modulus: int, pairs, den: int = 1) -> Cyclotomic:
+    """(sum a * b over the pairs (a, b) of sparse terms) / den, reduced once.
 
-    Each of a and b is a sequence of (e, c) terms as taken by from_terms; the
-    products are convolved in the group ring of Z/M and only their sum is
-    reduced to the power basis.
+    Each of a and b is a sequence of (e, c) terms as taken by from_terms, a
+    value's coeffs among them; the products are convolved in the group ring
+    of Z/M and only their sum is reduced to the power basis.
     """
     conv = [0] * modulus
     for a, b in pairs:
         for e, c in a:
             for f, d in b:
                 conv[(e + f) % modulus] += c * d
-    return from_terms(modulus, enumerate(conv))
+    return from_terms(modulus, enumerate(conv), den)
 
 
 def classify(a: Cyclotomic) -> tuple[str, int | Fraction | None]:
@@ -388,8 +372,7 @@ def embed(a: Cyclotomic, modulus: int) -> Cyclotomic:
     if modulus == a.modulus:
         return a
     step = modulus // a.modulus
-    return from_terms(
-        modulus, ((j * step, c) for j, c in enumerate(a.coeffs)), a.den)
+    return from_terms(modulus, ((j * step, c) for j, c in a.coeffs), a.den)
 
 
 def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
@@ -405,9 +388,8 @@ def same_value(a: Cyclotomic, b: Cyclotomic) -> bool:
 def to_text(a: Cyclotomic) -> str:
     """Canonical text form, e.g. 'Q(zeta_8): 1/2 - z + 3*z^2'."""
     parts = []
-    coeffs, den = a.coeffs, a.den
-    for e in compress(range(len(coeffs)), coeffs):
-        c = coeffs[e]
+    den = a.den
+    for e, c in a.coeffs:
         neg = c < 0
         mag = _rational(-c if neg else c, den)
         if e == 0:
@@ -428,8 +410,13 @@ def approx(a: Cyclotomic) -> complex:
     from cmath import exp, pi
 
     z = exp(2j * pi / a.modulus)
+    dense = [0] * _field(a.modulus).degree
+    for e, c in a.coeffs:
+        dense[e] = c
     val = 0j
-    # c / den is the correctly rounded float of the rational coefficient
-    for e in range(len(a.coeffs) - 1, -1, -1):
-        val = val * z + complex(a.coeffs[e] / a.den)
+    # Horner over every power, zeros included, so the float operations are
+    # the same for every value of a field; c / den is the correctly rounded
+    # float of the rational coefficient
+    for c in reversed(dense):
+        val = val * z + complex(c / a.den)
     return val

@@ -245,7 +245,7 @@ def least_irreducible(F, degree: int):
     for g in monic_polys(F, degree):
         if is_irreducible(F, g):
             return g
-    raise AssertionError(f"no irreducible of degree {degree}")  # unreachable
+    raise ValueError(f"no irreducible of degree {degree} over {F.describe()}")
 
 
 def subgroup_generator(F, order: int):

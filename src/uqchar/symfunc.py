@@ -156,12 +156,11 @@ def _hl_coeff(lam: tuple[int, ...], mu: tuple[int, ...], t: Fraction) -> Fractio
 
 @cache
 def hl_m_vector(
-    lam: tuple[int, ...], t: Fraction, nvars: int
+    lam: tuple[int, ...], t: Fraction
 ) -> dict[tuple[int, ...], Fraction]:
-    """Monomial coefficients of the Hall-Littlewood P_lam(x_1..x_nvars; t)."""
+    """Nonzero monomial coefficients of the Hall-Littlewood P_lam(x; t)."""
     lam = check_partition(lam)
-    vec = {mu: _hl_coeff(lam, mu, t)
-           for mu in partitions_of(sum(lam)) if len(mu) <= nvars}
+    vec = {mu: _hl_coeff(lam, mu, t) for mu in partitions_of(sum(lam))}
     return {mu: c for mu, c in vec.items() if c}
 
 
@@ -176,10 +175,9 @@ def _fillings(parts: tuple[int, ...], rows: tuple[int, ...]) -> int:
 
 
 @cache
-def power_m_vector(nu: tuple[int, ...], nvars: int) -> dict[tuple[int, ...], int]:
-    """Monomial coefficients of p_nu = prod p_{nu_i} in nvars variables."""
-    vec = {mu: _fillings(tuple(nu), tuple(sorted(mu)))
-           for mu in partitions_of(sum(nu)) if len(mu) <= nvars}
+def power_m_vector(nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Nonzero monomial coefficients of p_nu = prod p_{nu_i}."""
+    vec = {mu: _fillings(tuple(nu), tuple(sorted(mu))) for mu in partitions_of(sum(nu))}
     return {mu: c for mu, c in vec.items() if c}
 
 
@@ -192,13 +190,13 @@ def power_to_hl(
     n = sum(rho)
     if n == 0:
         return {(): Fraction(1)}
-    target = {mu: Fraction(c) for mu, c in power_m_vector(rho, n).items()}
+    target = {mu: Fraction(c) for mu, c in power_m_vector(rho).items()}
     out = {}
     for lam in partitions_of(n):  # reverse-lex refines dominance, top down
         c = target.get(lam)
         if not c:
             continue
-        vec = hl_m_vector(lam, t, n)
+        vec = hl_m_vector(lam, t)
         if vec.get(lam) != 1:
             raise ValueError(f"P_{lam} is not monic at m_{lam}")
         out[lam] = c
@@ -382,7 +380,13 @@ class CharTable:
     def value(self, lam: MultiPartition, mu: MultiPartition) -> Cyclotomic:
         return self.values[self.chars.index(lam)][self.classes.index(mu)]
 
-    def to_json(self) -> dict:
+    def to_json(self, render=None) -> dict:
+        """The table with each value rendered by render, to_text by default.
+
+        The default is looked up when called, so a rebinding of
+        cyclotomic.to_text (as perfbench/tracer.py does) reaches it.
+        """
+        render = render or cyclotomic.to_text
         classes = [c.to_key() for c in self.classes]
         return {
             "q": self.q,
@@ -391,7 +395,7 @@ class CharTable:
             "characters": [c.to_key() for c in self.chars],
             "classes": classes,
             "values": {
-                lam.to_key(): dict(zip(classes, map(cyclotomic.to_text, row)))
+                lam.to_key(): dict(zip(classes, map(render, row)))
                 for lam, row in zip(self.chars, self.values)
             },
         }

@@ -231,6 +231,13 @@ def test_fs_bruteforce_u1():
             assert fs_bruteforce(ctx, lam) == expect
 
 
+def test_fs_bruteforce_rejects_a_label_of_another_degree():
+    ctx = TorusContext(3, 2)
+    small = enumerate_multipartitions(TorusContext(3, 1), 1, THETA)[0]
+    with pytest.raises(ValueError, match="of size 1 at degree 2"):
+        fs_bruteforce(ctx, small)
+
+
 def test_fs_bruteforce_rejects_an_irrational_average(monkeypatch):
     ctx = TorusContext(3, 1)
     triv = _label(ctx, THETA, ((1, 0), (1,)))
@@ -251,7 +258,7 @@ def test_fs_bruteforce_rejects_a_value_outside_minus_one_to_one(monkeypatch):
     triv = _label(ctx, THETA, ((1, 0), (1,)))
     real_group_order = characters.group_order
     monkeypatch.setattr(
-        characters, "group_order", lambda ctx, n: real_group_order(ctx, n) // 2)
+        characters, "group_order", lambda ctx: real_group_order(ctx) // 2)
     with pytest.raises(ValueError, match="is not -1, 0 or 1"):
         fs_bruteforce(ctx, triv)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from uqchar import characters, cli, conjclasses, cyclotomic, symfunc
+from uqchar import characters, cli, conjclasses, cyclotomic, gf, symfunc
 from uqchar.characters import degree
 from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
@@ -136,6 +136,26 @@ def test_verify_computes_each_centralizer_order_once(capsys, monkeypatch):
     assert len(calls) == 76
 
 
+def test_verify_runs_brute_force_once_per_label(capsys, monkeypatch):
+    # brute force checks every label once; a label that no other route
+    # covers is not compared with itself
+    real_fs_bruteforce = cli.fs_bruteforce
+    calls = []
+
+    def counted(ctx, lam):
+        calls.append((ctx.n, lam))
+        return real_fs_bruteforce(ctx, lam)
+
+    monkeypatch.setattr(cli, "fs_bruteforce", counted)
+    code, out, err = run(
+        capsys, ["verify", "--q", "3", "--max-n", "3", "--max-cells", "100000"])
+    assert code == 0, out + err
+    assert "ok: n=3: indicator routes agree with brute force" in out.splitlines()
+    labels = [(n, lam) for n in (1, 2, 3)
+              for lam in enumerate_multipartitions(TorusContext(3, n), n, THETA)]
+    assert len(calls) == len(labels) and set(calls) == set(labels)
+
+
 def test_verify_even_q(capsys):
     code, out, err = run(capsys, ["verify", "--q", "2", "--max-n", "3"])
     assert code == 0, out + err
@@ -190,9 +210,17 @@ def test_chartable_json(capsys):
      "5e8156d9b443a732f67894d086f21ab6a0556f64c157a1b443300f07ba753904"),
     (["--q", "9", "--n", "2", "--max-cells", "100000"],
      "d163ed929e8ff6f4544cad5d604f61c7f2c2e1e4d13431af775411a94788bf37"),
-], ids=["2-4", "3-3-tsv", "9-2"])
+    (["--q", "3", "--n", "2", "--approx"],
+     "9cfb6866265726a06031dd00f87b496afc1864c44eb38f031c7e4d168390a1cb"),
+    (["--q", "5", "--n", "2", "--approx", "--format", "tsv"],
+     "26863303d893ac525755ba266eb8869cd40771df17da88890cd5254e02e83f1f"),
+    (["--q", "4", "--n", "3", "--approx", "--max-cells", "100000"],
+     "0a833a1c4594433608dc5c25507f90a5cc103d801a3700bee0afde06eced83ab"),
+], ids=["2-4", "3-3-tsv", "9-2", "3-2-approx", "5-2-approx-tsv", "4-3-approx"])
 def test_chartable_bytes_are_pinned(capsys, argv, sha256):
-    # recorded from the dense power-basis implementation of char_row
+    # recorded from the dense power-basis implementations of char_row and
+    # of the values; --approx floats must not depend on how a value stores
+    # its terms
     code, out, err = run(capsys, ["chartable", *argv])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -225,6 +253,22 @@ def test_an_inexact_coefficient_exits_one_with_one_error_line(capsys, monkeypatc
     assert code == 1 and not out
     assert err.splitlines() == [
         "error: inexact coefficient of type float; need int or Fraction"]
+
+
+def test_a_missing_irreducible_exits_one_with_one_error_line(capsys, monkeypatch):
+    # GF(4) needs an irreducible quadratic over F_2; with none found, the
+    # command fails with a diagnostic, not a traceback
+    monkeypatch.setattr(gf, "is_irreducible", lambda F, h: False)
+    gf.GF.cache_clear()
+    gf.ext_field.cache_clear()
+    try:
+        code, out, err = run(capsys, ["selfdual", "--q", "4", "--n", "2"])
+    finally:
+        gf.GF.cache_clear()
+        gf.ext_field.cache_clear()
+    assert code == 1 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 def test_chartable_refusal(capsys):

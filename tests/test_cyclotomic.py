@@ -204,7 +204,7 @@ def test_inexact_or_undefined_input_raises_value_error(make):
 def test_integral_values_hold_ints_over_one():
     a = from_terms(12, [(0, 2), (5, -3), (13, 1)])
     assert a.den == 1
-    assert all(type(c) is int for c in a.coeffs)
+    assert all(type(c) is int for _, c in a.coeffs)
     # integral in the field although a term is not: (z + z^-1)/2 + (z - z^-1)/2
     b = from_terms(8, [(1, Fraction(1, 2)), (7, Fraction(1, 2)),
                        (1, Fraction(1, 2)), (7, Fraction(-1, 2))])
@@ -261,10 +261,25 @@ def _oracle(m, terms):
     return tuple(out)
 
 
+def _dense(a):
+    """a's power-basis coefficients as Fractions, zeros included."""
+    out = [Fraction(0)] * euler_phi(a.modulus)
+    for i, c in a.coeffs:
+        out[i] = Fraction(c, a.den)
+    return tuple(out)
+
+
 def _is_canonical(a):
-    return (a.den > 0 and all(type(c) is int for c in a.coeffs)
-            and math.gcd(a.den, *a.coeffs) == 1
-            and (a.den == 1 or not a.is_zero()))
+    """Nonzero int terms at strictly increasing indices in [0, phi), over a
+    positive denominator coprime to them; zero is ((), 1)."""
+    indices = [i for i, _ in a.coeffs]
+    nums = [c for _, c in a.coeffs]
+    return (all(type(x) is int for x in indices + nums)
+            and indices == sorted(set(indices))
+            and all(0 <= i < euler_phi(a.modulus) for i in indices)
+            and all(nums) and type(a.den) is int and a.den > 0
+            and math.gcd(a.den, *nums) == 1
+            and (a.coeffs != () or a.den == 1))
 
 
 exact_terms = st.lists(
@@ -281,10 +296,29 @@ def test_canonical_form(m, terms, other, den, k):
     b = from_terms(m, other)
     for v in (a, b, a + b, a - b, a * b, -a, a * Fraction(k, 7), a * k,
               a.conjugate(), a - a, embed(a, 2 * m),
-              Cyclotomic(m, [Fraction(c, a.den) for c in a.coeffs])):
+              Cyclotomic(m, _dense(a))):
         assert _is_canonical(v), v
     assert (a - a).den == 1
-    assert zero(m).den == 1
+    assert (zero(m).coeffs, zero(m).den) == ((), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]),
+       terms=exact_terms, den=st.integers(-12, 12).filter(bool))
+def test_a_value_is_its_own_term_list(m, terms, den):
+    v = from_terms(m, terms, den)
+    assert from_terms(m, v.coeffs, v.den) == v
+    assert sum_of_products(m, [(v.coeffs, [(0, 1)])], v.den) == v
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]),
+       terms=exact_terms, other=exact_terms)
+def test_product_matches_the_oracle_of_the_convolved_terms(m, terms, other):
+    a, b = from_terms(m, terms), from_terms(m, other)
+    conv = [(e + f, Fraction(c) * d) for e, c in terms for f, d in other]
+    assert _dense(a * b) == _oracle(m, conv)
+    assert _is_canonical(a * b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -293,7 +327,7 @@ def test_canonical_form(m, terms, other, den, k):
 def test_equality_and_hash_agree_with_a_fraction_oracle(m, terms, other, split, lap):
     a = from_terms(m, terms)
     want = _oracle(m, terms)
-    assert tuple(Fraction(c, a.den) for c in a.coeffs) == want
+    assert _dense(a) == want
     # the same value written another way: exponents moved by a multiple of
     # m, coefficients halved into two terms, plus a sum of roots that is 0
     p = next(p for p in range(2, m + 1) if m % p == 0) if m > 1 else 1

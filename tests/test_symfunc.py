@@ -126,7 +126,7 @@ def test_schur_to_power_matches_monomial_expansion():
         for lam in partitions_of(n):
             acc = {}
             for nu, w in schur_to_power(lam).items():
-                for mu, c in power_m_vector(nu, n).items():
+                for mu, c in power_m_vector(nu).items():
                     acc[mu] = acc.get(mu, Fraction(0)) + w * c
             acc = {k: v for k, v in acc.items() if v}
             expect = {mu: Fraction(c) for mu, c in schur_m_vector(lam, n).items()}
@@ -156,20 +156,20 @@ def test_kostka_triangular_with_ones_on_diagonal():
 def test_hl_small_literal():
     t = Fraction(1, 5)
     # P_(1,1) = m_(1,1) = e_2
-    assert hl_m_vector((1, 1), t, 3) == {(1, 1): Fraction(1)}
+    assert hl_m_vector((1, 1), t) == {(1, 1): Fraction(1)}
     # P_(2) = m_(2) + (1-t) m_(1,1)
-    assert hl_m_vector((2,), t, 3) == {(2,): Fraction(1), (1, 1): 1 - t}
+    assert hl_m_vector((2,), t) == {(2,): Fraction(1), (1, 1): 1 - t}
     # P_(1) = m_(1) = p_1
-    assert hl_m_vector((1,), t, 2) == {(1,): Fraction(1)}
+    assert hl_m_vector((1,), t) == {(1,): Fraction(1)}
     # P_(2,1) = m_(2,1) + (2 - t - t^2) m_(1,1,1)
-    assert hl_m_vector((2, 1), t, 3) == {
+    assert hl_m_vector((2, 1), t) == {
         (2, 1): Fraction(1), (1, 1, 1): 2 - t - t * t}
 
 
 def test_hl_at_t_zero_is_schur():
     for n in range(5):
         for lam in partitions_of(n):
-            got = hl_m_vector(lam, Fraction(0), n or 1)
+            got = hl_m_vector(lam, Fraction(0))
             expect = {
                 mu: Fraction(c) for mu, c in schur_m_vector(lam, n or 1).items()}
             assert got == expect
@@ -178,7 +178,7 @@ def test_hl_at_t_zero_is_schur():
 def test_hl_at_t_one_is_monomial():
     for n in range(1, 6):
         for lam in partitions_of(n):
-            got = hl_m_vector(lam, Fraction(1), n)
+            got = hl_m_vector(lam, Fraction(1))
             assert got == {lam: Fraction(1)}
 
 
@@ -186,7 +186,7 @@ def test_hl_one_row_closed_form():
     # P_(n) = sum_mu (1-t)^(l(mu)-1) m_mu
     t = Fraction(-1, 3)
     for n in range(1, 8):
-        assert hl_m_vector((n,), t, n) == {
+        assert hl_m_vector((n,), t) == {
             mu: (1 - t) ** (len(mu) - 1) for mu in partitions_of(n)}
 
 
@@ -194,17 +194,17 @@ def test_hl_monic_leading_term():
     t = Fraction(-1, 3)
     for n in range(1, 7):
         for lam in partitions_of(n):
-            vec = hl_m_vector(lam, t, n)
+            vec = hl_m_vector(lam, t)
             assert vec[lam] == 1
 
 
-def test_hl_independent_of_extra_variables():
-    # coefficient of a monomial with k nonzero parts is stable once nvars >= k
+def test_hl_support_is_every_dominated_monomial():
+    # P_lam = m_lam + sum over mu below lam in dominance, down to m_(1^n):
+    # no monomial is cut for its length.  Dominance read off Kostka numbers.
     t = Fraction(2, 7)
-    for lam in [(2,), (2, 1), (3, 1), (2, 2)]:
-        small = hl_m_vector(lam, t, sum(lam))
-        large = hl_m_vector(lam, t, sum(lam) + 2)
-        assert small == large
+    for lam in [(2,), (2, 1), (3, 1), (2, 2), (3, 2, 1)]:
+        support = {mu for mu in partitions_of(sum(lam)) if kostka(lam, mu)}
+        assert set(hl_m_vector(lam, t)) == support
 
 
 def test_power_to_hl_degree_two_identities():
@@ -223,10 +223,10 @@ def test_power_to_hl_round_trip():
         for rho in partitions_of(n):
             acc = {}
             for lam, c in power_to_hl(rho, t).items():
-                for mu, k in hl_m_vector(lam, t, n).items():
+                for mu, k in hl_m_vector(lam, t).items():
                     acc[mu] = acc.get(mu, Fraction(0)) + c * k
             acc = {k: v for k, v in acc.items() if v}
-            expect = {mu: Fraction(c) for mu, c in power_m_vector(rho, n).items()}
+            expect = {mu: Fraction(c) for mu, c in power_m_vector(rho).items()}
             assert acc == expect
 
 
@@ -244,8 +244,8 @@ def test_power_to_hl_never_leaves_remainder(rho, t):
 
 
 def test_power_to_hl_rejects_a_non_monic_expansion(monkeypatch):
-    def doubled(lam, t, nvars):
-        return {mu: 2 * c for mu, c in hl_m_vector(lam, t, nvars).items()}
+    def doubled(lam, t):
+        return {mu: 2 * c for mu, c in hl_m_vector(lam, t).items()}
 
     monkeypatch.setattr(symfunc, "hl_m_vector", doubled)
     with pytest.raises(ValueError, match="not monic"):
@@ -254,7 +254,7 @@ def test_power_to_hl_rejects_a_non_monic_expansion(monkeypatch):
 
 def test_power_to_hl_rejects_a_remainder(monkeypatch):
     # a monomial that is no partition of |rho| is never cleared
-    monkeypatch.setattr(symfunc, "power_m_vector", lambda rho, n: {(3,): 1})
+    monkeypatch.setattr(symfunc, "power_m_vector", lambda rho: {(3,): 1})
     with pytest.raises(ValueError, match="left a remainder"):
         power_to_hl.__wrapped__((1, 1), Fraction(1, 3))
 

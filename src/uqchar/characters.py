@@ -245,8 +245,9 @@ def census_semisimple(ctx: TorusContext) -> dict:
 
     Returns q, n, the number of semisimple labels, the number of real ones,
     and the orthogonal/symplectic split.  route_agreement counts the labels
-    whose indicator both the centre and the sigma route computed, and agreed
-    on; a disagreement raises RouteDisagreement.
+    on which the sigma route gives the indicator that was reported; where
+    the sigma route applies and disagrees, fs_semisimple_regular has already
+    raised RouteDisagreement.
     """
     real = real_semisimple_labels(ctx)
     orthogonal = symplectic = 0
@@ -257,8 +258,7 @@ def census_semisimple(ctx: TorusContext) -> dict:
             orthogonal += 1
         else:
             symplectic += 1
-        # fs_semisimple_regular compared the routes wherever both apply
-        cross_checked += fs_via_sigma(ctx, lam) is not None
+        cross_checked += fs_via_sigma(ctx, lam) == eps
     return {
         "q": ctx.q,
         "n": ctx.n,
@@ -282,14 +282,14 @@ def real_semisimple_labels(ctx: TorusContext) -> list[MultiPartition]:
     units = []
     # conjugate pairs fit only at levels up to n/2; above, scan only the
     # self-conjugate orbits
-    for o in orbits_up_to(ctx, n // 2, THETA):
+    for o in orbits_up_to(ctx, n // 2):
         bar = conjugate_orbit(ctx, o)
         if bar == o:
             units.append((o.size, (o,)))
         elif o < bar:
             units.append((2 * o.size, (o, bar)))
     for d in range(n // 2 + 1, n + 1):
-        units.extend((d, (o,)) for o in self_conjugate_orbits(ctx, d, THETA))
+        units.extend((d, (o,)) for o in self_conjugate_orbits(ctx, d))
     units.sort(key=lambda unit: unit[0])
     out = []
 

@@ -242,10 +242,17 @@ def cmd_verify(args) -> int:
         lines.append(("ok" if cond else "FAIL") + f": {desc}")
         ok = ok and cond
 
-    F = GF(q)
+    # a table built below must fit cyclotomic.MAX_DEGREE: refuse before any
+    # work; there are as many classes as labels
+    per_n = []
     for n in range(1, args.max_n + 1):
         ctx = TorusContext(q, n)
         labels = enumerate_multipartitions(ctx, n, THETA)
+        if len(labels) ** 2 <= args.max_cells:
+            cyclotomic.check_degree(ctx.cyclo_modulus)
+        per_n.append((n, ctx, labels))
+    F = GF(q)
+    for n, ctx, labels in per_n:
         classes = class_table(ctx)
         check(
             sum(c.size for c in classes) == group_order(ctx),

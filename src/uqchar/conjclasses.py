@@ -87,7 +87,7 @@ def class_table(ctx: TorusContext) -> tuple[ClassData, ...]:
 
 def central_class(ctx: TorusContext, alpha: int) -> MultiPartition:
     """The class of the central element alpha * I, alpha a T_1 exponent."""
-    orbit = frobenius_orbit(ctx, 1, alpha, PHI)
+    orbit = frobenius_orbit(ctx, 1, alpha)
     return MultiPartition.make(PHI, [(orbit, (1,) * ctx.n)])
 
 
@@ -102,8 +102,7 @@ def class_square(ctx: TorusContext, mu: MultiPartition) -> MultiPartition:
         raise ValueError("classes live on the phi side")
     merged: dict[OrbitLabel, list[int]] = {}
     for orbit, parts in mu.entries:
-        doubled = frobenius_orbit(
-            ctx, orbit.level, 2 * orbit.min_exponent, PHI)
+        doubled = frobenius_orbit(ctx, orbit.level, 2 * orbit.min_exponent)
         if orbit.size % doubled.size:
             raise ValueError(f"the square of {orbit} has size {doubled.size}")
         fiber = orbit.size // doubled.size

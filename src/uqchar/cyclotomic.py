@@ -35,8 +35,9 @@ from math import gcd, lcm
 
 from .nt import divisors, euler_phi
 
-# phi(M) caps the degree of the reduction tables; large moduli would only
-# arise from resource-bounded paths that refuse earlier.
+# phi(M) caps the degree of the reduction tables.  No option raises it; the
+# table builders call check_degree beside their cell bound, so an oversized
+# field is refused before any row is built.
 MAX_DEGREE = 1500
 
 
@@ -79,6 +80,14 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return num
 
 
+def check_degree(modulus: int) -> int:
+    """phi(modulus), the degree of Q(zeta_modulus); ValueError above MAX_DEGREE."""
+    degree = euler_phi(modulus)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"cyclotomic modulus {modulus} too large (phi = {degree})")
+    return degree
+
+
 class _Field:
     """Reduction tables for one modulus: z^e mod Phi_M as integer rows.
 
@@ -87,10 +96,7 @@ class _Field:
 
     def __init__(self, modulus: int):
         self.modulus = modulus
-        self.degree = euler_phi(modulus)
-        if self.degree > MAX_DEGREE:
-            raise ValueError(
-                f"cyclotomic modulus {modulus} too large (phi = {self.degree})")
+        self.degree = check_degree(modulus)
         self.poly = cyclotomic_polynomial(modulus)
         # z^degree = -(lower part of Phi); higher rows extend on demand from
         # the dense form of the last one.

@@ -1,13 +1,16 @@
 """Multipartitions: partition-valued functions on Frobenius orbits.
 
-A MultiPartition assigns a nonempty partition to finitely many orbit labels,
-all on one side (theta = characters, phi = classes).  Its size is
+A MultiPartition assigns a nonempty partition to finitely many orbit labels
+and names the side they live on (theta = characters, phi = classes).  An
+orbit label is (level, min_exponent) and is the same on both sides, so the
+side belongs to the multipartition alone.  Its size is
 sum |orbit| * |partition|; size-n multipartitions on the phi side index the
 conjugacy classes of U(n, F_q2), on the theta side the irreducible characters.
 
 Canonical order: entries sorted by orbit label; multipartitions compare by
 their entry sequences with partitions in reverse-lexicographic order.
-to_key() is the string form that JSON and TSV output use.
+to_key() is the string form that JSON and TSV output use: each entry is
+written "side:level:min_exponent[parts]".
 """
 
 from __future__ import annotations
@@ -16,15 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .partitions import check_partition, hooks, n_stat, partitions_of
-from .torus import (
-    PHI,
-    THETA,
-    OrbitLabel,
-    TorusContext,
-    conjugate_orbit,
-    delta_orbit,
-    orbits_up_to,
-)
+from .torus import SIDES, THETA, OrbitLabel, TorusContext, conjugate_orbit, orbits_up_to
 
 
 @dataclass(frozen=True)
@@ -35,14 +30,14 @@ class MultiPartition:
     @staticmethod
     def make(side: str, pairs) -> "MultiPartition":
         """Normalize: drop empty partitions, sort by orbit, validate."""
+        if side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
         cleaned = []
         seen = set()
         for orbit, parts in pairs:
             parts = check_partition(tuple(parts))
             if not parts:
                 continue
-            if orbit.side != side:
-                raise ValueError(f"orbit {orbit} is not on side {side!r}")
             if orbit in seen:
                 raise ValueError(f"orbit {orbit} assigned twice")
             seen.add(orbit)
@@ -70,7 +65,8 @@ class MultiPartition:
     def to_key(self) -> str:
         """Compact string form, usable as a dict key in JSON documents."""
         return "+".join(
-            f"{o.to_str()}[{','.join(map(str, parts))}]" for o, parts in self.entries
+            f"{self.side}:{o.level}:{o.min_exponent}[{','.join(map(str, parts))}]"
+            for o, parts in self.entries
         ) or "empty:" + self.side
 
     def __repr__(self):
@@ -107,7 +103,7 @@ def enumerate_multipartitions(
     ctx: TorusContext, n: int, side: str = THETA
 ) -> tuple[MultiPartition, ...]:
     """All multipartitions of size n over the orbits of size <= n, sorted."""
-    universe = orbits_up_to(ctx, n, side)
+    universe = orbits_up_to(ctx, n)
     out = []
 
     def rec(idx, remaining, acc):
@@ -125,9 +121,3 @@ def enumerate_multipartitions(
     rec(0, n, [])
     out.sort(key=MultiPartition.sort_key)
     return tuple(out)
-
-
-def delta_map(ctx: TorusContext, mp: MultiPartition) -> MultiPartition:
-    """The exponent-identity bijection from Theta-labels to Phi-labels."""
-    return MultiPartition.make(
-        PHI, [(delta_orbit(o), parts) for o, parts in mp.entries])

@@ -8,8 +8,8 @@ coefficient of an even-degree polynomial must vanish.  Counting by the free
 coefficients gives q^(n/2) polynomials with constant +1 and q^(n/2 - 1)
 with constant -1 in even degree n.
 
-A real semisimple character label is realized as a polynomial through the
-exponent-identity relabelling onto element orbits: each Frobenius orbit of
+A real semisimple character label is realized as a polynomial by reading its
+orbits as element orbits, which are the same labels: each Frobenius orbit of
 eigenvalue exponents, taken together with its conjugate orbit, multiplies
 out to an F_q-rational factor prod (x + gamma^e) computed in the field
 F_{q^(2d)} that holds the order-M_d eigenvalues.  The product over the label
@@ -31,7 +31,7 @@ from .gf import (
     poly_trim,
     subgroup_generator,
 )
-from .multipartition import MultiPartition, delta_map
+from .multipartition import MultiPartition
 from .torus import THETA, TorusContext, conjugate_orbit, orbit_exponents
 
 
@@ -134,14 +134,13 @@ def char_to_polynomial(ctx: TorusContext, lam: MultiPartition):
         raise ValueError("realization covers real labels only")
     n = lam.size
     base = GF(ctx.q)
-    delta = delta_map(ctx, lam)
     h = (base.one,)
     done = set()
-    for f, parts in delta.entries:
+    for f, parts in lam.entries:
         if f in done:
             continue
         partner = conjugate_orbit(ctx, f)
-        if delta.part_for(partner) != parts:
+        if lam.part_for(partner) != parts:
             raise ValueError(f"{lam} puts different parts on {f} and {partner}")
         done.add(f)
         done.add(partner)

@@ -234,7 +234,7 @@ def _transform_terms(
     sign = (-1) ** (level - 1)
     acc: dict[tuple[OrbitLabel, int], dict[int, int]] = {}
     for e in range(mod):
-        f = frobenius_orbit(ctx, level, e, PHI)
+        f = frobenius_orbit(ctx, level, e)
         ring = acc.setdefault((f, level // f.size), {})
         x = (lifted * e) % mod
         ring[x] = ring.get(x, 0) + sign
@@ -402,7 +402,7 @@ class CharTable:
 
 
 def char_table(ctx: TorusContext, max_cells: int | None = 4096) -> CharTable:
-    """The character table at degree ctx.n, refused if larger than max_cells."""
+    """The character table at degree ctx.n; refused beyond max_cells or MAX_DEGREE."""
     n = ctx.n
     chars = enumerate_multipartitions(ctx, n, THETA)
     classes = enumerate_multipartitions(ctx, n, PHI)
@@ -411,6 +411,7 @@ def char_table(ctx: TorusContext, max_cells: int | None = 4096) -> CharTable:
         raise TableTooLarge(
             f"table would have {cells} entries (bound {max_cells}); "
             "raise the bound explicitly to proceed")
+    cyclotomic.check_degree(ctx.cyclo_modulus)
     zero_big = cyclotomic.zero(ctx.cyclo_modulus)
     rows = []
     for lam in chars:

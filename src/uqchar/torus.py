@@ -14,7 +14,10 @@ against g_d.  In these coordinates:
   * the transpose-of-norm on characters is multiplication by M_m / M_r.
 
 Orbits are canonicalized at their exact level (the level equals the orbit
-size), keyed by the minimal exponent in the orbit at that level.
+size), keyed by the minimal exponent in the orbit at that level.  Both sides
+are Z/M_d under the same action, so a character orbit and an element orbit
+with the same exponents are the same (level, min_exponent) label; the side a
+label speaks of is recorded by the multipartition that carries it.
 """
 
 from __future__ import annotations
@@ -85,24 +88,16 @@ class TorusContext:
 class OrbitLabel:
     """A Frobenius orbit at its exact level; size always equals level.
 
-    Serialized as "side:level:min_exponent".  Ordering is (level, exponent)
-    within a side, which is the canonical orbit order everywhere.
+    The same label names a character orbit and an element orbit.  Ordering is
+    (level, exponent), which is the canonical orbit order everywhere.
     """
 
     level: int
     min_exponent: int
-    side: str
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
 
     @property
     def size(self) -> int:
         return self.level
-
-    def to_str(self) -> str:
-        return f"{self.side}:{self.level}:{self.min_exponent}"
 
 
 def _orbit_exponents_at(q: int, m: int, e: int) -> tuple[int, ...]:
@@ -117,7 +112,7 @@ def _orbit_exponents_at(q: int, m: int, e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def frobenius_orbit(ctx: TorusContext, d: int, e: int, side: str) -> OrbitLabel:
+def frobenius_orbit(ctx: TorusContext, d: int, e: int) -> OrbitLabel:
     """Canonical label of the orbit of exponent e at level d.
 
     The orbit size s divides d and the element already lies in T_s, so the
@@ -127,7 +122,7 @@ def frobenius_orbit(ctx: TorusContext, d: int, e: int, side: str) -> OrbitLabel:
     orbit = _orbit_exponents_at(ctx.q, d, e)
     s = len(orbit)
     if s == d:
-        return OrbitLabel(d, min(orbit), side)
+        return OrbitLabel(d, min(orbit))
     # descend e to level s: e must be a multiple of M_d / M_s
     if d % s:
         raise ValueError(f"orbit of {e} at level {d} has size {s}, not a divisor")
@@ -140,18 +135,18 @@ def frobenius_orbit(ctx: TorusContext, d: int, e: int, side: str) -> OrbitLabel:
     sub = _orbit_exponents_at(ctx.q, s, down)
     if len(sub) != s:
         raise ValueError(f"orbit of {down} at level {s} has size {len(sub)}")
-    return OrbitLabel(s, min(sub), side)
+    return OrbitLabel(s, min(sub))
 
 
 def orbit_exponents(ctx: TorusContext, o: OrbitLabel) -> tuple[int, ...]:
     """All exponents of the orbit at its own level, starting at the minimum."""
     orbit = _orbit_exponents_at(ctx.q, o.level, o.min_exponent)
     if len(orbit) != o.size:
-        raise ValueError(f"orbit {o.to_str()} has {len(orbit)} exponents")
+        raise ValueError(f"orbit {o} has {len(orbit)} exponents")
     return orbit
 
 
-def exact_orbits(ctx: TorusContext, d: int, side: str) -> tuple[OrbitLabel, ...]:
+def exact_orbits(ctx: TorusContext, d: int) -> tuple[OrbitLabel, ...]:
     """All orbits of exact size d (at level d), in canonical order."""
     mod = ctx.modulus(d)
     seen = bytearray(mod)
@@ -163,13 +158,11 @@ def exact_orbits(ctx: TorusContext, d: int, side: str) -> tuple[OrbitLabel, ...]
         for x in orbit:
             seen[x] = 1
         if len(orbit) == d:
-            out.append(OrbitLabel(d, e, side))
+            out.append(OrbitLabel(d, e))
     return tuple(out)
 
 
-def self_conjugate_orbits(
-    ctx: TorusContext, d: int, side: str
-) -> tuple[OrbitLabel, ...]:
+def self_conjugate_orbits(ctx: TorusContext, d: int) -> tuple[OrbitLabel, ...]:
     """The orbits of exact size d closed under e -> -e, in canonical order.
 
     Such an orbit has -e = (-q)^i e with 2i a multiple of d.  For even d,
@@ -189,7 +182,7 @@ def self_conjugate_orbits(
     for e in range(0, mod, step):
         orbit = _orbit_exponents_at(ctx.q, d, e)
         if len(orbit) == d and e == min(orbit):
-            out.append(OrbitLabel(d, e, side))
+            out.append(OrbitLabel(d, e))
     return tuple(out)
 
 
@@ -201,17 +194,17 @@ def count_exact_orbits(ctx: TorusContext, d: int) -> int:
     return total // d
 
 
-def orbits_up_to(ctx: TorusContext, n: int, side: str) -> tuple[OrbitLabel, ...]:
+def orbits_up_to(ctx: TorusContext, n: int) -> tuple[OrbitLabel, ...]:
     """All orbits of size <= n, canonically ordered; the label universe at degree n."""
     out = []
     for d in range(1, n + 1):
-        out.extend(exact_orbits(ctx, d, side))
+        out.extend(exact_orbits(ctx, d))
     return tuple(sorted(out))
 
 
 def conjugate_orbit(ctx: TorusContext, o: OrbitLabel) -> OrbitLabel:
     """The orbit of the inverse element / inverse character."""
-    return frobenius_orbit(ctx, o.level, -o.min_exponent, o.side)
+    return frobenius_orbit(ctx, o.level, -o.min_exponent)
 
 
 def lift_element(ctx: TorusContext, r: int, m: int, e: int) -> int:
@@ -256,18 +249,15 @@ def orbit_exponent_sum(ctx: TorusContext, o: OrbitLabel) -> int:
     return sum(orbit_exponents(ctx, o)) % ctx.modulus(o.level)
 
 
-def delta_orbit(o: OrbitLabel) -> OrbitLabel:
-    """Character orbit -> element orbit under the exponent-identity bijection."""
-    if o.side != THETA:
-        raise ValueError("delta maps character orbits to element orbits")
-    return OrbitLabel(o.level, o.min_exponent, PHI)
-
-
 def one_orbit(ctx: TorusContext, side: str = THETA) -> OrbitLabel:
-    """The orbit of the trivial character (exponent 0 at level 1)."""
-    return OrbitLabel(1, 0, side)
+    """The orbit of exponent 0 at level 1, the same label on either side.
+
+    It is the trivial character for THETA and the identity element for PHI;
+    side is accepted so that callers can name which one they mean.
+    """
+    return OrbitLabel(1, 0)
 
 
 def sigma_orbit(ctx: TorusContext) -> OrbitLabel:
     """The orbit of the order-2 character of T_1; q odd."""
-    return OrbitLabel(1, ctx.sigma_exponent, THETA)
+    return OrbitLabel(1, ctx.sigma_exponent)

@@ -45,7 +45,7 @@ from uqchar.torus import (
 def _label(ctx, side, *pairs):
     resolved = []
     for (level, exponent), parts in pairs:
-        resolved.append((frobenius_orbit(ctx, level, exponent, side), parts))
+        resolved.append((frobenius_orbit(ctx, level, exponent), parts))
     return MultiPartition.make(side, resolved)
 
 
@@ -336,6 +336,17 @@ def test_census_raises_when_routes_disagree(monkeypatch):
         census_semisimple(TorusContext(3, 2))
     # odd n runs the centre route alone, so there is nothing to disagree with
     assert census_semisimple(TorusContext(3, 3))["route_agreement"] == 0
+
+
+def test_census_route_agreement_compares_the_routes_itself(monkeypatch):
+    # with an indicator that skips the comparison, a sigma route that always
+    # disagrees must count as no agreement, not as 12 labels it covers
+    centre = characters.fs_via_centre
+    monkeypatch.setattr(characters, "fs_semisimple_regular", centre)
+    monkeypatch.setattr(characters, "fs_via_sigma", lambda ctx, lam: -centre(ctx, lam))
+    out = census_semisimple(TorusContext(3, 4))
+    assert out["real_total"] == 12
+    assert out["route_agreement"] == 0
 
 
 def test_census_u2_f25():

@@ -271,6 +271,37 @@ def test_a_missing_irreducible_exits_one_with_one_error_line(capsys, monkeypatch
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "4", "--max-n", "4", "--max-cells", "10000000"],
+    ["chartable", "--q", "4", "--n", "4", "--max-cells", "10000000"],
+])
+def test_an_oversized_field_is_refused_before_any_row(capsys, monkeypatch, argv):
+    # (4, 4) passes the raised cell bound but needs Q(zeta_3315), phi 1536 >
+    # cyclotomic.MAX_DEGREE; verify refuses it before it runs n = 1..3
+    real_char_row = symfunc.char_row
+    calls = []
+
+    def counted(ctx, lam):
+        calls.append((ctx, lam))
+        return real_char_row(ctx, lam)
+
+    monkeypatch.setattr(symfunc, "char_row", counted)
+    monkeypatch.setattr(characters, "char_row", counted)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and not out
+    assert err.splitlines() == [
+        "error: cyclotomic modulus 3315 too large (phi = 1536)"]
+    assert calls == []
+
+
+def test_the_field_bound_spares_a_table_verify_skips(capsys):
+    # with the default cell bound the (4, 4) table is skipped, so its field
+    # is never needed
+    code, out, err = run(capsys, ["verify", "--q", "4", "--max-n", "4"])
+    assert code == 0, out + err
+    assert out.splitlines()[-1].startswith("skip: n=4: ")
+
+
 def test_chartable_refusal(capsys):
     code, out, err = run(capsys, ["chartable", "--q", "3", "--n", "2",
                                   "--max-cells", "10"])

@@ -48,23 +48,23 @@ def class_sizes(ctx):
 def test_centralizer_examples_q3():
     ctx = TorusContext(3, 2)
     sizes = class_sizes(ctx)
-    central = mp((OrbitLabel(1, 0, PHI), (1, 1)))
+    central = mp((OrbitLabel(1, 0), (1, 1)))
     assert centralizer_order(ctx, central) == 96
     assert sizes[central] == 1
-    two_singletons = mp((OrbitLabel(1, 0, PHI), (1,)), (OrbitLabel(1, 1, PHI), (1,)))
+    two_singletons = mp((OrbitLabel(1, 0), (1,)), (OrbitLabel(1, 1), (1,)))
     assert centralizer_order(ctx, two_singletons) == 16
     assert sizes[two_singletons] == 6
-    level2 = mp((OrbitLabel(2, 1, PHI), (1,)))
+    level2 = mp((OrbitLabel(2, 1), (1,)))
     assert centralizer_order(ctx, level2) == 8
     assert sizes[level2] == 12
-    unipotent = mp((OrbitLabel(1, 0, PHI), (2,)))
+    unipotent = mp((OrbitLabel(1, 0), (2,)))
     assert centralizer_order(ctx, unipotent) == 12
     assert sizes[unipotent] == 8
 
 
 def test_classes_only_on_phi_side():
     ctx = TorusContext(3, 2)
-    theta_mp = MultiPartition.make("theta", [(OrbitLabel(1, 0, "theta"), (1, 1))])
+    theta_mp = MultiPartition.make("theta", [(OrbitLabel(1, 0), (1, 1))])
     with pytest.raises(ValueError):
         centralizer_order(ctx, theta_mp)
 
@@ -103,15 +103,15 @@ def test_class_square_examples():
     assert class_square(ctx, central_class(ctx, 1)) == central_class(ctx, 2)
     assert class_square(ctx, central_class(ctx, 2)) == central_class(ctx, 0)
     # unipotent class is fixed (eigenvalue 1, Jordan type preserved)
-    uni = mp((OrbitLabel(1, 0, PHI), (2,)))
+    uni = mp((OrbitLabel(1, 0), (2,)))
     assert class_square(ctx, uni) == uni
     # {g} (1) + {-g} (1) squares to the central class of g^2
-    pair = mp((OrbitLabel(1, 1, PHI), (1,)), (OrbitLabel(1, 3, PHI), (1,)))
-    assert class_square(ctx, pair) == mp((OrbitLabel(1, 2, PHI), (1, 1)))
+    pair = mp((OrbitLabel(1, 1), (1,)), (OrbitLabel(1, 3), (1,)))
+    assert class_square(ctx, pair) == mp((OrbitLabel(1, 2), (1, 1)))
     # the regular semisimple T_2 class squares to the central class of -g:
     # alpha of order 8 has alpha^2 of order 4 with both eigenvalues equal
-    lvl2 = mp((OrbitLabel(2, 1, PHI), (1,)))
-    assert class_square(ctx, lvl2) == mp((OrbitLabel(1, 3, PHI), (1, 1)))
+    lvl2 = mp((OrbitLabel(2, 1), (1,)))
+    assert class_square(ctx, lvl2) == mp((OrbitLabel(1, 3), (1, 1)))
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (5, 2), (2, 3), (4, 2)])
@@ -155,10 +155,10 @@ def test_class_table_rejects_a_centralizer_that_does_not_divide(monkeypatch):
 
 def test_class_square_rejects_a_square_orbit_that_does_not_divide(monkeypatch):
     monkeypatch.setattr(conjclasses, "frobenius_orbit",
-                        lambda ctx, d, e, side: OrbitLabel(3, 0, PHI))
+                        lambda ctx, d, e: OrbitLabel(3, 0))
     ctx = TorusContext(3, 2)
     with pytest.raises(ValueError, match="has size 3"):
-        class_square(ctx, mp((OrbitLabel(2, 1, PHI), (1,))))
+        class_square(ctx, mp((OrbitLabel(2, 1), (1,))))
 
 
 def test_class_square_rejects_a_square_of_another_size(monkeypatch):
@@ -166,6 +166,6 @@ def test_class_square_rejects_a_square_of_another_size(monkeypatch):
     monkeypatch.setattr(conjclasses, "MultiPartition", SimpleNamespace(
         make=lambda side, pairs: MultiPartition.make(side, list(pairs)[:-1])))
     ctx = TorusContext(3, 2)
-    mu = mp((OrbitLabel(1, 0, PHI), (1,)), (OrbitLabel(1, 1, PHI), (1,)))
+    mu = mp((OrbitLabel(1, 0), (1,)), (OrbitLabel(1, 1), (1,)))
     with pytest.raises(ValueError, match="of size 1"):
         class_square(ctx, mu)

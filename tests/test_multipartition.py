@@ -1,10 +1,9 @@
-"""MultiPartition construction, stats, enumeration, and the delta bijection."""
+"""MultiPartition construction, stats, enumeration, and the shared orbit labels."""
 
 import pytest
 
 from uqchar.multipartition import (
     MultiPartition,
-    delta_map,
     enumerate_multipartitions,
     mp_bar,
     mp_n_conjugate,
@@ -25,9 +24,9 @@ def mp_conjugate(a):
         a.side, [(o, conjugate(parts)) for o, parts in a.entries])
 
 
-O10 = OrbitLabel(1, 0, THETA)
-O12 = OrbitLabel(1, 2, THETA)
-O21 = OrbitLabel(2, 1, THETA)
+O10 = OrbitLabel(1, 0)
+O12 = OrbitLabel(1, 2)
+O21 = OrbitLabel(2, 1)
 
 
 def test_make_normalizes():
@@ -40,8 +39,10 @@ def test_make_normalizes():
         mp(THETA, (O10, (1, 2)))
     with pytest.raises(ValueError):
         mp(THETA, (O10, (1,)), (O10, (2,)))
-    with pytest.raises(ValueError):
-        mp(PHI, (O10, (1,)))  # wrong side
+    # an orbit label carries no side: the same orbit serves either side
+    assert mp(PHI, (O10, (1,))).entries == mp(THETA, (O10, (1,))).entries
+    with pytest.raises(ValueError, match="side must be one of"):
+        mp("chi", (O10, (1,)))
 
 
 def test_stats():
@@ -68,8 +69,8 @@ def test_n_of_the_conjugate_read_from_the_parts(q):
 
 def test_bar_relabels_conjugate_orbits():
     ctx = TorusContext(3, 2)
-    o1 = OrbitLabel(1, 1, THETA)
-    o3 = OrbitLabel(1, 3, THETA)
+    o1 = OrbitLabel(1, 1)
+    o3 = OrbitLabel(1, 3)
     a = mp(THETA, (o1, (1,)), (O10, (2,)))
     b = mp_bar(ctx, a)
     assert b.part_for(o3) == (1,)
@@ -122,9 +123,9 @@ def test_enumeration_is_sorted_and_canonical():
     # first label: everything on the smallest orbit, largest partition first;
     # (1) is a prefix of (1,1), so the two-orbit labels sort between them
     assert labels[0] == mp(THETA, (O10, (2,)))
-    assert labels[1] == mp(THETA, (O10, (1,)), (OrbitLabel(1, 1, THETA), (1,)))
+    assert labels[1] == mp(THETA, (O10, (1,)), (OrbitLabel(1, 1), (1,)))
     assert labels[4] == mp(THETA, (O10, (1, 1)))
-    assert labels[-1] == mp(THETA, (OrbitLabel(2, 3, THETA), (1,)))
+    assert labels[-1] == mp(THETA, (OrbitLabel(2, 3), (1,)))
 
 
 def test_key_string():
@@ -132,11 +133,14 @@ def test_key_string():
     assert a.to_key() == "theta:1:0[2,1]+theta:2:1[1]"
 
 
-def test_delta_round_trip():
-    ctx = TorusContext(3, 4)
-    for n in (1, 2, 3, 4):
-        thetas = enumerate_multipartitions(ctx, n, THETA)
-        phis = enumerate_multipartitions(ctx, n, PHI)
-        assert len(thetas) == len(phis)
-        image = [delta_map(ctx, t) for t in thetas]
-        assert sorted(image, key=MultiPartition.sort_key) == list(phis)
+def test_characters_and_classes_share_their_orbit_labels():
+    # both sides are Z/M_d under e -> -q e, so the character labels and the
+    # class labels of each degree are the same entries in the same order
+    for q, n in [(2, 4), (3, 4), (4, 3), (5, 3), (9, 2)]:
+        ctx = TorusContext(q, n)
+        for m in range(1, n + 1):
+            thetas = enumerate_multipartitions(ctx, m, THETA)
+            phis = enumerate_multipartitions(ctx, m, PHI)
+            assert [t.entries for t in thetas] == [p.entries for p in phis]
+            assert all(t.side == THETA for t in thetas)
+            assert all(p.side == PHI for p in phis)

@@ -22,7 +22,6 @@ from uqchar.selfdual import (
     orbit_polynomial,
 )
 from uqchar.torus import (
-    PHI,
     THETA,
     OrbitLabel,
     TorusContext,
@@ -102,13 +101,13 @@ def test_brute_force_char2_constants_collapse():
 
 def test_orbit_polynomial_oracles_q3():
     ctx = TorusContext(3, 4)
-    one = frobenius_orbit(ctx, 1, 0, PHI)
+    one = frobenius_orbit(ctx, 1, 0)
     assert orbit_polynomial(ctx, one) == (1, 1)  # x + 1
-    sig = frobenius_orbit(ctx, 1, 2, PHI)
+    sig = frobenius_orbit(ctx, 1, 2)
     assert orbit_polynomial(ctx, sig) == (2, 1)  # x + 2, the -1 eigenvalue
-    pair = frobenius_orbit(ctx, 1, 1, PHI)
+    pair = frobenius_orbit(ctx, 1, 1)
     assert orbit_polynomial(ctx, pair) == (1, 0, 1)  # x^2 + 1
-    lvl2 = frobenius_orbit(ctx, 2, 1, PHI)
+    lvl2 = frobenius_orbit(ctx, 2, 1)
     assert orbit_polynomial(ctx, lvl2) == (1, 0, 0, 0, 1)  # x^4 + 1
 
 
@@ -116,7 +115,7 @@ def test_orbit_polynomial_self_conjugate_level2_q5():
     # the orbit {6, 18} at level 2 over F_5 is its own conjugate; its
     # eigenvalues are the order-4 scalars 2 and 3, giving (x+2)(x+3)
     ctx = TorusContext(5, 2)
-    orb = frobenius_orbit(ctx, 2, 6, PHI)
+    orb = frobenius_orbit(ctx, 2, 6)
     assert orb.size == 2
     from uqchar.torus import conjugate_orbit
 
@@ -134,8 +133,8 @@ def test_realization_u2_f9():
     assert char_to_polynomial(ctx, sig2) == (1, 1, 1)  # (x+2)^2 = x^2+x+1
     symp = MultiPartition.make(THETA, [(one, (1,)), (sig, (1,))])
     assert char_to_polynomial(ctx, symp) == (2, 0, 1)  # x^2 - 1
-    pair = MultiPartition.make(THETA, [(frobenius_orbit(ctx, 1, 1, THETA), (1,)),
-                                       (frobenius_orbit(ctx, 1, 3, THETA), (1,))])
+    pair = MultiPartition.make(THETA, [(frobenius_orbit(ctx, 1, 1), (1,)),
+                                       (frobenius_orbit(ctx, 1, 3), (1,))])
     assert char_to_polynomial(ctx, pair) == (1, 0, 1)
 
 
@@ -145,7 +144,7 @@ def test_realization_rejects_wrong_labels():
     with pytest.raises(ValueError):
         char_to_polynomial(ctx, MultiPartition.make(THETA, [(one, (2,))]))
     nonreal = MultiPartition.make(
-        THETA, [(frobenius_orbit(ctx, 1, 1, THETA), (1, 1))])
+        THETA, [(frobenius_orbit(ctx, 1, 1), (1, 1))])
     with pytest.raises(ValueError):
         char_to_polynomial(ctx, nonreal)
 
@@ -166,7 +165,7 @@ def _symplectic_u2():
 
 def test_realization_rejects_a_partner_with_other_parts(monkeypatch):
     monkeypatch.setattr(selfdual, "conjugate_orbit",
-                        lambda ctx, o: OrbitLabel(2, 1, o.side))
+                        lambda ctx, o: OrbitLabel(2, 1))
     with pytest.raises(ValueError, match="different parts"):
         char_to_polynomial(*_symplectic_u2())
 

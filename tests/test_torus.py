@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from uqchar import torus
 from uqchar.cyclotomic import embed, from_rational, zeta
+from uqchar.multipartition import MultiPartition
 from uqchar.torus import (
     PHI,
     THETA,
@@ -15,7 +16,6 @@ from uqchar.torus import (
     TorusContext,
     conjugate_orbit,
     count_exact_orbits,
-    delta_orbit,
     exact_orbits,
     frobenius_orbit,
     lift_character,
@@ -70,18 +70,18 @@ def test_norm_multiplier():
 
 def test_level_one_orbits_q3():
     ctx = TorusContext(3, 2)
-    orbits = exact_orbits(ctx, 1, THETA)
+    orbits = exact_orbits(ctx, 1)
     assert [o.min_exponent for o in orbits] == [0, 1, 2, 3]
     assert all(o.size == 1 for o in orbits)
 
 
 def test_level_two_orbits_q3():
     ctx = TorusContext(3, 2)
-    orbits = exact_orbits(ctx, 2, THETA)
+    orbits = exact_orbits(ctx, 2)
     assert [(o.min_exponent, orbit_exponents(ctx, o)) for o in orbits] == [
         (1, (1, 5)), (3, (3, 7))]
     # the remaining level-2 exponents 0, 2, 4, 6 descend to level 1
-    down = [frobenius_orbit(ctx, 2, e, THETA) for e in (0, 2, 4, 6)]
+    down = [frobenius_orbit(ctx, 2, e) for e in (0, 2, 4, 6)]
     assert [(o.level, o.min_exponent) for o in down] == [
         (1, 0), (1, 3), (1, 2), (1, 1)]
 
@@ -89,8 +89,8 @@ def test_level_two_orbits_q3():
 def test_q2_levels_collapse():
     # M_1 = M_2 = 3 at q = 2: no exact level-2 orbits at all
     ctx = TorusContext(2, 2)
-    assert exact_orbits(ctx, 2, PHI) == ()
-    o = frobenius_orbit(ctx, 2, 1, PHI)
+    assert exact_orbits(ctx, 2) == ()
+    o = frobenius_orbit(ctx, 2, 1)
     assert (o.level, o.min_exponent) == (1, 2)  # g_2 = g_1^(-1)
 
 
@@ -98,7 +98,7 @@ def test_q2_levels_collapse():
 def test_orbit_partition_and_moebius_counts(q):
     ctx = TorusContext(q, 6)
     for d in range(1, 7):
-        orbits = exact_orbits(ctx, d, PHI)
+        orbits = exact_orbits(ctx, d)
         assert len(orbits) == count_exact_orbits(ctx, d)
         # orbits of exact sizes r | d tile T_d
         assert sum(r * count_exact_orbits(ctx, r)
@@ -109,20 +109,22 @@ def test_orbit_partition_and_moebius_counts(q):
 
 
 def test_orbit_label_serialization():
-    o = OrbitLabel(2, 1, THETA)
-    assert o.to_str() == "theta:2:1"
-    assert OrbitLabel(1, 3, PHI).to_str() == "phi:1:3"
-    with pytest.raises(ValueError):
-        OrbitLabel(1, 0, "chi")
+    # a label is (level, min_exponent); its key takes the side from the
+    # multipartition that carries it
+    o = OrbitLabel(2, 1)
+    assert MultiPartition.make(THETA, [(o, (1,))]).to_key() == "theta:2:1[1]"
+    assert MultiPartition.make(PHI, [(OrbitLabel(1, 3), (1,))]).to_key() == "phi:1:3[1]"
+    with pytest.raises(ValueError, match="side must be one of"):
+        MultiPartition.make("chi", [(OrbitLabel(1, 0), (1,))])
 
 
 def test_conjugate_orbit():
     ctx = TorusContext(3, 2)
-    assert conjugate_orbit(ctx, OrbitLabel(1, 1, THETA)) == OrbitLabel(1, 3, THETA)
-    assert conjugate_orbit(ctx, OrbitLabel(2, 1, THETA)) == OrbitLabel(2, 3, THETA)
+    assert conjugate_orbit(ctx, OrbitLabel(1, 1)) == OrbitLabel(1, 3)
+    assert conjugate_orbit(ctx, OrbitLabel(2, 1)) == OrbitLabel(2, 3)
     for q in (3, 5):
         ctx = TorusContext(q, 4)
-        for o in orbits_up_to(ctx, 4, PHI):
+        for o in orbits_up_to(ctx, 4):
             assert conjugate_orbit(ctx, conjugate_orbit(ctx, o)) == o
 
 
@@ -208,19 +210,21 @@ def test_to_level_one():
 
 def test_orbit_exponent_sum_descends():
     ctx = TorusContext(3, 2)
-    s = orbit_exponent_sum(ctx, OrbitLabel(2, 1, THETA))
+    s = orbit_exponent_sum(ctx, OrbitLabel(2, 1))
     assert s == 6
     assert to_level_one(ctx, 2, s) == 3
 
 
-def test_delta_is_exponent_identity():
-    o = OrbitLabel(2, 1, THETA)
-    assert delta_orbit(o) == OrbitLabel(2, 1, PHI)
-    with pytest.raises(ValueError):
-        delta_orbit(OrbitLabel(2, 1, PHI))
+def test_an_orbit_label_is_the_same_on_both_sides():
+    # the character orbit and the class orbit of an exponent are one label;
+    # only the multipartition that carries it says which side it is on
     ctx = TorusContext(3, 1)
-    assert delta_orbit(sigma_orbit(ctx)) == OrbitLabel(1, 2, PHI)
-    assert delta_orbit(one_orbit(ctx)) == OrbitLabel(1, 0, PHI)
+    assert one_orbit(ctx, THETA) == one_orbit(ctx, PHI) == OrbitLabel(1, 0)
+    assert sigma_orbit(ctx) == OrbitLabel(1, 2)
+    theta = MultiPartition.make(THETA, [(sigma_orbit(ctx), (1,))])
+    phi = MultiPartition.make(PHI, [(sigma_orbit(ctx), (1,))])
+    assert theta.entries == phi.entries
+    assert (theta.to_key(), phi.to_key()) == ("theta:1:2[1]", "phi:1:2[1]")
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -229,7 +233,7 @@ def test_odd_self_conjugate_orbits_are_one_or_sigma(q):
     ctx = TorusContext(q, 5)
     allowed = {one_orbit(ctx), sigma_orbit(ctx)}
     for d in (1, 3, 5):
-        for o in exact_orbits(ctx, d, THETA):
+        for o in exact_orbits(ctx, d):
             if conjugate_orbit(ctx, o) == o:
                 assert o in allowed, o
 
@@ -243,9 +247,9 @@ def test_sigma_needs_odd_q():
 def test_self_conjugate_orbits_match_the_full_scan(q, n):
     ctx = TorusContext(q, n)
     for d in range(1, n + 1):
-        scanned = tuple(o for o in exact_orbits(ctx, d, THETA)
+        scanned = tuple(o for o in exact_orbits(ctx, d)
                         if conjugate_orbit(ctx, o) == o)
-        assert self_conjugate_orbits(ctx, d, THETA) == scanned
+        assert self_conjugate_orbits(ctx, d) == scanned
 
 
 # -- checks that survive python -O: each is fed a broken input ------------
@@ -267,7 +271,7 @@ def test_norm_multiplier_rejects_a_sum_that_is_not_the_modulus_ratio(monkeypatch
 def test_frobenius_orbit_rejects_an_orbit_size_that_does_not_divide(monkeypatch):
     monkeypatch.setattr(torus, "_orbit_exponents_at", lambda q, m, e: (0, 1, 2))
     with pytest.raises(ValueError, match="has size 3, not a divisor"):
-        frobenius_orbit(TorusContext(3, 4), 4, 1, PHI)
+        frobenius_orbit(TorusContext(3, 4), 4, 1)
 
 
 def test_frobenius_orbit_rejects_an_exponent_outside_the_subtorus(monkeypatch):
@@ -275,7 +279,7 @@ def test_frobenius_orbit_rejects_an_exponent_outside_the_subtorus(monkeypatch):
     # multiples of M_2 / M_1 = 2
     monkeypatch.setattr(torus, "_orbit_exponents_at", lambda q, m, e: (e,))
     with pytest.raises(ValueError, match="does not lie in T_1"):
-        frobenius_orbit(TorusContext(3, 2), 2, 1, PHI)
+        frobenius_orbit(TorusContext(3, 2), 2, 1)
 
 
 def test_frobenius_orbit_rejects_a_descended_orbit_of_another_size(monkeypatch):
@@ -284,13 +288,13 @@ def test_frobenius_orbit_rejects_a_descended_orbit_of_another_size(monkeypatch):
     monkeypatch.setattr(torus, "_orbit_exponents_at",
                         lambda q, m, e: real(q, m, e) if m == 2 else (e, e + 1))
     with pytest.raises(ValueError, match="has size 2"):
-        frobenius_orbit(TorusContext(3, 2), 2, 2, PHI)
+        frobenius_orbit(TorusContext(3, 2), 2, 2)
 
 
 def test_orbit_exponents_rejects_an_orbit_of_another_size(monkeypatch):
     monkeypatch.setattr(torus, "_orbit_exponents_at", lambda q, m, e: (e,))
     with pytest.raises(ValueError, match="has 1 exponents"):
-        orbit_exponents(TorusContext(3, 2), OrbitLabel(2, 1, PHI))
+        orbit_exponents(TorusContext(3, 2), OrbitLabel(2, 1))
 
 
 def test_count_exact_orbits_rejects_a_count_that_does_not_divide(monkeypatch):

@@ -8,10 +8,11 @@ equality of values is equality of (coeffs, den) and hashing is sound.
 Character values are cyclotomic integers, mostly sparse in this basis: their
 denominator is 1, and no Fraction is built for them; a Fraction appears only
 to render or return a rational that is not an integer.  Coefficients come in
-as int or Fraction; anything else, a float say, raises ValueError.  Complex
-conjugation is the field automorphism z -> z^(M-1).  Nothing in this module
-touches floating point; approx() exists only so the CLI can attach labelled
-decimal renderings.
+as int or Fraction; anything else, a float say, raises ValueError.
+galois(a, k) is the field automorphism sigma_k: z -> z^k, k prime to M;
+complex conjugation is sigma_(M-1).  Nothing in this module touches floating
+point; approx() exists only so the CLI can attach labelled decimal
+renderings.
 
 Values carry their modulus.  Mixing moduli in arithmetic raises
 ModulusMismatch; callers lift explicitly with embed(a, L) for M | L.
@@ -22,9 +23,10 @@ coefficient) terms, in which multiplying adds exponents.  A value's own
 coeffs are such terms.  from_terms reduces an element, divided by one
 integer, to the power basis and to canonical form; every value is made
 there.  sum_of_products pairs sparse elements and reduces only their sum; a
-product of two values is one such pair.  Character rows and verify's
-orthogonality are built this way, with one reduction per table cell or per
-pair of rows.
+product of two values is one such pair.  Both accumulate into a dict of the
+terms they meet, never into a list as long as phi(M) or M.  Character rows
+and verify's orthogonality are built this way, with one reduction per table
+cell or per pair of rows.
 """
 
 from __future__ import annotations
@@ -246,9 +248,7 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the automorphism z -> z^(M-1)."""
-        m = self.modulus
-        return from_terms(
-            m, ((j * (m - 1), c) for j, c in self.coeffs), self.den)
+        return galois(self, self.modulus - 1)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -327,21 +327,20 @@ def from_terms(modulus: int, terms, den: int = 1) -> Cyclotomic:
     nums, scale = _over_one_denominator(cs)
     if nums is not cs:  # not all ints: reduce the numerators instead
         terms = zip([e for e, _ in terms], nums)
-    fld = _field(modulus)
-    row = fld.row
-    out = [0] * fld.degree
+    row = _field(modulus).row
+    out: dict[int, int] = {}  # power-basis index -> numerator
     for e, c in terms:
         if c:
             for i, r in row(e % modulus):
-                out[i] += c * r
+                out[i] = out.get(i, 0) + c * r
     den *= scale
-    g = gcd(den, *out)  # den itself when the sum is zero
+    g = gcd(den, *out.values())  # den itself when the sum is zero
     if den < 0:
         g = -g
     obj = object.__new__(Cyclotomic)
     object.__setattr__(obj, "modulus", modulus)
     object.__setattr__(
-        obj, "coeffs", tuple((i, c // g) for i, c in enumerate(out) if c))
+        obj, "coeffs", tuple((i, c // g) for i, c in sorted(out.items()) if c))
     object.__setattr__(obj, "den", den // g)
     return obj
 
@@ -353,12 +352,21 @@ def sum_of_products(modulus: int, pairs, den: int = 1) -> Cyclotomic:
     value's coeffs among them; the products are convolved in the group ring
     of Z/M and only their sum is reduced to the power basis.
     """
-    conv = [0] * modulus
+    conv: dict[int, int] = {}  # exponent mod M -> coefficient
     for a, b in pairs:
         for e, c in a:
             for f, d in b:
-                conv[(e + f) % modulus] += c * d
-    return from_terms(modulus, enumerate(conv), den)
+                x = (e + f) % modulus
+                conv[x] = conv.get(x, 0) + c * d
+    return from_terms(modulus, conv.items(), den)
+
+
+def galois(a: Cyclotomic, k: int) -> Cyclotomic:
+    """sigma_k(a), the automorphism z -> z^k of Q(zeta_M); k prime to M."""
+    m = a.modulus
+    if gcd(k, m) != 1:
+        raise ValueError(f"{k} is not a unit mod {m}")
+    return from_terms(m, ((j * k, c) for j, c in a.coeffs), a.den)
 
 
 def classify(a: Cyclotomic) -> tuple[str, int | Fraction | None]:

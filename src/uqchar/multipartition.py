@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .partitions import check_partition, hooks, n_stat, partitions_of
-from .torus import SIDES, THETA, OrbitLabel, TorusContext, conjugate_orbit, orbits_up_to
+from .torus import SIDES, THETA, OrbitLabel, TorusContext, frobenius_orbit, orbits_up_to
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,19 @@ def mp_n_conjugate(mp: MultiPartition) -> int:
 
 def mp_bar(ctx: TorusContext, mp: MultiPartition) -> MultiPartition:
     """Relabel along orbit conjugation (inverse elements / inverse characters)."""
+    return mp_galois(ctx, mp, -1)
+
+
+def mp_galois(ctx: TorusContext, mp: MultiPartition, k: int) -> MultiPartition:
+    """Relabel along e -> k e (k a unit mod ctx.cyclo_modulus), partitions kept.
+
+    On the theta side this is the label of sigma_k(chi^mp), sigma_k the
+    automorphism zeta -> zeta^k of the value field.
+    """
     return MultiPartition.make(
-        mp.side, [(conjugate_orbit(ctx, o), parts) for o, parts in mp.entries])
+        mp.side,
+        [(frobenius_orbit(ctx, o.level, k * o.min_exponent), parts)
+         for o, parts in mp.entries])
 
 
 @cache

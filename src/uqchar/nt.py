@@ -6,7 +6,7 @@ so no clever factoring is needed or wanted.
 """
 
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 
 
 @cache
@@ -69,3 +69,30 @@ def prime_power(n: int) -> tuple[int, int] | None:
     if len(fac) != 1:
         return None
     return fac[0]
+
+
+def unit_generators(m: int, base: int) -> tuple[int, ...]:
+    """Units of Z/m that, with the unit base, generate (Z/m)^x; ascending.
+
+    Greedy: each unit outside the subgroup generated so far joins the
+    generators, so there are at most log2(phi(m)) of them.
+    """
+    if gcd(base, m) != 1:
+        raise ValueError(f"{base} is not a unit mod {m}")
+    group = _extend({1 % m}, base % m, m)
+    gens = []
+    for k in range(2, m):
+        if k not in group and gcd(k, m) == 1:
+            gens.append(k)
+            group = _extend(group, k, m)
+    return tuple(gens)
+
+
+def _extend(group: set[int], g: int, m: int) -> set[int]:
+    """The subgroup of (Z/m)^x generated by the subgroup group and the unit g."""
+    out = set(group)
+    power = g
+    while power not in group:  # the cosets group * g^i, until g^i lies in group
+        out.update(h * power % m for h in group)
+        power = power * g % m
+    return out

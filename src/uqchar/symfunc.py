@@ -22,7 +22,14 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      Hall-Littlewood expansion of a power-sum product, with its
      normalizations, depends only on (q, n) and the product
      (_class_expansion), so it is computed once per product and shared by
-     every row; only the sign belongs to the character.
+     every row; only the sign belongs to the character;
+  5. the torus character values of step 2 are the only irrational inputs,
+     so for k prime to M the automorphism sigma_k: zeta_M -> zeta_M^k takes
+     chi^lam to chi^(lam^k), where lam^k moves each orbit of exponent e to
+     the orbit of k e at the same level, with the same partition
+     (multipartition.mp_galois).  Steps 1-4 run for the first label of each
+     Galois orbit of labels (galois_orbits); every other row is sigma_k of
+     that one.
 
 Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
@@ -48,8 +55,10 @@ from .cyclotomic import Cyclotomic
 from .multipartition import (
     MultiPartition,
     enumerate_multipartitions,
+    mp_galois,
     mp_n_stat,
 )
+from .nt import unit_generators
 from .partitions import (
     beta_set,
     check_partition,
@@ -296,19 +305,71 @@ def _class_expansion(
 
 
 @cache
+def galois_orbits(
+    ctx: TorusContext, size: int
+) -> dict[MultiPartition, tuple[MultiPartition, int]]:
+    """Each theta label of the given size -> (rep, k) with label = rep^k.
+
+    rep^k is mp_galois(ctx, rep, k), k a unit mod ctx.cyclo_modulus, and rep
+    is the first label of its Galois orbit in canonical order.  Each orbit
+    is walked once, along generators of the units; -q fixes every label, so
+    the generators only need to generate the units together with it.
+    """
+    labels = enumerate_multipartitions(ctx, size, THETA)
+    big = ctx.cyclo_modulus
+    gens = unit_generators(big, -ctx.q)
+    out: dict[MultiPartition, tuple[MultiPartition, int]] = {}
+    for rep in labels:
+        if rep in out:
+            continue
+        out[rep] = (rep, 1)
+        todo = [(rep, 1)]
+        for lam, k in todo:  # grows while it is walked
+            for g in gens:
+                image = mp_galois(ctx, lam, g)
+                if image not in out:
+                    kg = k * g % big
+                    out[image] = (rep, kg)
+                    todo.append((image, kg))
+    if len(out) != len(labels):
+        raise ValueError(f"a Galois image of a size-{size} label is not a label")
+    return out
+
+
+@cache
 def char_row(
     ctx: TorusContext, lam: MultiPartition
 ) -> dict[MultiPartition, Cyclotomic]:
     """All nonzero values of chi^lam, keyed by class multipartition.
 
-    Every intermediate is a group-ring element {exponent mod M: coefficient};
-    each cell is reduced to the power basis once.
+    Only the first label of each Galois orbit goes through the
+    characteristic map (_expand_row); any other label lam = rep^k has the
+    row sigma_k(chi^rep), since the torus character values are the only
+    irrational inputs of the map.
     """
     if lam.side != THETA:
         raise ValueError("characters are labelled on the theta side")
+    if lam.size > ctx.n:
+        raise ValueError(f"label of size {lam.size} exceeds context degree {ctx.n}")
+    found = galois_orbits(ctx, lam.size).get(lam)
+    if found is None:
+        raise ValueError(f"{lam} is not a character label of U({lam.size})")
+    rep, k = found
+    if k == 1:  # lam is its orbit's representative
+        return _expand_row(ctx, lam)
+    # through the module name, so that a wrapper bound in its place sees it
+    return {mu: cyclotomic.galois(v, k) for mu, v in char_row(ctx, rep).items()}
+
+
+def _expand_row(
+    ctx: TorusContext, lam: MultiPartition
+) -> dict[MultiPartition, Cyclotomic]:
+    """chi^lam through the characteristic map, for a checked theta label.
+
+    Every intermediate is a group-ring element {exponent mod M: coefficient};
+    each cell is reduced to the power basis once.
+    """
     n = lam.size
-    if n > ctx.n:
-        raise ValueError(f"label of size {n} exceeds context degree {ctx.n}")
     big = ctx.cyclo_modulus
 
     # expand: per orbit, the (nu, weight) pairs of the Schur expansion, with

@@ -253,8 +253,10 @@ def one_orbit(ctx: TorusContext, side: str = THETA) -> OrbitLabel:
     """The orbit of exponent 0 at level 1, the same label on either side.
 
     It is the trivial character for THETA and the identity element for PHI;
-    side is accepted so that callers can name which one they mean.
+    side names which one the caller means, and must be one of SIDES.
     """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     return OrbitLabel(1, 0)
 
 

@@ -216,11 +216,18 @@ def test_chartable_json(capsys):
      "26863303d893ac525755ba266eb8869cd40771df17da88890cd5254e02e83f1f"),
     (["--q", "4", "--n", "3", "--approx", "--max-cells", "100000"],
      "0a833a1c4594433608dc5c25507f90a5cc103d801a3700bee0afde06eced83ab"),
-], ids=["2-4", "3-3-tsv", "9-2", "3-2-approx", "5-2-approx-tsv", "4-3-approx"])
+    (["--q", "5", "--n", "3", "--max-cells", "100000"],
+     "81d0a088435e43c52f4ac06d5be2cc59f34410849c4a741183a4454a770578d0"),
+    (["--q", "3", "--n", "4", "--max-cells", "100000"],
+     "dbd969c22b044763e2b99d3f78d82979f4ad07e59415e40f0223d6ca2b8306f7"),
+], ids=["2-4", "3-3-tsv", "9-2", "3-2-approx", "5-2-approx-tsv", "4-3-approx",
+        "5-3", "3-4"])
 def test_chartable_bytes_are_pinned(capsys, argv, sha256):
     # recorded from the dense power-basis implementations of char_row and
     # of the values; --approx floats must not depend on how a value stores
-    # its terms
+    # its terms.  5-3 and 3-4 (moduli 504 and 560, whose unit groups need
+    # four generators) were recorded from the implementation that expanded
+    # every row through the characteristic map
     code, out, err = run(capsys, ["chartable", *argv])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -18,6 +18,7 @@ from uqchar.cyclotomic import (
     embed,
     from_rational,
     from_terms,
+    galois,
     one,
     same_value,
     sum_of_products,
@@ -344,3 +345,36 @@ def test_equality_and_hash_agree_with_a_fraction_oracle(m, terms, other, split, 
         assert hash(a) == hash(c)
     if all(x == 0 for x in want[1:]):
         assert a == want[0] and a.rational_value() == want[0]
+
+
+def _units(m):
+    return [k for k in range(-m, 2 * m) if math.gcd(k, m) == 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 15, 20]), data=st.data(),
+       terms=exact_terms, other=exact_terms,
+       den=st.integers(-12, 12).filter(bool))
+def test_galois_is_a_field_automorphism(m, data, terms, other, den):
+    k = data.draw(st.sampled_from(_units(m)))
+    l = data.draw(st.sampled_from(_units(m)))
+    a, b = from_terms(m, terms, den), from_terms(m, other)
+    s = galois(a, k)
+    assert _is_canonical(s)
+    # z -> z^k on the terms the value was made from
+    assert _dense(s) == tuple(
+        x / den for x in _oracle(m, [(k * e, c) for e, c in terms]))
+    assert galois(a * b, k) == s * galois(b, k)
+    assert galois(a + b, k) == s + galois(b, k)
+    assert galois(galois(a, l), k) == galois(a, k * l)
+    assert galois(a, m - 1) == a.conjugate()
+    assert _dense(a.conjugate()) == tuple(
+        x / den for x in _oracle(m, [(-e, c) for e, c in terms]))
+    assert galois(a, 1) == a
+
+
+@pytest.mark.parametrize("m,k", [(12, 2), (12, 3), (12, 0), (9, 6), (15, -5), (4, 2)])
+def test_galois_refuses_a_non_unit(m, k):
+    # an if, not an assert: it raises under python -O as well
+    with pytest.raises(ValueError, match="not a unit"):
+        galois(zeta(m), k)

@@ -11,6 +11,7 @@ for U(1) and U(2) over F_9 are checked against hand calculations.
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from uqchar.conjclasses import centralizer_order, class_table, group_order
 from uqchar.multipartition import (
     MultiPartition,
     enumerate_multipartitions,
+    mp_galois,
 )
 from uqchar.partitions import conjugate, partitions_of
 from uqchar.symfunc import (
@@ -37,6 +39,7 @@ from uqchar.symfunc import (
 from uqchar.torus import (
     PHI,
     THETA,
+    OrbitLabel,
     TorusContext,
     frobenius_orbit,
     lift_character,
@@ -543,6 +546,63 @@ def test_class_expansions_are_shared_by_all_rows(q, n, classes):
     table = char_table(ctx, max_cells=None)
     assert len(table.classes) == classes
     assert symfunc._class_expansion.cache_info().currsize == classes
+
+
+# -- Galois-conjugate rows -------------------------------------------------
+
+
+def coset_representatives(m, base):
+    """One unit k of each coset k<base> of the cyclic subgroup <base> of (Z/m)^x."""
+    seen, reps = set(), []
+    for k in range(1, m):
+        if gcd(k, m) == 1 and k not in seen:
+            reps.append(k)
+            x = k
+            while x not in seen:
+                seen.add(x)
+                x = x * base % m
+    return reps
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (2, 4), (4, 3), (9, 2)])
+def test_rows_are_galois_equivariant(q, n):
+    # sigma_k(chi^lam) = chi^(lam^k) for every label and every unit k, with
+    # the uncached characteristic-map expansion as the oracle.  sigma_(-q)
+    # fixes each row (lam^(-q) = lam), so every unit is covered by checking
+    # that and one unit per coset of <-q>
+    ctx = TorusContext(q, n)
+    big = ctx.cyclo_modulus
+    units = coset_representatives(big, -q % big)
+    for lam in enumerate_multipartitions(ctx, n, THETA):
+        direct = symfunc._expand_row(ctx, lam)
+        assert mp_galois(ctx, lam, -q) == lam
+        assert {mu: cyclotomic.galois(v, -q) for mu, v in direct.items()} == direct
+        for k in units:
+            assert char_row(ctx, mp_galois(ctx, lam, k)) == {
+                mu: cyclotomic.galois(v, k) for mu, v in direct.items()}, (lam, k)
+
+
+@pytest.mark.parametrize("q,n,orbits", [(4, 3, 28), (9, 2, 27), (5, 3, 84), (3, 4, 99)])
+def test_galois_orbits_of_labels(q, n, orbits):
+    ctx = TorusContext(q, n)
+    labels = enumerate_multipartitions(ctx, n, THETA)
+    found = symfunc.galois_orbits(ctx, n)
+    assert set(found) == set(labels)
+    assert len({rep for rep, _ in found.values()}) == orbits
+    for lam, (rep, k) in found.items():
+        assert gcd(k, ctx.cyclo_modulus) == 1
+        assert mp_galois(ctx, rep, k) == lam
+        # the representative is the first member in canonical order
+        assert labels.index(rep) <= labels.index(lam)
+        assert found[rep] == (rep, 1)
+
+
+def test_char_row_rejects_a_label_that_is_not_enumerated():
+    # an orbit keyed by an exponent that is not its minimum names no label
+    ctx = TorusContext(3, 2)
+    wrong = MultiPartition.make(THETA, [(OrbitLabel(2, 7), (1,))])
+    with pytest.raises(ValueError, match="not a character label"):
+        char_row(ctx, wrong)
 
 
 # -- scalar products through centralizer weights ---------------------------

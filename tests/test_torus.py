@@ -227,6 +227,12 @@ def test_an_orbit_label_is_the_same_on_both_sides():
     assert (theta.to_key(), phi.to_key()) == ("theta:1:2[1]", "phi:1:2[1]")
 
 
+def test_one_orbit_refuses_an_unknown_side():
+    # as MultiPartition.make does: the side names which label is meant
+    with pytest.raises(ValueError, match="side must be one of"):
+        one_orbit(TorusContext(3, 1), "chi")
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_odd_self_conjugate_orbits_are_one_or_sigma(q):
     # levels <= 5: every self-conjugate orbit of odd size is {1} or {sigma}

@@ -270,8 +270,11 @@ def census_semisimple(ctx: TorusContext) -> dict:
     }
 
 
-def real_semisimple_labels(ctx: TorusContext) -> list[MultiPartition]:
+@cache
+def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
     """The real semisimple labels at degree ctx.n, in canonical order.
+
+    Cached: census_semisimple and verify's realization checks share them.
 
     Such a label is built from "units": a self-conjugate orbit (weight |o|)
     or a pair {o, o-bar} of conjugate orbits (weight 2|o|).  Each chosen unit
@@ -307,4 +310,4 @@ def real_semisimple_labels(ctx: TorusContext) -> list[MultiPartition]:
 
     rec(0, n, [])
     out.sort(key=MultiPartition.sort_key)
-    return out
+    return tuple(out)

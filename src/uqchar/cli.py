@@ -81,21 +81,26 @@ def _emit(args, text: str) -> None:
         return
     # a symlink is followed; a device or FIFO is written to as it is
     path = os.path.realpath(args.out)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    # write beside the file, then rename over it: a write that fails
-    # part-way leaves an existing file as it was and no partial file behind
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        # write beside the file, then rename over it: a write that fails
+        # part-way leaves an existing file as it was and no partial file
+        # behind
+        tmp = f"{path}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # the diagnostic names the FILE given, not the temporary file
+        raise OSError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 def _json(obj) -> str:
@@ -248,11 +253,12 @@ def cmd_verify(args) -> int:
     for n in range(1, args.max_n + 1):
         ctx = TorusContext(q, n)
         labels = enumerate_multipartitions(ctx, n, THETA)
-        if len(labels) ** 2 <= args.max_cells:
+        cells = len(labels) ** 2
+        if cells <= args.max_cells:
             cyclotomic.check_degree(ctx.cyclo_modulus)
-        per_n.append((n, ctx, labels))
+        per_n.append((n, ctx, labels, cells))
     F = GF(q)
-    for n, ctx, labels in per_n:
+    for n, ctx, labels, cells in per_n:
         classes = class_table(ctx)
         check(
             sum(c.size for c in classes) == group_order(ctx),
@@ -278,7 +284,6 @@ def cmd_verify(args) -> int:
         check(
             image == set(sd_all),
             f"n={n}: realization is a bijection onto self-dual polynomials")
-        cells = len(labels) * len(classes)
         if cells > args.max_cells:
             lines.append(
                 f"skip: n={n}: row orthogonality and indicator routes "

@@ -6,16 +6,18 @@ nonzero terms: coeffs = ((i, c_i), ...) with i increasing and every c_i a
 nonzero int, and den > 0 with gcd(den, *c_i) == 1; zero is ((), 1).  So
 equality of values is equality of (coeffs, den) and hashing is sound.
 Character values are cyclotomic integers, mostly sparse in this basis: their
-denominator is 1, and no Fraction is built for them; a Fraction appears only
-to render or return a rational that is not an integer.  Coefficients come in
-as int or Fraction; anything else, a float say, raises ValueError.
+denominator is 1.  A value has one way in, from_terms: int terms over one
+int denominator, anything else (a float, a Fraction) raising ValueError.
+A Fraction appears only to render or return a non-integer rational.
 galois(a, k) is the field automorphism sigma_k: z -> z^k, k prime to M;
 complex conjugation is sigma_(M-1).  Nothing in this module touches floating
 point; approx() exists only so the CLI can attach labelled decimal
 renderings.
 
-Values carry their modulus.  Mixing moduli in arithmetic raises
-ModulusMismatch; callers lift explicitly with embed(a, L) for M | L.
+The operators are those the program and its acceptance tests use: a + b,
+a * b, a * n for an int n, a ** k, conjugate() and ==.  Values carry their
+modulus.  Mixing moduli in arithmetic raises ModulusMismatch; callers lift
+explicitly with embed(a, L) for M | L.
 
 Sums of many products are cheapest left unreduced: a value is then a sparse
 element of the group ring Z[Z/M], a sequence of (exponent mod M,
@@ -134,24 +136,6 @@ def _field(modulus: int) -> _Field:
     return f
 
 
-def _over_one_denominator(values: list) -> tuple[list[int], int]:
-    """(numerators, d): the int or Fraction values as integers over d > 0.
-
-    A list of ints comes back as it is, with d = 1.  Raises ValueError on
-    any other type, such as a float.
-    """
-    kinds = set(map(type, values))
-    if kinds <= {int}:
-        return values, 1
-    for kind in kinds:
-        if not issubclass(kind, (int, Fraction)):
-            raise ValueError(
-                f"inexact coefficient of type {kind.__name__}; "
-                "need int or Fraction")
-    den = lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values], den
-
-
 def _rational(num: int, den: int) -> int | Fraction:
     """num / den as an int when den is 1, else as a Fraction."""
     return num if den == 1 else Fraction(num, den)
@@ -161,38 +145,26 @@ class Cyclotomic:
     """An element of Q(zeta_M): its nonzero power-basis terms over den.
 
     coeffs = ((i, c), ...) with i increasing in [0, phi(M)) and every c a
-    nonzero int; den > 0 is coprime to the c.  Cyclotomic(M, dense) takes
-    all phi(M) power-basis coefficients, int or Fraction; from_terms makes
-    every value.
+    nonzero int; den > 0 is coprime to the c.  from_terms makes every value.
     """
 
     __slots__ = ("modulus", "coeffs", "den")
-
-    def __new__(cls, modulus: int, coeffs):
-        coeffs = list(coeffs)
-        degree = _field(modulus).degree
-        if len(coeffs) != degree:
-            raise ValueError(
-                f"need {degree} coefficients for Q(zeta_{modulus}), got {len(coeffs)}")
-        return from_terms(modulus, enumerate(coeffs))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
 
     # -- ring ops ----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"Q(zeta_{self.modulus}) vs Q(zeta_{other.modulus}); embed first")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return from_rational(self.modulus, other)
-        return None
+    def _operand(self, other):
+        if not isinstance(other, Cyclotomic):
+            return None
+        if other.modulus != self.modulus:
+            raise ModulusMismatch(
+                f"Q(zeta_{self.modulus}) vs Q(zeta_{other.modulus}); embed first")
+        return other
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
@@ -201,36 +173,15 @@ class Cyclotomic:
             [(i, a * db) for i, a in self.coeffs] + [(i, b * da) for i, b in o.coeffs],
             da * db)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return from_terms(self.modulus, [(i, -a) for i, a in self.coeffs], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = other.numerator
+        if isinstance(other, int):
             return from_terms(
-                self.modulus, [(i, a * s) for i, a in self.coeffs],
-                self.den * other.denominator)
-        o = self._coerce(other)
+                self.modulus, [(i, a * other) for i, a in self.coeffs], self.den)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return sum_of_products(
             self.modulus, [(self.coeffs, o.coeffs)], self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -292,15 +243,11 @@ class Cyclotomic:
 
 
 def zero(modulus: int) -> Cyclotomic:
-    return from_rational(modulus, 0)
+    return from_terms(modulus, ())
 
 
 def one(modulus: int) -> Cyclotomic:
-    return from_rational(modulus, 1)
-
-
-def from_rational(modulus: int, r) -> Cyclotomic:
-    return from_terms(modulus, [(0, r)])
+    return from_terms(modulus, [(0, 1)])
 
 
 def zeta(modulus: int, k: int = 1) -> Cyclotomic:
@@ -311,30 +258,29 @@ def zeta(modulus: int, k: int = 1) -> Cyclotomic:
 def from_terms(modulus: int, terms, den: int = 1) -> Cyclotomic:
     """(sum c * zeta_M^e over the (e, c) in terms) / den, in canonical form.
 
-    terms is a group-ring element of Z/M (or Q[Z/M]) in sparse form: any
-    integer exponents, repeated or not, with int or Fraction coefficients; a
-    value's coeffs are such terms.  den is a nonzero integer.  The sum is
-    reduced to the power basis once, in integers over den times the
-    coefficients' common denominator, and then divided by its gcd with that
-    denominator.  This is the only place a value is made.
+    terms is a group-ring element of Z/M in sparse form: any integer
+    exponents, repeated or not, with int coefficients; a value's coeffs are
+    such terms.  den is a nonzero int.  The sum is reduced to the power
+    basis once, in integers, and then divided by its gcd with den.  This is
+    the only place a value is made.  A coefficient or den that is not an
+    int, a float or a Fraction, raises ValueError: the final gcd refuses a
+    nonzero one, and a zero term is checked where it is skipped.
     """
-    if not isinstance(den, int):
-        raise ValueError(f"denominator {den!r} is not an integer")
     if not den:
         raise ValueError("zero denominator")
-    terms = list(terms)
-    cs = [c for _, c in terms]
-    nums, scale = _over_one_denominator(cs)
-    if nums is not cs:  # not all ints: reduce the numerators instead
-        terms = zip([e for e, _ in terms], nums)
     row = _field(modulus).row
     out: dict[int, int] = {}  # power-basis index -> numerator
     for e, c in terms:
         if c:
             for i, r in row(e % modulus):
                 out[i] = out.get(i, 0) + c * r
-    den *= scale
-    g = gcd(den, *out.values())  # den itself when the sum is zero
+        elif not isinstance(c, int):
+            raise _not_int(c)
+    try:
+        g = gcd(den, *out.values())  # den itself when the sum is zero
+    except TypeError:
+        raise _not_int(next(
+            x for x in (den, *out.values()) if not isinstance(x, int))) from None
     if den < 0:
         g = -g
     obj = object.__new__(Cyclotomic)
@@ -343,6 +289,10 @@ def from_terms(modulus: int, terms, den: int = 1) -> Cyclotomic:
         obj, "coeffs", tuple((i, c // g) for i, c in sorted(out.items()) if c))
     object.__setattr__(obj, "den", den // g)
     return obj
+
+
+def _not_int(value) -> ValueError:
+    return ValueError(f"inexact value of type {type(value).__name__}; need int")
 
 
 def sum_of_products(modulus: int, pairs, den: int = 1) -> Cyclotomic:

@@ -131,7 +131,7 @@ class ExtField:
 
 def field_pow(F, a, k: int):
     if k < 0:
-        return field_pow(F, F.inv(a), -k)
+        raise ValueError(f"negative exponent {k}")
     out = F.one
     base = a
     while k:

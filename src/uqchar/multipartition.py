@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .partitions import check_partition, hooks, n_stat, partitions_of
-from .torus import SIDES, THETA, OrbitLabel, TorusContext, frobenius_orbit, orbits_up_to
+from .torus import SIDES, OrbitLabel, TorusContext, frobenius_orbit, orbits_up_to
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def mp_galois(ctx: TorusContext, mp: MultiPartition, k: int) -> MultiPartition:
 
 @cache
 def enumerate_multipartitions(
-    ctx: TorusContext, n: int, side: str = THETA
+    ctx: TorusContext, n: int, side: str
 ) -> tuple[MultiPartition, ...]:
     """All multipartitions of size n over the orbits of size <= n, sorted."""
     universe = orbits_up_to(ctx, n)

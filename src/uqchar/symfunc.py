@@ -441,13 +441,8 @@ class CharTable:
     def value(self, lam: MultiPartition, mu: MultiPartition) -> Cyclotomic:
         return self.values[self.chars.index(lam)][self.classes.index(mu)]
 
-    def to_json(self, render=None) -> dict:
-        """The table with each value rendered by render, to_text by default.
-
-        The default is looked up when called, so a rebinding of
-        cyclotomic.to_text (as perfbench/tracer.py does) reaches it.
-        """
-        render = render or cyclotomic.to_text
+    def to_json(self, render) -> dict:
+        """The table with each value rendered by render."""
         classes = [c.to_key() for c in self.classes]
         return {
             "q": self.q,
@@ -462,13 +457,13 @@ class CharTable:
         }
 
 
-def char_table(ctx: TorusContext, max_cells: int | None = 4096) -> CharTable:
+def char_table(ctx: TorusContext, max_cells: int = 4096) -> CharTable:
     """The character table at degree ctx.n; refused beyond max_cells or MAX_DEGREE."""
     n = ctx.n
     chars = enumerate_multipartitions(ctx, n, THETA)
     classes = enumerate_multipartitions(ctx, n, PHI)
     cells = len(chars) * len(classes)
-    if max_cells is not None and cells > max_cells:
+    if cells > max_cells:
         raise TableTooLarge(
             f"table would have {cells} entries (bound {max_cells}); "
             "raise the bound explicitly to proceed")

@@ -384,7 +384,7 @@ def test_real_semisimple_labels_match_filtered_enumeration(q):
             lam for lam in enumerate_multipartitions(ctx, n, THETA)
             if is_semisimple(lam)]
         real = [lam for lam in semisimple if is_real(ctx, lam)]
-        assert real_semisimple_labels(ctx) == real, (q, n)
+        assert real_semisimple_labels(ctx) == tuple(real), (q, n)
         assert census_semisimple(ctx)["semisimple"] == len(semisimple), (q, n)
 
 

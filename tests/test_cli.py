@@ -4,6 +4,7 @@ Repeated invocations must be byte-identical, since downstream tooling diffs
 the output.
 """
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -11,7 +12,6 @@ import os
 import stat
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -84,7 +84,8 @@ def test_verify_fails_on_a_corrupted_table(capsys, monkeypatch):
         table = real_char_table(ctx, **kw)
         if table.n != 2:
             return table
-        first = (table.values[0][0] + 1,) + table.values[0][1:]
+        first = (table.values[0][0] + cyclotomic.one(table.modulus),) \
+            + table.values[0][1:]
         return dataclasses.replace(table, values=(first,) + table.values[1:])
 
     monkeypatch.setattr(cli, "char_table", corrupted)
@@ -106,7 +107,7 @@ def test_verify_fails_on_a_non_integral_value(capsys, monkeypatch):
         i, j = next((i, j) for i, row in enumerate(table.values)
                     for j, v in enumerate(row) if v.is_zero())
         row = list(table.values[i])
-        row[j] = cyclotomic.from_rational(table.modulus, Fraction(1, 2))
+        row[j] = cyclotomic.from_terms(table.modulus, [(0, 1)], 2)
         values = table.values[:i] + (tuple(row),) + table.values[i + 1:]
         return dataclasses.replace(table, values=values)
 
@@ -259,7 +260,7 @@ def test_an_inexact_coefficient_exits_one_with_one_error_line(capsys, monkeypatc
         symfunc.char_row.cache_clear()
     assert code == 1 and not out
     assert err.splitlines() == [
-        "error: inexact coefficient of type float; need int or Fraction"]
+        "error: inexact value of type float; need int"]
 
 
 def test_a_missing_irreducible_exits_one_with_one_error_line(capsys, monkeypatch):
@@ -407,6 +408,18 @@ def test_out_into_missing_directory(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_an_unwritable_out_is_named_as_given(tmp_path, capsys):
+    # the document goes to a temporary file beside FILE; the one error line
+    # names FILE, the path the user gave
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, ["census", "--q", "3", "--n", "2",
+                                  "--out", str(target)])
+    assert code == 1 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0] == f"error: cannot write {target}: No such file or directory"
+
+
 def test_out_write_failure_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "census.json"
     target.write_text("old\n")
@@ -429,6 +442,7 @@ def test_out_write_failure_keeps_the_old_file(tmp_path, capsys, monkeypatch):
                                   "--out", str(target)])
     assert code == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: cannot write {target}: No space left on device\n"
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["census.json"]
 
@@ -465,6 +479,8 @@ def test_out_into_a_fifo_writes_to_its_reader(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["census", "--q", "3", "--n", "4"],
     ["verify", "--q", "3", "--max-n", "2"],
+    ["chartable", "--q", "3", "--n", "2"],
+    ["fs", "--q", "3", "--n", "3"],
 ])
 def test_same_output_under_python_O(argv):
     # python -O strips assert statements; the checks that decide the output
@@ -478,6 +494,19 @@ def test_same_output_under_python_O(argv):
     assert runs[0].returncode == runs[1].returncode == 0, runs[1].stderr
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout
+
+
+def test_no_assert_statement_in_the_library_or_the_scripts():
+    # python -O strips assert statements, so no check in the program may be
+    # one; each raises an exception of its own instead
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_byte_identical_repeat(capsys):

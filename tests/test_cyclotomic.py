@@ -1,4 +1,8 @@
-"""Cyclotomic field arithmetic: reduction, conjugation, classification, text."""
+"""Cyclotomic field arithmetic: reduction, conjugation, classification, text.
+
+Values are made only by from_terms, from int terms over an int denominator;
+a rational such as 1/2 is the term (0, 1) over 2.
+"""
 
 import math
 from fractions import Fraction
@@ -16,7 +20,6 @@ from uqchar.cyclotomic import (
     classify,
     cyclotomic_polynomial,
     embed,
-    from_rational,
     from_terms,
     galois,
     one,
@@ -58,7 +61,7 @@ def test_cyclotomic_product_identity(m):
 
 
 def test_zeta_powers_reduce():
-    assert zeta(8, 4) == from_rational(8, -1)
+    assert zeta(8, 4) == from_terms(8, [(0, -1)])
     assert zeta(8, 8) == one(8)
     assert zeta(4, 1) * zeta(4, 3) == one(4)
     assert zeta(5, 0) == one(5)
@@ -80,13 +83,13 @@ def test_zeta_has_exact_order(m):
 
 
 def test_arith_basics():
-    a = zeta(8) + 2 * zeta(8, 3)
-    b = Fraction(1, 2) - zeta(8, 2)
+    a = zeta(8) + zeta(8, 3) * 2
+    b = from_terms(8, [(0, 1), (2, -2)], 2)  # 1/2 - z^2
     assert a + b == b + a
     assert a * b == b * a
-    assert (a - a).is_zero()
+    assert (a + a * -1).is_zero()
     assert a * one(8) == a
-    assert (a * Fraction(1, 2)) * 2 == a
+    assert from_terms(8, a.coeffs, 2 * a.den) * 2 == a
     assert a**0 == 1
     assert a**3 == a * a * a
 
@@ -103,9 +106,9 @@ def test_modulus_mismatch_raises():
 def test_embed_and_same_value():
     assert embed(zeta(4), 8) == zeta(8, 2)
     assert same_value(zeta(4), zeta(8, 2))
-    assert same_value(from_rational(4, 7), from_rational(6, 7))
+    assert same_value(from_terms(4, [(0, 7)]), from_terms(6, [(0, 7)]))
     assert not same_value(zeta(4), zeta(8))
-    a = zeta(4) + 3
+    a = zeta(4) + from_terms(4, [(0, 3)])
     assert embed(a, 12).conjugate() == embed(a.conjugate(), 12)
 
 
@@ -113,14 +116,14 @@ def test_conjugation():
     assert zeta(8).conjugate() == zeta(8, 7)
     a = zeta(8) + zeta(8, 7)
     assert a.conjugate() == a
-    b = zeta(8) - zeta(8, 3)
+    b = from_terms(8, [(1, 1), (3, -1)])
     assert b.conjugate().conjugate() == b
-    r = from_rational(8, Fraction(-3, 5))
+    r = from_terms(8, [(0, -3)], 5)
     assert r.conjugate() == r
 
 
 def test_classify():
-    assert classify(from_rational(8, Fraction(3, 2))) == ("rational", Fraction(3, 2))
+    assert classify(from_terms(8, [(0, 3)], 2)) == ("rational", Fraction(3, 2))
     # zeta_6 + zeta_6^5 = 2 cos(pi/3) = 1, rational despite nontrivial support
     assert classify(zeta(6) + zeta(6, 5)) == ("rational", Fraction(1))
     # zeta_8 + zeta_8^-1 = sqrt(2): real, not rational
@@ -132,28 +135,29 @@ def test_classify():
 
 
 def test_text_examples():
-    a = Fraction(1, 2) * one(8) - zeta(8) + 3 * zeta(8, 2)
+    a = from_terms(8, [(0, 1), (1, -2), (2, 6)], 2)
     assert to_text(a) == "Q(zeta_8): 1/2 - z + 3*z^2"
     assert to_text(zero(12)) == "Q(zeta_12): 0"
-    assert to_text(-zeta(4)) == "Q(zeta_4): -z"
+    assert to_text(zeta(4) * -1) == "Q(zeta_4): -z"
     assert to_text(zeta(8, 9)) == "Q(zeta_8): z"
 
 
-small_fracs = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6)
+small_ints = st.integers(-24, 24)
+dens = st.integers(-12, 12).filter(bool)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.sampled_from([3, 4, 5, 7, 8, 9, 12]),
-    cs=st.lists(small_fracs, min_size=1, max_size=6),
-    ds=st.lists(small_fracs, min_size=1, max_size=6),
+    cs=st.lists(small_ints, min_size=1, max_size=6),
+    ds=st.lists(small_ints, min_size=1, max_size=6),
+    da=dens, db=dens,
 )
-def test_ring_laws_and_conj_hom(m, cs, ds):
-    a = sum((c * zeta(m, k) for k, c in enumerate(cs)), zero(m))
-    b = sum((d * zeta(m, k) for k, d in enumerate(ds)), zero(m))
+def test_ring_laws_and_conj_hom(m, cs, ds, da, db):
+    a = from_terms(m, enumerate(cs), da)
+    b = from_terms(m, enumerate(ds), db)
     assert a * b == b * a
-    assert (a + b) * (a - b) == a * a - b * b
+    assert (a + b) * (a + b * -1) == a * a + b * b * -1
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert a.conjugate().conjugate() == a
@@ -177,41 +181,52 @@ def test_poly_division_rejects_a_remainder():
 
 
 def test_to_text_renders_zeros_that_are_not_the_shared_zero():
-    # zeros given as int or Fraction render as nothing; a numerator equal to
-    # the common denominator renders as 1
-    assert to_text(Cyclotomic(8, [0, 1, 0, 0])) == "Q(zeta_8): z"
-    assert to_text(Cyclotomic(8, [0, Fraction(0), 0, 0])) == "Q(zeta_8): 0"
-    assert to_text(Cyclotomic(8, [0, -1, Fraction(1, 2), 0])) == \
+    # zero terms render as nothing; a numerator equal to the common
+    # denominator renders as 1
+    assert to_text(from_terms(8, [(0, 0), (1, 1), (2, 0)])) == "Q(zeta_8): z"
+    assert to_text(from_terms(8, [(1, 0), (3, 0)])) == "Q(zeta_8): 0"
+    assert to_text(from_terms(8, [(1, -2), (2, 1)], 2)) == \
         "Q(zeta_8): -z + 1/2*z^2"
-    assert to_text(Cyclotomic(8, [Fraction(-1, 3), 0, 0, 1])) == \
+    assert to_text(from_terms(8, [(0, -1), (3, 3)], 3)) == \
         "Q(zeta_8): -1/3 + z^3"
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Cyclotomic(4, [1.0, 0]),
-    lambda: Cyclotomic(4, [0, Fraction(1, 2), 0.5][1:]),
-    lambda: from_terms(8, [(0, 1), (3, 0.5)]),
-    lambda: from_terms(8, [(0, 0.0)]),
-    lambda: from_terms(8, [(0, 1)], 2.0),
-    lambda: from_rational(8, 0.5),
-    lambda: from_terms(8, [(0, 1)], 0),
-], ids=["constructor", "constructor-mixed", "from_terms", "float-zero",
-        "float-denominator", "from_rational", "zero-denominator"])
-def test_inexact_or_undefined_input_raises_value_error(make):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("make,kind", [
+    (lambda: from_terms(8, [(0, 1), (3, 0.5)]), "float"),
+    (lambda: from_terms(8, [(0, 0.0)]), "float"),
+    (lambda: from_terms(8, [(0, 1)], 2.0), "float"),
+    (lambda: from_terms(8, [(0, 1), (3, Fraction(1, 2))]), "Fraction"),
+    (lambda: from_terms(8, [(0, Fraction(0))]), "Fraction"),
+    (lambda: from_terms(8, [(0, 1)], Fraction(2)), "Fraction"),
+    (lambda: from_terms(8, [(0, 1), (4, 1)], 0.5), "float"),
+    (lambda: from_terms(8, [(0, 1)], 0), None),
+], ids=["from_terms", "float-zero", "float-denominator", "fraction",
+        "fraction-zero", "fraction-denominator", "float-denominator-zero-sum",
+        "zero-denominator"])
+def test_inexact_or_undefined_input_raises_value_error(make, kind):
+    # the error names the type that is not an int
+    match = f"of type {kind}; need int" if kind else "zero denominator"
+    with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_the_dense_constructor_makes_no_value():
+    with pytest.raises(TypeError):
+        Cyclotomic(4, [0, 1])
+    with pytest.raises(TypeError):
+        Cyclotomic(8, [0, 1, 0, 0])
 
 
 def test_integral_values_hold_ints_over_one():
     a = from_terms(12, [(0, 2), (5, -3), (13, 1)])
     assert a.den == 1
     assert all(type(c) is int for _, c in a.coeffs)
-    # integral in the field although a term is not: (z + z^-1)/2 + (z - z^-1)/2
-    b = from_terms(8, [(1, Fraction(1, 2)), (7, Fraction(1, 2)),
-                       (1, Fraction(1, 2)), (7, Fraction(-1, 2))])
+    # integral in the field although a term over 2 is not:
+    # (z + z^-1)/2 + (z - z^-1)/2
+    b = from_terms(8, [(1, 1), (7, 1), (1, 1), (7, -1)], 2)
     assert (b.coeffs, b.den) == (zeta(8).coeffs, 1)
-    assert classify(from_rational(8, 3)) == ("rational", 3)
-    assert type(from_rational(8, 3).rational_value()) is int
+    assert classify(from_terms(8, [(0, 3)])) == ("rational", 3)
+    assert type(from_terms(8, [(0, 3)]).rational_value()) is int
 
 
 def test_cyclotomic_polynomial_rejects_a_wrong_degree(monkeypatch):
@@ -221,11 +236,12 @@ def test_cyclotomic_polynomial_rejects_a_wrong_degree(monkeypatch):
 
 
 def test_from_terms_sums_powers_of_zeta():
-    terms = [(0, 2), (3, -1), (13, Fraction(1, 2)), (-1, 5), (3, 1)]
+    terms = [(0, 2), (3, -1), (13, 1), (-1, 5), (3, 1)]
     want = zero(12)
     for e, c in terms:
         want = want + zeta(12, e % 12) * c
     assert from_terms(12, terms) == want
+    assert from_terms(12, terms, 2) * 2 == want
     assert from_terms(12, []) == zero(12)
     assert from_terms(4, [(0, 1), (1, 1), (2, 1), (3, 1)]).is_zero()
 
@@ -284,28 +300,27 @@ def _is_canonical(a):
 
 
 exact_terms = st.lists(
-    st.tuples(st.integers(-40, 40), small_fracs | st.integers(-6, 6)),
-    max_size=6)
+    st.tuples(st.integers(-40, 40), small_ints), max_size=6)
 
 
 @settings(max_examples=80, deadline=None)
 @given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]),
-       terms=exact_terms, other=exact_terms,
-       den=st.integers(-12, 12).filter(bool), k=st.integers(-3, 3))
+       terms=exact_terms, other=exact_terms, den=dens, k=st.integers(-3, 3))
 def test_canonical_form(m, terms, other, den, k):
     a = from_terms(m, terms, den)
-    b = from_terms(m, other)
-    for v in (a, b, a + b, a - b, a * b, -a, a * Fraction(k, 7), a * k,
-              a.conjugate(), a - a, embed(a, 2 * m),
-              Cyclotomic(m, _dense(a))):
+    b = from_terms(m, other, 6)
+    minus_a = a * -1
+    for v in (a, b, a + b, a + b * -1, a * b, minus_a, a * k,
+              from_terms(m, a.coeffs, 7 * a.den) * k, a.conjugate(),
+              a + minus_a, embed(a, 2 * m)):
         assert _is_canonical(v), v
-    assert (a - a).den == 1
+    assert (a + minus_a).den == 1
     assert (zero(m).coeffs, zero(m).den) == ((), 1)
 
 
 @settings(max_examples=80, deadline=None)
 @given(m=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]),
-       terms=exact_terms, den=st.integers(-12, 12).filter(bool))
+       terms=exact_terms, den=dens)
 def test_a_value_is_its_own_term_list(m, terms, den):
     v = from_terms(m, terms, den)
     assert from_terms(m, v.coeffs, v.den) == v
@@ -330,14 +345,15 @@ def test_equality_and_hash_agree_with_a_fraction_oracle(m, terms, other, split, 
     want = _oracle(m, terms)
     assert _dense(a) == want
     # the same value written another way: exponents moved by a multiple of
-    # m, coefficients halved into two terms, plus a sum of roots that is 0
+    # m, each term written twice over a denominator of 2, plus a sum of
+    # roots that is 0
     p = next(p for p in range(2, m + 1) if m % p == 0) if m > 1 else 1
-    same = [(e + lap * m, Fraction(c) / (2 if split else 1)) for e, c in terms]
+    same = [(e + lap * m, c) for e, c in terms]
     if split:
-        same += [(e, Fraction(c, 2)) for e, c in terms]
+        same += [(e, c) for e, c in terms]
     if m > 1:
         same += [(1 + j * (m // p), 3) for j in range(p)]
-    b = from_terms(m, same)
+    b = from_terms(m, same, 2 if split else 1)
     assert a == b and hash(a) == hash(b)
     c = from_terms(m, other)
     assert (a == c) == (want == _oracle(m, other))
@@ -353,8 +369,7 @@ def _units(m):
 
 @settings(max_examples=80, deadline=None)
 @given(m=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 15, 20]), data=st.data(),
-       terms=exact_terms, other=exact_terms,
-       den=st.integers(-12, 12).filter(bool))
+       terms=exact_terms, other=exact_terms, den=dens)
 def test_galois_is_a_field_automorphism(m, data, terms, other, den):
     k = data.draw(st.sampled_from(_units(m)))
     l = data.draw(st.sampled_from(_units(m)))

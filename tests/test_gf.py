@@ -78,6 +78,12 @@ def test_gf4_modulus():
     assert field_pow(F, y, 3) == F.one
 
 
+def test_field_pow_refuses_a_negative_exponent():
+    # every caller raises to k >= 0; a negative k is refused, not looped on
+    with pytest.raises(ValueError, match="negative exponent"):
+        field_pow(GF(4), (0, 1), -1)
+
+
 def test_ext_field_inverse_and_embed():
     F = GF(9)
     for a in F.elements():

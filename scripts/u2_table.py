@@ -10,7 +10,7 @@ import argparse
 
 from uqchar.conjclasses import class_table
 from uqchar.cyclotomic import classify, to_text
-from uqchar.symfunc import char_table
+from uqchar.symfunc import MAX_CELLS, char_table
 from uqchar.torus import TorusContext
 
 
@@ -26,7 +26,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=int, default=2)
     ap.add_argument("--n", type=int, default=2)
-    ap.add_argument("--max-cells", type=int, default=4096)
+    ap.add_argument("--max-cells", type=int, default=MAX_CELLS)
     args = ap.parse_args()
 
     ctx = TorusContext(args.q, args.n)

@@ -6,8 +6,8 @@ The degree of the character labelled by a multipartition lam is
 
 the product in the denominator running over the boxes of all constituent
 partitions with hooks weighted by the orbit size.  The central character is
-read off torus exponents: each orbit phi contributes its exponent sum,
-descended to level one, with multiplicity |lam^(phi)|.
+read off the orbit labels: each orbit phi of exponent e restricts to the
+centre T_1 as (-1)^(|phi|-1) e, with multiplicity |lam^(phi)|.
 
 For the indicator there are three routes: the closed-form value on the
 semisimple and regular families (the sign of the central character at a
@@ -30,6 +30,7 @@ from .multipartition import (
     mp_bar,
     mp_n_conjugate,
     mp_weighted_hooks,
+    multipartitions_from_units,
 )
 from .partitions import two_core
 from .symfunc import char_row
@@ -39,11 +40,9 @@ from .torus import (
     conjugate_orbit,
     count_exact_orbits,
     one_orbit,
-    orbit_exponent_sum,
     orbits_up_to,
     self_conjugate_orbits,
     sigma_orbit,
-    to_level_one,
 )
 
 
@@ -95,18 +94,14 @@ def is_real(ctx: TorusContext, lam: MultiPartition) -> bool:
 def omega_exponent(ctx: TorusContext, lam: MultiPartition) -> int:
     """Exponent of the central character on the generator of the centre.
 
-    chi(z^alpha g) = zeta_{M_1}^(omega alpha) chi(g).  Each orbit's exponent
-    sum is Frobenius-fixed, so it descends to a level-one exponent; boxes of
-    the same orbit all restrict to the centre identically.
+    chi(z^alpha g) = zeta_{M_1}^(omega alpha) chi(g).  omega sums, over the
+    boxes of each lam^(phi), the restriction (-1)^(d-1) e mod M_1 of phi's
+    level-d exponent e to the centre T_1 (see the torus module).
     """
     if lam.side != THETA:
         raise ValueError("character labels live on the theta side")
-    m1 = ctx.modulus(1)
-    total = 0
-    for phi, parts in lam.entries:
-        s = orbit_exponent_sum(ctx, phi)
-        total += to_level_one(ctx, phi.level, s) * sum(parts)
-    return total % m1
+    return sum((-1) ** (phi.level - 1) * phi.min_exponent * sum(parts)
+               for phi, parts in lam.entries) % ctx.modulus(1)
 
 
 def central_value(ctx: TorusContext, lam: MultiPartition, alpha: int) -> Cyclotomic:
@@ -276,38 +271,15 @@ def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
 
     Cached: census_semisimple and verify's realization checks share them.
 
-    Such a label is built from "units": a self-conjugate orbit (weight |o|)
-    or a pair {o, o-bar} of conjugate orbits (weight 2|o|).  Each chosen unit
-    gets a multiplicity k >= 1, which puts the column (1^k) on each of its
-    orbits; the weights add up to n.
+    Its units are the self-conjugate orbits o (weight |o|) and the pairs
+    {o, o-bar} of conjugate orbits (weight 2|o|), each with the column (1^k).
     """
     n = ctx.n
-    units = []
-    # conjugate pairs fit only at levels up to n/2; above, scan only the
-    # self-conjugate orbits
+    units = [(d, (o,)) for d in range(1, n + 1)
+             for o in self_conjugate_orbits(ctx, d)]
     for o in orbits_up_to(ctx, n // 2):
         bar = conjugate_orbit(ctx, o)
-        if bar == o:
-            units.append((o.size, (o,)))
-        elif o < bar:
+        if o < bar:
             units.append((2 * o.size, (o, bar)))
-    for d in range(n // 2 + 1, n + 1):
-        units.extend((d, (o,)) for o in self_conjugate_orbits(ctx, d))
-    units.sort(key=lambda unit: unit[0])
-    out = []
-
-    def rec(idx, remaining, acc):
-        if remaining == 0:
-            out.append(MultiPartition.make(THETA, acc))
-            return
-        for j in range(idx, len(units)):
-            weight, orbits = units[j]
-            if weight > remaining:
-                break  # units are sorted by weight: every later one is heavier
-            for k in range(1, remaining // weight + 1):
-                rec(j + 1, remaining - weight * k,
-                    acc + [(o, (1,) * k) for o in orbits])
-
-    rec(0, n, [])
-    out.sort(key=MultiPartition.sort_key)
-    return tuple(out)
+    units.sort()
+    return multipartitions_from_units(THETA, n, units, lambda k: ((1,) * k,))

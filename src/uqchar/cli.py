@@ -41,7 +41,7 @@ from .selfdual import (
     count_by_constant,
     enumerate_self_dual,
 )
-from .symfunc import TableTooLarge, char_table
+from .symfunc import MAX_CELLS, TableTooLarge, char_table
 from .torus import PHI, THETA, TorusContext
 
 # --family choice -> label predicate, shared by degrees and fs
@@ -176,7 +176,7 @@ def cmd_chartable(args) -> int:
 def cmd_fs(args) -> int:
     ctx = TorusContext(args.q, args.n)
     routed = [(lam, _route(ctx, lam)) for lam in _family_labels(ctx, args)]
-    # the brute-force route builds character rows; refuse oversized tables
+    # brute force builds character rows: refuse an oversized table or field
     brute = sum(route == "brute-force" for _, route in routed)
     if brute:
         cells = brute * len(enumerate_multipartitions(ctx, args.n, PHI))
@@ -184,6 +184,7 @@ def cmd_fs(args) -> int:
             raise TableTooLarge(
                 f"indicator run would need {cells} table cells "
                 f"(bound {args.max_cells})")
+        cyclotomic.check_degree(ctx.cyclo_modulus)
     entries = sorted((
         {"label": lam.to_key(),
          "indicator": INDICATOR_ROUTES[route](ctx, lam),
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "tsv"], default="json")
         p.add_argument("--out", metavar="FILE")
         if max_cells:
-            p.add_argument("--max-cells", type=_cell_bound, default=4096,
+            p.add_argument("--max-cells", type=_cell_bound, default=MAX_CELLS,
                            help="refuse table-building work beyond this size")
         return p
 

@@ -109,26 +109,39 @@ def mp_galois(ctx: TorusContext, mp: MultiPartition, k: int) -> MultiPartition:
          for o, parts in mp.entries])
 
 
-@cache
-def enumerate_multipartitions(
-    ctx: TorusContext, n: int, side: str
+def multipartitions_from_units(
+    side: str, n: int, units, shapes
 ) -> tuple[MultiPartition, ...]:
-    """All multipartitions of size n over the orbits of size <= n, sorted."""
-    universe = orbits_up_to(ctx, n)
+    """All multipartitions of size n from units (weight, orbits), sorted.
+
+    The units come sorted by weight.  Each is used at most once, with a
+    multiplicity k >= 1, and puts each partition in shapes(k) on every one
+    of its orbits.
+    """
     out = []
 
     def rec(idx, remaining, acc):
         if remaining == 0:
             out.append(MultiPartition.make(side, acc))
             return
-        for j in range(idx, len(universe)):
-            orbit = universe[j]
-            if orbit.size > remaining:
-                break  # the universe is sorted by level: every later orbit is larger
-            for k in range(1, remaining // orbit.size + 1):
-                for parts in partitions_of(k):
-                    rec(j + 1, remaining - orbit.size * k, acc + [(orbit, parts)])
+        for j in range(idx, len(units)):
+            weight, orbits = units[j]
+            if weight > remaining:
+                break  # units are sorted by weight: every later one is heavier
+            for k in range(1, remaining // weight + 1):
+                for parts in shapes(k):
+                    rec(j + 1, remaining - weight * k,
+                        acc + [(o, parts) for o in orbits])
 
     rec(0, n, [])
     out.sort(key=MultiPartition.sort_key)
     return tuple(out)
+
+
+@cache
+def enumerate_multipartitions(
+    ctx: TorusContext, n: int, side: str
+) -> tuple[MultiPartition, ...]:
+    """All multipartitions of size n over the orbits of size <= n, sorted."""
+    units = [(o.size, (o,)) for o in orbits_up_to(ctx, n)]
+    return multipartitions_from_units(side, n, units, partitions_of)

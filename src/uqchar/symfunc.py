@@ -75,6 +75,9 @@ from .torus import (
 )
 
 
+MAX_CELLS = 4096  # default table-cell bound: char_table, --max-cells, scripts
+
+
 class TableTooLarge(ValueError):
     """A character table was refused because it exceeds the configured bound."""
 
@@ -306,16 +309,16 @@ def _class_expansion(
 
 @cache
 def galois_orbits(
-    ctx: TorusContext, size: int
+    ctx: TorusContext
 ) -> dict[MultiPartition, tuple[MultiPartition, int]]:
-    """Each theta label of the given size -> (rep, k) with label = rep^k.
+    """Each theta label of size ctx.n -> (rep, k) with label = rep^k.
 
     rep^k is mp_galois(ctx, rep, k), k a unit mod ctx.cyclo_modulus, and rep
     is the first label of its Galois orbit in canonical order.  Each orbit
     is walked once, along generators of the units; -q fixes every label, so
     the generators only need to generate the units together with it.
     """
-    labels = enumerate_multipartitions(ctx, size, THETA)
+    labels = enumerate_multipartitions(ctx, ctx.n, THETA)
     big = ctx.cyclo_modulus
     gens = unit_generators(big, -ctx.q)
     out: dict[MultiPartition, tuple[MultiPartition, int]] = {}
@@ -332,7 +335,7 @@ def galois_orbits(
                     out[image] = (rep, kg)
                     todo.append((image, kg))
     if len(out) != len(labels):
-        raise ValueError(f"a Galois image of a size-{size} label is not a label")
+        raise ValueError(f"a Galois image of a size-{ctx.n} label is not a label")
     return out
 
 
@@ -349,11 +352,11 @@ def char_row(
     """
     if lam.side != THETA:
         raise ValueError("characters are labelled on the theta side")
-    if lam.size > ctx.n:
-        raise ValueError(f"label of size {lam.size} exceeds context degree {ctx.n}")
-    found = galois_orbits(ctx, lam.size).get(lam)
+    if lam.size != ctx.n:
+        raise ValueError(f"label {lam} of size {lam.size} at degree {ctx.n}")
+    found = galois_orbits(ctx).get(lam)
     if found is None:
-        raise ValueError(f"{lam} is not a character label of U({lam.size})")
+        raise ValueError(f"{lam} is not a character label of U({ctx.n})")
     rep, k = found
     if k == 1:  # lam is its orbit's representative
         return _expand_row(ctx, lam)
@@ -457,7 +460,7 @@ class CharTable:
         }
 
 
-def char_table(ctx: TorusContext, max_cells: int = 4096) -> CharTable:
+def char_table(ctx: TorusContext, max_cells: int = MAX_CELLS) -> CharTable:
     """The character table at degree ctx.n; refused beyond max_cells or MAX_DEGREE."""
     n = ctx.n
     chars = enumerate_multipartitions(ctx, n, THETA)

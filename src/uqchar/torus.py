@@ -11,7 +11,9 @@ against g_d.  In these coordinates:
     S_{N,m} S_{m,r} = S_{N,r} as integers (the torus tests compare the
     reduction with the literal multiplier);
   * the inclusion T_r -> T_m is multiplication by S_{m,r};
-  * the transpose-of-norm on characters is multiplication by M_m / M_r.
+  * the transpose-of-norm on characters is multiplication by M_m / M_r, and
+    a character exponent c restricts to T_1 as S_{m,1} c = (-1)^(m-1) c
+    mod M_1, alike for every exponent of an orbit since -q = 1 mod M_1.
 
 Orbits are canonicalized at their exact level (the level equals the orbit
 size), keyed by the minimal exponent in the orbit at that level.  Both sides
@@ -227,26 +229,6 @@ def pairing(ctx: TorusContext, c: int, r: int, e: int, m: int) -> cyclotomic.Cyc
     """
     cm = lift_character(ctx, r, m, c)
     return cyclotomic.zeta(ctx.modulus(m), (cm * e) % ctx.modulus(m))
-
-
-def to_level_one(ctx: TorusContext, d: int, c: int) -> int:
-    """Descend a Frobenius-fixed character exponent at level d to level 1."""
-    mod, m1 = ctx.modulus(d), ctx.modulus(1)
-    c %= mod
-    if (-ctx.q * c) % mod != c:
-        raise ValueError(f"character exponent {c} at level {d} is not Frobenius-fixed")
-    step = mod // m1
-    if c % step:
-        raise ValueError(f"Frobenius-fixed exponent {c} at level {d} is not in T_1")
-    down = c // step
-    if lift_character(ctx, 1, d, down) != c:
-        raise ValueError(f"level-one exponent {down} does not lift back to {c}")
-    return down
-
-
-def orbit_exponent_sum(ctx: TorusContext, o: OrbitLabel) -> int:
-    """Sum of the orbit's exponents mod its modulus; Frobenius-fixed by construction."""
-    return sum(orbit_exponents(ctx, o)) % ctx.modulus(o.level)
 
 
 def one_orbit(ctx: TorusContext, side: str = THETA) -> OrbitLabel:

@@ -37,7 +37,9 @@ from uqchar.torus import (
     THETA,
     TorusContext,
     frobenius_orbit,
+    lift_character,
     one_orbit,
+    orbit_exponents,
     sigma_orbit,
 )
 
@@ -168,18 +170,58 @@ def test_omega_examples():
     assert omega_exponent(ctx, det1) == 2
     assert omega_exponent(ctx, _label(ctx, THETA, ((1, 0), (1, 1)))) == 0
     assert omega_exponent(ctx, _label(ctx, THETA, ((1, 0), (2,)))) == 0
-    # the level-2 orbit {1,5} has exponent sum 6, descending to 3
+    # the level-2 orbit {1,5} restricts to -1 = 3 mod 4; its exponent sum 6
+    # descends to 3 as well
     assert omega_exponent(ctx, _label(ctx, THETA, ((2, 1), (1,)))) == 3
 
 
+def _omega_by_orbit_sum(ctx, lam):
+    """omega the long way: each orbit's exponent sum, descended to level one.
+
+    The sum of an orbit at level d is Frobenius-fixed, hence a multiple of
+    M_d / M_1, and the quotient is the level-one exponent whose
+    transpose-of-norm lift gives the sum back.
+    """
+    m1 = ctx.modulus(1)
+    total = 0
+    for phi, parts in lam.entries:
+        mod = ctx.modulus(phi.level)
+        s = sum(orbit_exponents(ctx, phi)) % mod
+        assert (-ctx.q * s) % mod == s, phi
+        step = mod // m1
+        assert s % step == 0, phi
+        down = s // step
+        assert lift_character(ctx, 1, phi.level, down) == s, phi
+        total += down * sum(parts)
+    return total % m1
+
+
+@pytest.mark.parametrize(
+    "q,n", [(2, 4), (3, 4), (4, 3), (5, 3), (8, 2), (9, 2)])
+def test_omega_matches_the_orbit_sum_on_every_label(q, n):
+    ctx = TorusContext(q, n)
+    for lam in enumerate_multipartitions(ctx, n, THETA):
+        assert omega_exponent(ctx, lam) == _omega_by_orbit_sum(ctx, lam), lam
+
+
+@pytest.mark.parametrize("q,n", [(3, 12), (5, 8), (2, 12)])
+def test_omega_matches_the_orbit_sum_on_real_semisimple_labels(q, n):
+    ctx = TorusContext(q, n)
+    for lam in real_semisimple_labels(ctx):
+        assert omega_exponent(ctx, lam) == _omega_by_orbit_sum(ctx, lam), lam
+
+
 def test_central_values_match_table():
-    ctx = TorusContext(3, 2)
-    table = char_table(ctx)
-    for lam in table.chars:
-        for alpha in range(4):
-            mu = central_class(ctx, alpha)
-            assert cyclotomic.same_value(
-                table.value(lam, mu), central_value(ctx, lam, alpha))
+    # orbits at levels 2 and 3, and even q, against the characteristic map
+    for q, n in [(3, 2), (2, 3), (3, 3), (4, 3), (5, 3)]:
+        ctx = TorusContext(q, n)
+        table = char_table(ctx, max_cells=100000)
+        for lam in table.chars:
+            for alpha in range(ctx.modulus(1)):
+                mu = central_class(ctx, alpha)
+                assert cyclotomic.same_value(
+                    table.value(lam, mu), central_value(ctx, lam, alpha)), \
+                    (q, n, lam, alpha)
 
 
 def test_omega_additive_in_central_twist():

@@ -243,6 +243,20 @@ def test_fs_bytes_are_pinned(capsys):
         "1ed3937f549f5f7ec44f40bfc0797893977ae50e6f04044b545efb7bfeb56f7a"
 
 
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE))
+def test_benchmark_cases_match_their_reference(capsys, case):
+    # each benchmark case in process: stdout size, sha256 and exit code as
+    # perfbench/reference.json records them
+    code, out, err = run(capsys, case.split())
+    data = out.encode()
+    expect = REFERENCE[case]
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == \
+        (expect["exit"], expect["bytes"], expect["sha256"]), err
+
+
 def test_an_inexact_coefficient_exits_one_with_one_error_line(capsys, monkeypatch):
     # a float that reaches the cyclotomic layer is refused, not rounded into
     # a table
@@ -282,10 +296,15 @@ def test_a_missing_irreducible_exits_one_with_one_error_line(capsys, monkeypatch
 @pytest.mark.parametrize("argv", [
     ["verify", "--q", "4", "--max-n", "4", "--max-cells", "10000000"],
     ["chartable", "--q", "4", "--n", "4", "--max-cells", "10000000"],
+    ["fs", "--q", "3", "--n", "5", "--max-cells", "100000000"],
 ])
 def test_an_oversized_field_is_refused_before_any_row(capsys, monkeypatch, argv):
     # (4, 4) passes the raised cell bound but needs Q(zeta_3315), phi 1536 >
-    # cyclotomic.MAX_DEGREE; verify refuses it before it runs n = 1..3
+    # cyclotomic.MAX_DEGREE; verify refuses it before it runs n = 1..3.
+    # fs at (3, 5) has labels routed to brute force, whose field
+    # Q(zeta_34160) it refuses before it computes any indicator
+    field = {"4": "3315 too large (phi = 1536)",
+             "3": "34160 too large (phi = 11520)"}[argv[2]]
     real_char_row = symfunc.char_row
     calls = []
 
@@ -295,11 +314,30 @@ def test_an_oversized_field_is_refused_before_any_row(capsys, monkeypatch, argv)
 
     monkeypatch.setattr(symfunc, "char_row", counted)
     monkeypatch.setattr(characters, "char_row", counted)
+    indicators = []
+
+    def counting(real_route):
+        def route(ctx, lam):
+            indicators.append(lam)
+            return real_route(ctx, lam)
+        return route
+
+    for key, real_route in list(cli.INDICATOR_ROUTES.items()):
+        monkeypatch.setitem(cli.INDICATOR_ROUTES, key, counting(real_route))
     code, out, err = run(capsys, argv)
     assert code == 1 and not out
-    assert err.splitlines() == [
-        "error: cyclotomic modulus 3315 too large (phi = 1536)"]
-    assert calls == []
+    assert err.splitlines() == [f"error: cyclotomic modulus {field}"]
+    assert calls == [] and indicators == []
+
+
+def test_fs_without_a_brute_force_label_needs_no_field(capsys):
+    # every label at (4, 4) has a closed-form route, so Q(zeta_3315) is
+    # never needed
+    code, out, err = run(capsys, ["fs", "--q", "4", "--n", "4",
+                                  "--max-cells", "100000000"])
+    assert code == 0 and not err
+    routes = {e["route"] for e in json.loads(out)["indicators"]}
+    assert "brute-force" not in routes
 
 
 def test_the_field_bound_spares_a_table_verify_skips(capsys):

@@ -586,7 +586,7 @@ def test_rows_are_galois_equivariant(q, n):
 def test_galois_orbits_of_labels(q, n, orbits):
     ctx = TorusContext(q, n)
     labels = enumerate_multipartitions(ctx, n, THETA)
-    found = symfunc.galois_orbits(ctx, n)
+    found = symfunc.galois_orbits(ctx)
     assert set(found) == set(labels)
     assert len({rep for rep, _ in found.values()}) == orbits
     for lam, (rep, k) in found.items():
@@ -595,6 +595,15 @@ def test_galois_orbits_of_labels(q, n, orbits):
         # the representative is the first member in canonical order
         assert labels.index(rep) <= labels.index(lam)
         assert found[rep] == (rep, 1)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_char_row_rejects_a_label_of_another_degree(size):
+    # a label of U(1) or U(3) names no row of the U(2) table
+    ctx = TorusContext(3, 2)
+    other = enumerate_multipartitions(TorusContext(3, size), size, THETA)[0]
+    with pytest.raises(ValueError, match=f"of size {size} at degree 2"):
+        char_row(ctx, other)
 
 
 def test_char_row_rejects_a_label_that_is_not_enumerated():

@@ -18,18 +18,15 @@ from uqchar.torus import (
     count_exact_orbits,
     exact_orbits,
     frobenius_orbit,
-    lift_character,
     lift_element,
     modulus_of,
     norm_multiplier,
     one_orbit,
-    orbit_exponent_sum,
     orbit_exponents,
     orbits_up_to,
     pairing,
     self_conjugate_orbits,
     sigma_orbit,
-    to_level_one,
 )
 
 
@@ -198,23 +195,6 @@ def test_pairing_norm_compatibility_sample():
                 assert lhs == rhs, (r, m, c, a)
 
 
-def test_to_level_one():
-    ctx = TorusContext(3, 2)
-    assert [to_level_one(ctx, 2, c) for c in (0, 2, 4, 6)] == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        to_level_one(ctx, 2, 1)  # not Frobenius-fixed
-    # round trip through the character lift
-    for c1 in range(4):
-        assert to_level_one(ctx, 2, lift_character(ctx, 1, 2, c1)) == c1
-
-
-def test_orbit_exponent_sum_descends():
-    ctx = TorusContext(3, 2)
-    s = orbit_exponent_sum(ctx, OrbitLabel(2, 1))
-    assert s == 6
-    assert to_level_one(ctx, 2, s) == 3
-
-
 def test_an_orbit_label_is_the_same_on_both_sides():
     # the character orbit and the class orbit of an exponent are one label;
     # only the multipartition that carries it says which side it is on
@@ -309,17 +289,3 @@ def test_count_exact_orbits_rejects_a_count_that_does_not_divide(monkeypatch):
     with pytest.raises(ValueError, match="not divisible by d = 3"):
         count_exact_orbits(TorusContext(3, 3), 3)
 
-
-def test_to_level_one_rejects_a_fixed_exponent_outside_level_one(monkeypatch):
-    # with M_1 read as 2 the step is 4, and the fixed exponent 2 is off it
-    real = TorusContext.modulus
-    monkeypatch.setattr(TorusContext, "modulus",
-                        lambda self, d: 2 if d == 1 else real(self, d))
-    with pytest.raises(ValueError, match="is not in T_1"):
-        to_level_one(TorusContext(3, 2), 2, 2)
-
-
-def test_to_level_one_rejects_an_exponent_that_does_not_lift_back(monkeypatch):
-    monkeypatch.setattr(torus, "lift_character", lambda ctx, r, m, c: 0)
-    with pytest.raises(ValueError, match="does not lift back"):
-        to_level_one(TorusContext(3, 2), 2, 2)

@@ -7,6 +7,7 @@ is visible at a glance.
 """
 
 import argparse
+import sys
 
 from uqchar.characters import census_semisimple
 from uqchar.torus import TorusContext
@@ -36,4 +37,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # a refusal is one line, as in the CLI
+        sys.exit(f"error: {exc}")

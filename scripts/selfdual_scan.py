@@ -6,6 +6,7 @@ the two families comes from.
 """
 
 import argparse
+import sys
 
 from uqchar.gf import GF, poly_to_str
 from uqchar.selfdual import enumerate_self_dual
@@ -40,4 +41,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # a refusal is one line, as in the CLI
+        sys.exit(f"error: {exc}")

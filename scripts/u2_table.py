@@ -7,17 +7,17 @@ explicit cyclotomic combination in the field named by the header.  Class sizes s
 """
 
 import argparse
+import sys
 
 from uqchar.conjclasses import class_table
-from uqchar.cyclotomic import classify, to_text
+from uqchar.cyclotomic import to_text
 from uqchar.symfunc import MAX_CELLS, char_table
 from uqchar.torus import TorusContext
 
 
 def entry_text(v) -> str:
-    kind, val = classify(v)
-    if kind == "rational":
-        return str(val)
+    if v.is_rational():
+        return str(v.rational_value())
     # drop the "Q(zeta_M): " prefix, the header already names the field
     return to_text(v).split(": ", 1)[1]
 
@@ -52,4 +52,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # a refusal is one line, as in the CLI
+        sys.exit(f"error: {exc}")

@@ -189,8 +189,6 @@ def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
     one value, with |G| in its denominator.  It builds a full character
     row, so callers bound the work beforehand.
     """
-    if lam.size != ctx.n:
-        raise ValueError(f"label {lam} of size {lam.size} at degree {ctx.n}")
     row = char_row(ctx, lam)
     values = [(row[square], size)
               for square, size in _square_classes(ctx) if square in row]
@@ -201,9 +199,9 @@ def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
         [(i, c * size * (den // chi.den))
          for chi, size in values for i, c in chi.coeffs],
         den * group_order(ctx))
-    kind, value = cyclotomic.classify(acc)
-    if kind != "rational":
+    if not acc.is_rational():
         raise ValueError(f"indicator of {lam} is not rational: {acc}")
+    value = acc.rational_value()
     if value not in (-1, 0, 1):
         raise ValueError(f"indicator of {lam} is not -1, 0 or 1: {value}")
     eps = int(value)

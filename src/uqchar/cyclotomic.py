@@ -222,9 +222,6 @@ class Cyclotomic:
             raise ValueError(f"{self!r} is not rational")
         return _rational(c, self.den)
 
-    def is_real(self) -> bool:
-        return self == self.conjugate()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # both denominators are positive: compare by cross-multiplying
@@ -317,15 +314,6 @@ def galois(a: Cyclotomic, k: int) -> Cyclotomic:
     if gcd(k, m) != 1:
         raise ValueError(f"{k} is not a unit mod {m}")
     return from_terms(m, ((j * k, c) for j, c in a.coeffs), a.den)
-
-
-def classify(a: Cyclotomic) -> tuple[str, int | Fraction | None]:
-    """("rational", value) / ("real", None) / ("nonreal", None), exactly."""
-    if a.is_rational():
-        return ("rational", a.rational_value())
-    if a.is_real():
-        return ("real", None)
-    return ("nonreal", None)
 
 
 def embed(a: Cyclotomic, modulus: int) -> Cyclotomic:

@@ -2,10 +2,14 @@
 
 Fields are either a prime field (elements are ints 0..p-1) or a single
 extension of one (elements are fixed-length tuples of base elements,
-low-degree coordinate first).  Extensions reduce modulo the lexicographically
-least monic irreducible, where "least" orders coefficient tuples as base-q
-counters with the constant coefficient least significant; this makes every
-field and every modulus reproducible across runs.
+low-degree coordinate first).  One counter orders everything that is
+enumerated: counter(F, k) lists the k-tuples over F as base-q digits with the
+first coordinate varying fastest.  An extension field's elements are its
+counter over the base, and monic_polys lists the coefficients below the
+leading one in the same order.  Extensions reduce modulo the first monic
+irreducible in that order, and subgroup generators come from the first
+primitive element in it, so every field, modulus and generator is
+reproducible across runs.
 
 Polynomials over a field are trimmed tuples of coefficients, low degree
 first; the zero polynomial is ().  Everything here is sized for degrees in
@@ -15,6 +19,7 @@ the single digits over fields with at most a few thousand elements.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
 from .nt import factorint, prime_power
 
@@ -72,15 +77,7 @@ class ExtField:
         self.one = (base.one,) + (base.zero,) * (degree - 1)
 
     def elements(self):
-        # counter order: constant coordinate varies fastest
-        base_elts = list(self.base.elements())
-        for counter in range(self.size):
-            digits = []
-            m = counter
-            for _ in range(self.degree):
-                digits.append(base_elts[m % self.base.size])
-                m //= self.base.size
-            yield tuple(digits)
+        return counter(self.base, self.degree)
 
     def add(self, a, b):
         return tuple(self.base.add(x, y) for x, y in zip(a, b))
@@ -215,17 +212,14 @@ def poly_pow(F, a, k: int):
     return out
 
 
+def counter(F, k: int):
+    """All k-tuples over F in counter order: the first coordinate varies fastest."""
+    return (tuple(reversed(t)) for t in product(F.elements(), repeat=k))
+
+
 def monic_polys(F, degree: int):
     """All monic polynomials of the given degree, in counter order."""
-    elts = list(F.elements())
-    q = F.size
-    for counter in range(q**degree):
-        digits = []
-        m = counter
-        for _ in range(degree):
-            digits.append(elts[m % q])
-            m //= q
-        yield tuple(digits) + (F.one,)
+    return (digits + (F.one,) for digits in counter(F, degree))
 
 
 def is_irreducible(F, h) -> bool:

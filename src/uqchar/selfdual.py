@@ -19,13 +19,14 @@ subject of the census cross-check.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import product
 
 from .characters import is_real, is_semisimple
 from .gf import (
     GF,
     ext_field,
     field_pow,
+    monic_polys,
     poly_mul,
     poly_pow,
     poly_trim,
@@ -55,36 +56,27 @@ def enumerate_self_dual(F, n: int, constant: int | None = None):
     """All monic self-dual polynomials of degree n, sorted by coefficients.
 
     constant restricts h(0) to +1 or -1 (ints); None allows both.  In
-    characteristic two the two constants coincide.
+    characteristic two the two constants coincide.  The rule: c_(n-i) =
+    c_0 c_i, so the middle coefficient is free only when c_0 = 1.
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    sides = [F.one, F.neg(F.one)] if constant is None else [
-        F.one if constant == 1 else F.neg(F.one)]
-    seen = set()
+    one, minus = F.one, F.neg(F.one)
+    constants = (one, minus) if constant is None else (
+        one if constant == 1 else minus,)
     out = []
-    for c0 in sides:
-        if c0 in seen:
-            continue
-        seen.add(c0)
-        sign = 1 if c0 == F.one else -1
-        free = list(range(1, (n + 1) // 2))
-        has_middle = n % 2 == 0
-        middle_free = has_middle and (c0 == F.one)
-        slots = free + ([n // 2] if middle_free else [])
-        for choice in iproduct(list(F.elements()), repeat=len(slots)):
+    for c0 in dict.fromkeys(constants):
+        plus = c0 == one
+        free = n // 2 if plus else (n - 1) // 2
+        for choice in product(F.elements(), repeat=free):
             h = [F.zero] * (n + 1)
-            h[0] = c0
-            h[n] = F.one
-            for pos, val in zip(slots, choice):
-                h[pos] = val
-            for i in range(1, (n + 1) // 2):
-                h[n - i] = h[i] if sign == 1 else F.neg(h[i])
-            # middle coefficient: forced zero when the constant is -1
-            hh = tuple(h)
-            if not is_self_dual(F, hh):
-                raise ValueError(f"enumerated {hh}, which is not self-dual")
-            out.append(hh)
+            for i, c in enumerate((c0,) + choice):
+                h[i] = c
+                h[n - i] = c if plus else F.neg(c)
+            h = tuple(h)
+            if not is_self_dual(F, h):
+                raise ValueError(f"enumerated {h}, which is not self-dual")
+            out.append(h)
     return tuple(sorted(out))
 
 
@@ -94,19 +86,11 @@ def count_by_constant(F, n: int, constant: int) -> int:
 
 def brute_force_self_dual(F, n: int, constant: int | None = None):
     """Filter all monic degree-n polynomials; the independent oracle."""
-    out = []
     want = None
     if constant is not None:
         want = F.one if constant == 1 else F.neg(F.one)
-    for tail in iproduct(list(F.elements()), repeat=n):
-        h = tail + (F.one,)
-        if h[0] == F.zero:
-            continue
-        if want is not None and h[0] != want:
-            continue
-        if is_self_dual(F, h):
-            out.append(h)
-    return tuple(sorted(out))
+    return tuple(sorted(h for h in monic_polys(F, n)
+                        if (want is None or h[0] == want) and is_self_dual(F, h)))
 
 
 def orbit_polynomial(ctx: TorusContext, orbit):

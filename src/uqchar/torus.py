@@ -1,9 +1,10 @@
 """Tori of the unitary groups in exponent coordinates, with Frobenius orbits.
 
-T_d is cyclic of order M_d = q^d - (-1)^d.  A compatible family of generators
-g_d = N_{N,d}(g_N) (N = lcm(1..n)) is fixed once and for all; every element of
-T_d is stored as its exponent in g_d, every character of T_d as its exponent
-against g_d.  In these coordinates:
+T_d is cyclic of order M_d = q^d - (-1)^d, and at working degree n the levels
+d run over 1..n.  A compatible family of generators g_d = N_{N,d}(g_N), with
+N = lcm(1..n) so that every level divides it, is fixed once and for all;
+every element of T_d is stored as its exponent in g_d, every character of T_d
+as its exponent against g_d.  In these coordinates:
 
   * the Frobenius acts on both sides by e -> -q e  (mod M_d);
   * the norm N_{m,r}: T_m -> T_r for r | m is reduction mod M_r, because the
@@ -53,7 +54,7 @@ def norm_multiplier(q: int, m: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class TorusContext:
-    """Fixes q and a working degree n; levels live over N = lcm(1..n)."""
+    """Fixes q and a working degree n; levels run over 1..n."""
 
     q: int
     n: int
@@ -64,13 +65,9 @@ class TorusContext:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
 
-    @cached_property
-    def top_level(self) -> int:
-        return lcm(*range(1, self.n + 1))
-
     def modulus(self, d: int) -> int:
-        if d < 1 or self.top_level % d:
-            raise ValueError(f"level {d} does not divide N = {self.top_level}")
+        if not 1 <= d <= self.n:
+            raise ValueError(f"level {d} is not in 1..{self.n}")
         return modulus_of(self.q, d)
 
     @cached_property

@@ -243,6 +243,23 @@ def test_fs_bytes_are_pinned(capsys):
         "1ed3937f549f5f7ec44f40bfc0797893977ae50e6f04044b545efb7bfeb56f7a"
 
 
+@pytest.mark.parametrize("argv,sha256", [
+    (["--q", "4", "--n", "4"],
+     "79f66092ee5b0616b4e3214f9a1fe2743cd39264ce4297a35a0f26d9284ba3e9"),
+    (["--q", "8", "--n", "3", "--format", "tsv"],
+     "c2d7a5d6e39a51fcc087402946e42fd593adb568b4d5ae842611c804fa299950"),
+    (["--q", "9", "--n", "4", "--constant", "-1"],
+     "5c1324f98b60599a49ec3c46fcd515ec5b2a79bef6a38a6d76f2838b9f8a6d6d"),
+], ids=["4-4", "8-3-tsv", "9-4-minus"])
+def test_selfdual_bytes_over_extension_fields_are_pinned(capsys, argv, sha256):
+    # an extension field's elements, and so its modulus and the printed
+    # coefficients, follow gf's counter order; recorded before the field
+    # elements and monic polynomials shared one counter
+    code, out, err = run(capsys, ["selfdual", *argv])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
 
 

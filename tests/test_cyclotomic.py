@@ -1,4 +1,4 @@
-"""Cyclotomic field arithmetic: reduction, conjugation, classification, text.
+"""Cyclotomic field arithmetic: reduction, conjugation, rationality, text.
 
 Values are made only by from_terms, from int terms over an int denominator;
 a rational such as 1/2 is the term (0, 1) over 2.
@@ -17,7 +17,6 @@ from uqchar.cyclotomic import (
     ModulusMismatch,
     _poly_divexact_int,
     approx,
-    classify,
     cyclotomic_polynomial,
     embed,
     from_terms,
@@ -122,14 +121,14 @@ def test_conjugation():
     assert r.conjugate() == r
 
 
-def test_classify():
-    assert classify(from_terms(8, [(0, 3)], 2)) == ("rational", Fraction(3, 2))
+def test_rational_values():
+    assert from_terms(8, [(0, 3)], 2).rational_value() == Fraction(3, 2)
     # zeta_6 + zeta_6^5 = 2 cos(pi/3) = 1, rational despite nontrivial support
-    assert classify(zeta(6) + zeta(6, 5)) == ("rational", Fraction(1))
+    assert (zeta(6) + zeta(6, 5)).rational_value() == 1
     # zeta_8 + zeta_8^-1 = sqrt(2): real, not rational
-    kind, val = classify(zeta(8) + zeta(8, 7))
-    assert kind == "real" and val is None
-    assert classify(zeta(8)) == ("nonreal", None)
+    sqrt2 = zeta(8) + zeta(8, 7)
+    assert sqrt2 == sqrt2.conjugate() and not sqrt2.is_rational()
+    assert not zeta(8).is_rational()
     with pytest.raises(ValueError):
         (zeta(8)).rational_value()
 
@@ -225,7 +224,7 @@ def test_integral_values_hold_ints_over_one():
     # (z + z^-1)/2 + (z - z^-1)/2
     b = from_terms(8, [(1, 1), (7, 1), (1, 1), (7, -1)], 2)
     assert (b.coeffs, b.den) == (zeta(8).coeffs, 1)
-    assert classify(from_terms(8, [(0, 3)])) == ("rational", 3)
+    assert from_terms(8, [(0, 3)]).rational_value() == 3
     assert type(from_terms(8, [(0, 3)]).rational_value()) is int
 
 

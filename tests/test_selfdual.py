@@ -85,7 +85,8 @@ def test_counts_match_powers_of_q():
 
 
 def test_enumerate_matches_brute_force():
-    cases = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (2, 2), (2, 4), (7, 2)]
+    cases = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (2, 2), (2, 4), (7, 2),
+             (4, 3), (4, 4), (8, 2), (8, 3), (9, 2), (9, 3), (2, 5), (3, 5)]
     for q, n in cases:
         F = GF(q)
         for constant in (1, -1, None):

@@ -38,9 +38,10 @@ def test_context_validation():
     with pytest.raises(ValueError):
         TorusContext(3, 0)
     ctx = TorusContext(3, 4)
-    assert ctx.top_level == 12
-    with pytest.raises(ValueError):
-        ctx.modulus(5)  # 5 does not divide lcm(1..4)
+    assert [ctx.modulus(d) for d in (1, 2, 3, 4)] == [4, 8, 28, 80]
+    for d in (0, 5, 6):  # levels run over 1..4; 6 divides lcm(1..4) = 12
+        with pytest.raises(ValueError, match=f"level {d} is not in 1..4"):
+            ctx.modulus(d)
 
 
 def test_moduli_values():

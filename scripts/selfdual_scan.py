@@ -20,9 +20,9 @@ def main() -> None:
                     help="print the polynomials for the first (q, n) pair")
     args = ap.parse_args()
 
+    fields = [GF(q) for q in args.q]  # a bad q is refused before any output
     print(f"{'q':>3}  {'n':>3}  {'total':>6}  {'c=+1':>6}  {'c=-1':>6}")
-    for q in args.q:
-        F = GF(q)
+    for q, F in zip(args.q, fields):
         for n in args.n:
             plus = enumerate_self_dual(F, n, 1)
             minus = enumerate_self_dual(F, n, -1)
@@ -31,8 +31,7 @@ def main() -> None:
                   f"{len(minus):>6}")
 
     if args.list:
-        q, n = args.q[0], args.n[0]
-        F = GF(q)
+        q, n, F = args.q[0], args.n[0], fields[0]
         for constant, tag in ((1, "constant +1"), (-1, "constant -1")):
             polys = enumerate_self_dual(F, n, constant)
             print(f"\nq={q} n={n} {tag}: {len(polys)}")

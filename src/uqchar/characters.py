@@ -5,9 +5,10 @@ The degree of the character labelled by a multipartition lam is
     q^(n(lam')) prod_{k<=n} (q^k - (-1)^k) / prod_b (q^h(b) - (-1)^h(b)),
 
 the product in the denominator running over the boxes of all constituent
-partitions with hooks weighted by the orbit size.  The central character is
-read off the orbit labels: each orbit phi of exponent e restricts to the
-centre T_1 as (-1)^(|phi|-1) e, with multiplicity |lam^(phi)|.
+partitions with hooks weighted by the orbit size.  The central character and
+reality are read off the orbit labels.  Each orbit phi of exponent e
+restricts to the centre T_1 as (-1)^(|phi|-1) e, with multiplicity
+|lam^(phi)|; chi^lam is real iff each lam^(phi) also sits on phi's conjugate.
 
 For the indicator there are three routes: the closed-form value on the
 semisimple and regular families (the sign of the central character at a
@@ -27,7 +28,6 @@ from .conjclasses import class_square, class_table, group_order
 from .cyclotomic import Cyclotomic
 from .multipartition import (
     MultiPartition,
-    mp_bar,
     mp_n_conjugate,
     mp_weighted_hooks,
     multipartitions_from_units,
@@ -88,7 +88,7 @@ def is_regular(lam: MultiPartition) -> bool:
 
 def is_real(ctx: TorusContext, lam: MultiPartition) -> bool:
     """chi^lam is real-valued iff the label is fixed by orbit conjugation."""
-    return mp_bar(ctx, lam) == lam
+    return {conjugate_orbit(ctx, o): p for o, p in lam.entries} == dict(lam.entries)
 
 
 def omega_exponent(ctx: TorusContext, lam: MultiPartition) -> int:
@@ -278,6 +278,6 @@ def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
     for o in orbits_up_to(ctx, n // 2):
         bar = conjugate_orbit(ctx, o)
         if o < bar:
-            units.append((2 * o.size, (o, bar)))
+            units.append((2 * o.level, (o, bar)))
     units.sort()
     return multipartitions_from_units(THETA, n, units, lambda k: ((1,) * k,))

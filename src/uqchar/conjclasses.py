@@ -55,7 +55,7 @@ def centralizer_order(ctx: TorusContext, mu: MultiPartition) -> int:
         raise ValueError("classes live on the phi side")
     val = Fraction((-1) ** mu.size)
     for orbit, parts in mu.entries:
-        val *= a_partition_poly(parts, Fraction(-ctx.q) ** orbit.size)
+        val *= a_partition_poly(parts, Fraction(-ctx.q) ** orbit.level)
     if val.denominator != 1 or val <= 0:
         raise ValueError(f"centralizer order of {mu} is not a positive integer: {val}")
     return int(val)
@@ -103,9 +103,9 @@ def class_square(ctx: TorusContext, mu: MultiPartition) -> MultiPartition:
     merged: dict[OrbitLabel, list[int]] = {}
     for orbit, parts in mu.entries:
         doubled = frobenius_orbit(ctx, orbit.level, 2 * orbit.min_exponent)
-        if orbit.size % doubled.size:
-            raise ValueError(f"the square of {orbit} has size {doubled.size}")
-        fiber = orbit.size // doubled.size
+        if orbit.level % doubled.level:
+            raise ValueError(f"the square of {orbit} has size {doubled.level}")
+        fiber = orbit.level // doubled.level
         if ctx.q % 2 == 0:
             parts = [h for k in parts for h in ((k + 1) // 2, k // 2) if h]
         merged.setdefault(doubled, []).extend(list(parts) * fiber)

@@ -56,7 +56,7 @@ class MultiPartition:
 
     @property
     def size(self) -> int:
-        return sum(o.size * sum(parts) for o, parts in self.entries)
+        return sum(o.level * sum(parts) for o, parts in self.entries)
 
     def sort_key(self):
         # reverse-lex on partitions via negated parts
@@ -75,20 +75,20 @@ class MultiPartition:
 
 def mp_n_stat(mp: MultiPartition) -> int:
     """n(mp) = sum |orbit| * n(partition)."""
-    return sum(o.size * n_stat(parts) for o, parts in mp.entries)
+    return sum(o.level * n_stat(parts) for o, parts in mp.entries)
 
 
 def mp_weighted_hooks(mp: MultiPartition) -> tuple[int, ...]:
     """Multiset of |orbit| * hook over all boxes, descending."""
     out = []
     for o, parts in mp.entries:
-        out.extend(o.size * h for h in hooks(parts))
+        out.extend(o.level * h for h in hooks(parts))
     return tuple(sorted(out, reverse=True))
 
 
 def mp_n_conjugate(mp: MultiPartition) -> int:
     """n(mp') = sum |orbit| * n(partition'), with n(p') = sum C(p_i, 2)."""
-    return sum(o.size * sum(a * (a - 1) for a in parts)
+    return sum(o.level * sum(a * (a - 1) for a in parts)
                for o, parts in mp.entries) // 2
 
 
@@ -143,5 +143,5 @@ def enumerate_multipartitions(
     ctx: TorusContext, n: int, side: str
 ) -> tuple[MultiPartition, ...]:
     """All multipartitions of size n over the orbits of size <= n, sorted."""
-    units = [(o.size, (o,)) for o in orbits_up_to(ctx, n)]
+    units = [(o.level, (o,)) for o in orbits_up_to(ctx, n)]
     return multipartitions_from_units(side, n, units, partitions_of)

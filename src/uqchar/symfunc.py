@@ -239,7 +239,7 @@ def _transform_terms(
 
     Terms whose coefficient is zero in Q(zeta_{M_{k|phi|}}) are dropped.
     """
-    d = phi.size
+    d = phi.level
     level = k * d
     mod = ctx.modulus(level)
     lifted = lift_character(ctx, d, level, phi.min_exponent)
@@ -247,7 +247,7 @@ def _transform_terms(
     acc: dict[tuple[OrbitLabel, int], dict[int, int]] = {}
     for e in range(mod):
         f = frobenius_orbit(ctx, level, e)
-        ring = acc.setdefault((f, level // f.size), {})
+        ring = acc.setdefault((f, level // f.level), {})
         x = (lifted * e) % mod
         ring[x] = ring.get(x, 0) + sign
     out = []
@@ -266,7 +266,7 @@ def _transform_embedded(
 
     zeta_{M_level} -> zeta_M^(M/M_level): each exponent is scaled by M/M_level.
     """
-    step = ctx.cyclo_modulus // ctx.modulus(k * phi.size)
+    step = ctx.cyclo_modulus // ctx.modulus(k * phi.level)
     return tuple(
         (f, r, tuple((x * step, c) for x, c in val))
         for f, r, val in _transform_terms(ctx, k, phi))
@@ -291,7 +291,7 @@ def _class_expansion(
         by_orbit.setdefault(f, []).append(r)
     expansions = []
     for f, rs in sorted(by_orbit.items()):
-        t = Fraction(-ctx.q) ** (-f.size)
+        t = Fraction(-ctx.q) ** (-f.level)
         rho = tuple(sorted(rs, reverse=True))
         expansions.append((f, list(power_to_hl(rho, t).items())))
     out = []

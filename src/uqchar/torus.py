@@ -26,7 +26,7 @@ label speaks of is recorded by the multipartition that carries it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from . import cyclotomic
@@ -94,10 +94,6 @@ class OrbitLabel:
     level: int
     min_exponent: int
 
-    @property
-    def size(self) -> int:
-        return self.level
-
 
 def _orbit_exponents_at(q: int, m: int, e: int) -> tuple[int, ...]:
     """The orbit of e under e -> -q e mod M_m, starting from e."""
@@ -140,7 +136,7 @@ def frobenius_orbit(ctx: TorusContext, d: int, e: int) -> OrbitLabel:
 def orbit_exponents(ctx: TorusContext, o: OrbitLabel) -> tuple[int, ...]:
     """All exponents of the orbit at its own level, starting at the minimum."""
     orbit = _orbit_exponents_at(ctx.q, o.level, o.min_exponent)
-    if len(orbit) != o.size:
+    if len(orbit) != o.level:
         raise ValueError(f"orbit {o} has {len(orbit)} exponents")
     return orbit
 
@@ -201,6 +197,7 @@ def orbits_up_to(ctx: TorusContext, n: int) -> tuple[OrbitLabel, ...]:
     return tuple(sorted(out))
 
 
+@cache
 def conjugate_orbit(ctx: TorusContext, o: OrbitLabel) -> OrbitLabel:
     """The orbit of the inverse element / inverse character."""
     return frobenius_orbit(ctx, o.level, -o.min_exponent)

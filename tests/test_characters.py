@@ -29,12 +29,13 @@ from uqchar.characters import (
     real_semisimple_labels,
 )
 from uqchar.conjclasses import central_class, group_order
-from uqchar.multipartition import MultiPartition, enumerate_multipartitions
+from uqchar.multipartition import MultiPartition, enumerate_multipartitions, mp_bar
 from uqchar.nt import prime_power
 from uqchar.symfunc import char_table
 from uqchar.torus import (
     PHI,
     THETA,
+    OrbitLabel,
     TorusContext,
     frobenius_orbit,
     lift_character,
@@ -158,6 +159,38 @@ def test_reality_count_u2_f9():
     assert len(real) == 6
     real_ss = [lam for lam in real if is_semisimple(lam)]
     assert len(real_ss) == 4  # q^m + q^(m-1) at q = 3, m = 1
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (4, 3), (5, 3), (9, 2)])
+def test_is_real_agrees_with_the_conjugate_label(q, n):
+    # the oracle relabels the whole multipartition along conjugation
+    ctx = TorusContext(q, n)
+    labels = enumerate_multipartitions(ctx, n, THETA)
+    got = [is_real(ctx, lam) for lam in labels]
+    assert got == [mp_bar(ctx, lam) == lam for lam in labels]
+    assert True in got and False in got
+
+
+def test_is_real_refuses_an_orbit_above_the_degree():
+    ctx = TorusContext(3, 2)
+    high = frobenius_orbit(TorusContext(3, 3), 3, 1)
+    # the first entry is not real already; the level-3 orbit is still refused
+    lam = MultiPartition.make(THETA, [(OrbitLabel(1, 1), (1,)), (high, (1,))])
+    for _ in range(2):  # a cached conjugation does not swallow a refusal
+        with pytest.raises(ValueError, match="level 3 is not in 1..2"):
+            is_real(ctx, lam)
+
+
+def test_is_real_builds_no_multipartition(monkeypatch):
+    ctx = TorusContext(3, 4)
+    labels = enumerate_multipartitions(ctx, 4, THETA)
+    expect = [mp_bar(ctx, lam) == lam for lam in labels]
+
+    def refuse(side, pairs):
+        raise AssertionError("is_real built a MultiPartition")
+
+    monkeypatch.setattr(MultiPartition, "make", staticmethod(refuse))
+    assert [is_real(ctx, lam) for lam in labels] == expect
 
 
 # -- central characters ----------------------------------------------------

@@ -38,8 +38,11 @@ def test_script_runs(argv):
      "to proceed"),
     (["census_grid.py", "--q", "6"], "q must be a prime power >= 2, got 6"),
     (["selfdual_scan.py", "--q", "6"], "6 is not a prime power"),
-], ids=["u2_table", "census_grid", "selfdual_scan"])
+    (["selfdual_scan.py", "--q", "3", "6"], "6 is not a prime power"),
+], ids=["u2_table", "census_grid", "selfdual_scan", "selfdual_scan_second_q"])
 def test_script_refusal_is_one_error_line(argv, message):
-    # a refusal ends as the CLI's do: exit 1 and one line, no traceback
+    # a refusal ends as the CLI's do: exit 1 and one line, no traceback, and
+    # nothing on stdout before it
     proc = run_script(argv)
-    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {message}\n")

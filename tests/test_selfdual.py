@@ -117,7 +117,7 @@ def test_orbit_polynomial_self_conjugate_level2_q5():
     # eigenvalues are the order-4 scalars 2 and 3, giving (x+2)(x+3)
     ctx = TorusContext(5, 2)
     orb = frobenius_orbit(ctx, 2, 6)
-    assert orb.size == 2
+    assert orb.level == 2
     from uqchar.torus import conjugate_orbit
 
     assert conjugate_orbit(ctx, orb) == orb

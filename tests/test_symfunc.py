@@ -271,13 +271,13 @@ def field_transform(ctx, k, phi):
     For each class exponent e at level k|phi|, add xi(e) to the term of the
     class orbit f of e; xi is phi lifted through the transpose of the norm.
     """
-    level = k * phi.size
+    level = k * phi.level
     mod = ctx.modulus(level)
-    lifted = lift_character(ctx, phi.size, level, phi.min_exponent)
+    lifted = lift_character(ctx, phi.level, level, phi.min_exponent)
     acc = {}
     for e in range(mod):
         f = frobenius_orbit(ctx, level, e)
-        key = (f, level // f.size)
+        key = (f, level // f.level)
         val = cyclotomic.zeta(mod, (lifted * e) % mod)
         acc[key] = acc[key] + val if key in acc else val
     sign = (-1) ** (level - 1)
@@ -308,7 +308,7 @@ def test_group_ring_transforms_match_the_field_oracle(q, n):
 
 def transform(ctx, k, phi):
     """p_k(Y^(phi)) as {(f, r): coefficient of p_r(X^(f)) in Q(zeta_{M_{k|phi|}})}."""
-    mod = ctx.modulus(k * phi.size)
+    mod = ctx.modulus(k * phi.level)
     return {(f, r): cyclotomic.from_terms(mod, val)
             for f, r, val in symfunc._transform_terms(ctx, k, phi)}
 
@@ -349,12 +349,12 @@ def test_transform_level_two_character():
     # p_1 on a size-2 character orbit expands at level 2 with sign -1
     ctx = TorusContext(3, 2)
     phi = frobenius_orbit(ctx, 2, 1)
-    assert phi.size == 2
+    assert phi.level == 2
     got = transform(ctx, 1, phi)
     # the two exact level-2 class orbits get coefficient zeta8 + zeta8^5 = 0,
     # so only the four descended level-1 orbits survive, each carrying p_2
     assert len(got) == 4
-    assert all(f.size == 1 for f, _ in got)
+    assert all(f.level == 1 for f, _ in got)
     assert {r for _, r in got} == {2}
 
 
@@ -497,6 +497,24 @@ def test_u2_column_orthogonality_identity_column(u2):
     for lam in table.chars:
         acc2 = acc2 + table.value(lam, ident) * table.value(lam, lvl2).conjugate()
     assert acc2.is_zero()
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (3, 3), (2, 4), (9, 2)])
+def test_column_orthogonality(q, n):
+    # sum_chi chi(g) conj(chi(h)) = |C(g)| [g == h], one column g at a time,
+    # against the centralizer orders of class_table
+    ctx = TorusContext(q, n)
+    table = char_table(ctx, max_cells=10**5)
+    centralizer = {c.label: c.centralizer for c in class_table(ctx)}
+    assert centralizer.keys() == set(table.classes)
+    # character values are cyclotomic integers: their terms are over 1
+    assert all(v.den == 1 for row in table.values for v in row)
+    columns = list(zip(*([v.coeffs for v in row] for row in table.values)))
+    for j, g in enumerate(table.classes):
+        conj_g = [[(-e, c) for e, c in terms] for terms in columns[j]]
+        for k in range(j, len(columns)):  # the sum for (h, g) is the conjugate
+            acc = cyclotomic.sum_of_products(table.modulus, zip(columns[k], conj_g))
+            assert acc == (centralizer[g] if j == k else 0), (g, table.classes[k])
 
 
 def test_u2_q2_row_orthogonality():

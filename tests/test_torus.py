@@ -70,7 +70,7 @@ def test_level_one_orbits_q3():
     ctx = TorusContext(3, 2)
     orbits = exact_orbits(ctx, 1)
     assert [o.min_exponent for o in orbits] == [0, 1, 2, 3]
-    assert all(o.size == 1 for o in orbits)
+    assert all(o.level == 1 for o in orbits)
 
 
 def test_level_two_orbits_q3():

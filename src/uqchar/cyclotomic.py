@@ -1,5 +1,9 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_M).
 
+Phi_M is the Moebius product of the (1 - x^d)^mu(M/d) over d | M, built in
+one pass over the divisors of M.  The rows of z^e in the power basis past
+z^(phi(M)-1) grow on demand, up to the largest exponent a reduction meets.
+
 A value is sum c_i z^i over the power basis 1, z, ..., z^(phi(M)-1) of
 Q[z]/(Phi_M(z)), divided by one positive denominator, and it is stored as its
 nonzero terms: coeffs = ((i, c_i), ...) with i increasing and every c_i a
@@ -34,10 +38,9 @@ cell or per pair of rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
-from .nt import divisors, euler_phi
+from .nt import divisors, euler_phi, moebius
 
 # phi(M) caps the degree of the reduction tables.  No option raises it; the
 # table builders call check_degree beside their cell bound, so an oversized
@@ -49,39 +52,30 @@ class ModulusMismatch(ValueError):
     """Arithmetic was attempted between values in different Q(zeta_M)."""
 
 
-def _poly_divexact_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact division of integer polynomials (low-to-high coeffs), den monic."""
-    if den[-1] != 1:
-        raise ValueError(f"divisor {den} is not monic")
-    num_l = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    out = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num_l[k + dd]
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num_l[k + j] -= c * dj
-    if any(num_l):
-        raise ValueError(f"{den} does not divide {num} exactly")
-    return tuple(out)
-
-
-@cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, low to high, monic with integer entries."""
+    """Coefficients of Phi_m, low to high, monic with integer entries.
+
+    Phi_m = prod over d | m of (1 - x^d)^mu(m/d) for m > 1, taken as a power
+    series cut at degree phi(m): a factor 1 - x^d subtracts the series
+    shifted by d, a factor 1 / (1 - x^d) = 1 + x^d + x^2d + ... adds it.
+    """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if m == 1:
         return (-1, 1)
-    num = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
+    top = euler_phi(m)
+    s = [1] + [0] * top
     for d in divisors(m):
-        if d < m:
-            num = _poly_divexact_int(num, cyclotomic_polynomial(d))
-    if len(num) - 1 != euler_phi(m):
-        raise ValueError(
-            f"Phi_{m} came out of degree {len(num) - 1}, not {euler_phi(m)}")
-    return num
+        mu = moebius(m // d)
+        if mu == 1:
+            for i in range(top, d - 1, -1):
+                s[i] -= s[i - d]
+        elif mu == -1:
+            for i in range(d, top + 1):
+                s[i] += s[i - d]
+    if s[top] != 1 or s != s[::-1]:
+        raise ValueError(f"Phi_{m} is not monic and palindromic of degree {top}")
+    return tuple(s)
 
 
 def check_degree(modulus: int) -> int:
@@ -101,16 +95,15 @@ class _Field:
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.degree = check_degree(modulus)
-        self.poly = cyclotomic_polynomial(modulus)
         # z^degree = -(lower part of Phi); higher rows extend on demand from
         # the dense form of the last one.
+        self._top = tuple(-c for c in cyclotomic_polynomial(modulus)[:-1])
         self._rows: list[tuple[tuple[int, int], ...]] = [
             ((e, 1),) for e in range(self.degree)]
         self._last = tuple(int(i == self.degree - 1) for i in range(self.degree))
-        self._grow(2 * self.degree - 2)
 
     def _grow(self, upto: int) -> None:
-        top = tuple(-c for c in self.poly[: self.degree])
+        top = self._top
         while len(self._rows) <= upto:
             prev = self._last
             shifted = (0,) + prev[:-1]

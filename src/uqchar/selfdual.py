@@ -119,16 +119,11 @@ def char_to_polynomial(ctx: TorusContext, lam: MultiPartition):
     n = lam.size
     base = GF(ctx.q)
     h = (base.one,)
-    done = set()
+    # is_real has matched each orbit's parts with its partner's: the factor
+    # of a pair is taken once, at its smaller orbit
     for f, parts in lam.entries:
-        if f in done:
-            continue
-        partner = conjugate_orbit(ctx, f)
-        if lam.part_for(partner) != parts:
-            raise ValueError(f"{lam} puts different parts on {f} and {partner}")
-        done.add(f)
-        done.add(partner)
-        h = poly_mul(base, h, poly_pow(base, orbit_polynomial(ctx, f), sum(parts)))
+        if f <= conjugate_orbit(ctx, f):
+            h = poly_mul(base, h, poly_pow(base, orbit_polynomial(ctx, f), sum(parts)))
     if len(h) - 1 != n or h[-1] != base.one:
         raise ValueError(f"polynomial {h} of {lam} is not monic of degree {n}")
     if not is_self_dual(base, h):

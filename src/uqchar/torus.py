@@ -75,13 +75,6 @@ class TorusContext:
         """Common cyclotomic modulus for all values at degree n: lcm of M_1..M_n."""
         return lcm(*(self.modulus(d) for d in range(1, self.n + 1)))
 
-    @cached_property
-    def sigma_exponent(self) -> int:
-        """Exponent of the order-2 character sigma of T_1 (q odd only)."""
-        if self.q % 2 == 0:
-            raise ValueError("sigma needs q odd")
-        return modulus_of(self.q, 1) // 2
-
 
 @dataclass(frozen=True, order=True)
 class OrbitLabel:
@@ -238,4 +231,6 @@ def one_orbit(ctx: TorusContext, side: str = THETA) -> OrbitLabel:
 
 def sigma_orbit(ctx: TorusContext) -> OrbitLabel:
     """The orbit of the order-2 character of T_1; q odd."""
-    return OrbitLabel(1, ctx.sigma_exponent)
+    if ctx.q % 2 == 0:
+        raise ValueError("sigma needs q odd")
+    return OrbitLabel(1, ctx.modulus(1) // 2)

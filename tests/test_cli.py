@@ -538,6 +538,8 @@ def test_out_into_a_fifo_writes_to_its_reader(tmp_path, capsys):
     ["fs", "--q", "3", "--n", "3"],
     # every label through is_real, at an even q
     ["degrees", "--q", "4", "--n", "3"],
+    # Q(zeta_560) through the Moebius product, and brute-force indicators
+    ["fs", "--q", "3", "--n", "4"],
 ])
 def test_same_output_under_python_O(argv):
     # python -O strips assert statements; the checks that decide the output

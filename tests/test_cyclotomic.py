@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from uqchar import cyclotomic
 from uqchar.cyclotomic import (
+    MAX_DEGREE,
     Cyclotomic,
     ModulusMismatch,
-    _poly_divexact_int,
     approx,
     cyclotomic_polynomial,
     embed,
@@ -28,7 +28,8 @@ from uqchar.cyclotomic import (
     zero,
     zeta,
 )
-from uqchar.nt import divisors, euler_phi
+from uqchar.nt import divisors, euler_phi, prime_power
+from uqchar.torus import TorusContext
 
 
 def poly_mul(a, b):
@@ -57,6 +58,43 @@ def test_cyclotomic_product_identity(m):
     expect = [-1] + [0] * (m - 1) + [1]
     assert prod == expect
     assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
+
+
+def _cli_moduli():
+    """The modulus of every field the CLI can build for a prime power q <= 13."""
+    moduli = set()
+    for q in range(2, 14):
+        if prime_power(q) is None:
+            continue
+        n = 1
+        while euler_phi(TorusContext(q, n).cyclo_modulus) <= MAX_DEGREE:
+            moduli.add(TorusContext(q, n).cyclo_modulus)
+            n += 1
+    return sorted(moduli)
+
+
+CLI_MODULI = _cli_moduli()
+
+
+def test_cli_moduli_run_from_3_to_3465():
+    assert len(CLI_MODULI) == 24
+    assert (CLI_MODULI[0], CLI_MODULI[-1]) == (3, 3465)
+
+
+@pytest.mark.parametrize("m", CLI_MODULI)
+def test_cyclotomic_product_identity_on_cli_fields(m):
+    # prod over d | m of Phi_d(x) = x^m - 1, evaluated by Horner mod a prime
+    p = 2**61 - 1
+    for x in (2, 3, 10):
+        prod = 1
+        for d in divisors(m):
+            value = 0
+            for c in reversed(cyclotomic_polynomial(d)):
+                value = (value * x + c) % p
+            prod = prod * value % p
+        assert prod == (pow(x, m, p) - 1) % p
+    phi = cyclotomic_polynomial(m)
+    assert phi[-1] == 1 and len(phi) - 1 == euler_phi(m)
 
 
 def test_zeta_powers_reduce():
@@ -168,17 +206,6 @@ def test_approx_is_consistent():
     assert abs(approx(zeta(8) + zeta(8, 7)) - 2**0.5) < 1e-12
 
 
-def test_poly_division_rejects_a_divisor_that_is_not_monic():
-    with pytest.raises(ValueError, match="not monic"):
-        _poly_divexact_int((1, 0, 1), (1, 2))
-
-
-def test_poly_division_rejects_a_remainder():
-    # x^2 + 1 = (x - 1)(x + 1) + 2
-    with pytest.raises(ValueError, match="does not divide"):
-        _poly_divexact_int((1, 0, 1), (1, 1))
-
-
 def test_to_text_renders_zeros_that_are_not_the_shared_zero():
     # zero terms render as nothing; a numerator equal to the common
     # denominator renders as 1
@@ -231,7 +258,7 @@ def test_integral_values_hold_ints_over_one():
 def test_cyclotomic_polynomial_rejects_a_wrong_degree(monkeypatch):
     monkeypatch.setattr(cyclotomic, "euler_phi", lambda m: 1)
     with pytest.raises(ValueError, match="degree"):
-        cyclotomic_polynomial.__wrapped__(12)
+        cyclotomic_polynomial(12)
 
 
 def test_from_terms_sums_powers_of_zeta():

@@ -23,7 +23,6 @@ from uqchar.selfdual import (
 )
 from uqchar.torus import (
     THETA,
-    OrbitLabel,
     TorusContext,
     frobenius_orbit,
     one_orbit,
@@ -162,13 +161,6 @@ def _symplectic_u2():
     lam = MultiPartition.make(
         THETA, [(one_orbit(ctx, THETA), (1,)), (sigma_orbit(ctx), (1,))])
     return ctx, lam
-
-
-def test_realization_rejects_a_partner_with_other_parts(monkeypatch):
-    monkeypatch.setattr(selfdual, "conjugate_orbit",
-                        lambda ctx, o: OrbitLabel(2, 1))
-    with pytest.raises(ValueError, match="different parts"):
-        char_to_polynomial(*_symplectic_u2())
 
 
 def test_realization_rejects_a_polynomial_of_the_wrong_degree(monkeypatch):

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import cyclotomic
 from .characters import (
@@ -162,7 +163,8 @@ def cmd_degrees(args) -> int:
 def cmd_chartable(args) -> int:
     ctx = TorusContext(args.q, args.n)
     table = char_table(ctx, max_cells=args.max_cells)
-    render = _approx_text if args.approx else cyclotomic.to_text
+    # a table holds few distinct values: render each once, for this table
+    render = cache(_approx_text if args.approx else cyclotomic.to_text)
     if args.format == "tsv":
         rows = [("label",) + tuple(mu.to_key() for mu in table.classes)]
         for lam, row in zip(table.chars, table.values):

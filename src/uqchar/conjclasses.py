@@ -18,9 +18,9 @@ square of a unipotent block in characteristic two.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .multipartition import MultiPartition, enumerate_multipartitions
 from .partitions import n_stat
@@ -61,8 +61,7 @@ def centralizer_order(ctx: TorusContext, mu: MultiPartition) -> int:
     return int(val)
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(NamedTuple):
     label: MultiPartition
     centralizer: int
     size: int

@@ -306,6 +306,8 @@ def galois(a: Cyclotomic, k: int) -> Cyclotomic:
     m = a.modulus
     if gcd(k, m) != 1:
         raise ValueError(f"{k} is not a unit mod {m}")
+    if a.is_rational():  # sigma_k fixes Q
+        return a
     return from_terms(m, ((j * k, c) for j, c in a.coeffs), a.den)
 
 

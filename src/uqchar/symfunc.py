@@ -29,7 +29,7 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      the orbit of k e at the same level, with the same partition
      (multipartition.mp_galois).  Steps 1-4 run for the first label of each
      Galois orbit of labels (galois_orbits); every other row is sigma_k of
-     that one.
+     that one, applied once per distinct (value, k) (_galois_value).
 
 Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
@@ -44,11 +44,11 @@ Fraction is built per table cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import factorial, lcm, prod
+from typing import NamedTuple
 
 from . import cyclotomic
 from .cyclotomic import Cyclotomic
@@ -360,8 +360,17 @@ def char_row(
     rep, k = found
     if k == 1:  # lam is its orbit's representative
         return _expand_row(ctx, lam)
+    return {mu: _galois_value(v, k) for mu, v in char_row(ctx, rep).items()}
+
+
+@cache
+def _galois_value(v: Cyclotomic, k: int) -> Cyclotomic:
+    """sigma_k(v), once per distinct (value, k): a table holds few values.
+
+    Its entries are bounded by the sigma_k cells char_row's cache holds.
+    """
     # through the module name, so that a wrapper bound in its place sees it
-    return {mu: cyclotomic.galois(v, k) for mu, v in char_row(ctx, rep).items()}
+    return cyclotomic.galois(v, k)
 
 
 def _expand_row(
@@ -430,8 +439,7 @@ def _expand_row(
     return out
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(NamedTuple):
     """Full exact character table of U(n, F_q2)."""
 
     q: int

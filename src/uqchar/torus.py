@@ -25,9 +25,9 @@ label speaks of is recorded by the multipartition that carries it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import cyclotomic
 from .nt import divisors, moebius, prime_power
@@ -52,32 +52,57 @@ def norm_multiplier(q: int, m: int, r: int) -> int:
     return s
 
 
-@dataclass(frozen=True)
 class TorusContext:
-    """Fixes q and a working degree n; levels run over 1..n."""
+    """Fixes q and a working degree n; levels run over 1..n.
 
-    q: int
-    n: int
+    Immutable, equal by (q, n) and hashed once: every @cache keyed by a
+    context hashes it.  cyclo_modulus is computed on first use only.
+    """
 
-    def __post_init__(self):
-        if prime_power(self.q) is None:
-            raise ValueError(f"q must be a prime power >= 2, got {self.q}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+    __slots__ = ("q", "n", "_hash", "_cyclo_modulus")
+
+    def __init__(self, q: int, n: int):
+        if prime_power(q) is None:
+            raise ValueError(f"q must be a prime power >= 2, got {q}")
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_hash", hash((q, n)))
+        object.__setattr__(self, "_cyclo_modulus", None)
+
+    def __setattr__(self, *a):
+        raise AttributeError("TorusContext values are immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not TorusContext:
+            return NotImplemented
+        return self.q == other.q and self.n == other.n
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"TorusContext(q={self.q!r}, n={self.n!r})"
 
     def modulus(self, d: int) -> int:
         if not 1 <= d <= self.n:
             raise ValueError(f"level {d} is not in 1..{self.n}")
         return modulus_of(self.q, d)
 
-    @cached_property
+    @property
     def cyclo_modulus(self) -> int:
         """Common cyclotomic modulus for all values at degree n: lcm of M_1..M_n."""
-        return lcm(*(self.modulus(d) for d in range(1, self.n + 1)))
+        m = self._cyclo_modulus
+        if m is None:
+            m = lcm(*(self.modulus(d) for d in range(1, self.n + 1)))
+            object.__setattr__(self, "_cyclo_modulus", m)
+        return m
 
 
-@dataclass(frozen=True, order=True)
-class OrbitLabel:
+class OrbitLabel(NamedTuple):
     """A Frobenius orbit at its exact level; size always equals level.
 
     The same label names a character orbit and an element orbit.  Ordering is

@@ -5,7 +5,6 @@ the output.
 """
 
 import ast
-import dataclasses
 import hashlib
 import json
 import os
@@ -86,7 +85,7 @@ def test_verify_fails_on_a_corrupted_table(capsys, monkeypatch):
             return table
         first = (table.values[0][0] + cyclotomic.one(table.modulus),) \
             + table.values[0][1:]
-        return dataclasses.replace(table, values=(first,) + table.values[1:])
+        return table._replace(values=(first,) + table.values[1:])
 
     monkeypatch.setattr(cli, "char_table", corrupted)
     code, out, err = run(capsys, ["verify", "--q", "3", "--max-n", "2"])
@@ -109,7 +108,7 @@ def test_verify_fails_on_a_non_integral_value(capsys, monkeypatch):
         row = list(table.values[i])
         row[j] = cyclotomic.from_terms(table.modulus, [(0, 1)], 2)
         values = table.values[:i] + (tuple(row),) + table.values[i + 1:]
-        return dataclasses.replace(table, values=values)
+        return table._replace(values=values)
 
     monkeypatch.setattr(cli, "char_table", halved)
     code, out, err = run(capsys, ["verify", "--q", "3", "--max-n", "2"])
@@ -553,6 +552,43 @@ def test_same_output_under_python_O(argv):
     assert runs[0].returncode == runs[1].returncode == 0, runs[1].stderr
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout
+
+
+def test_the_cli_imports_no_dataclasses():
+    # dataclasses pulls in inspect; every CLI process would pay for it.  -S
+    # keeps site-packages hooks from importing it on their own
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import uqchar.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_chartable_works_once_per_distinct_value(capsys, monkeypatch):
+    # at (4, 3) the 12100 cells hold 181 distinct values, and the sigma_k
+    # rows meet 960 distinct (value, k) pairs in 5960 cells: sigma_k runs
+    # once per pair and the text is rendered once per value
+    symfunc.char_row.cache_clear()
+    symfunc.galois_orbits.cache_clear()
+    symfunc._galois_value.cache_clear()
+    calls = {"galois": 0, "to_text": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cyclotomic, name, counted(name, getattr(cyclotomic, name)))
+    code, out, err = run(capsys, ["chartable", "--q", "4", "--n", "3",
+                                  "--max-cells", "100000"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[
+        "chartable --q 4 --n 3 --max-cells 100000"]["sha256"]
+    assert calls == {"galois": 960, "to_text": 181}
 
 
 def test_no_assert_statement_in_the_library_or_the_scripts():

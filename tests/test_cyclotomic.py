@@ -419,3 +419,16 @@ def test_galois_refuses_a_non_unit(m, k):
     # an if, not an assert: it raises under python -O as well
     with pytest.raises(ValueError, match="not a unit"):
         galois(zeta(m), k)
+
+
+def test_galois_fixes_a_rational_value():
+    for a in (zero(12), one(12), from_terms(12, [(0, -3)], 4)):
+        assert galois(a, 5) is a
+
+
+def test_galois_refuses_a_non_unit_on_a_rational_value():
+    # the unit check comes before the shortcut for a rational input, and
+    # holds on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="2 is not a unit mod 12"):
+            galois(one(12), 2)

@@ -45,6 +45,21 @@ def test_make_normalizes():
         mp("chi", (O10, (1,)))
 
 
+def test_multipartitions_are_immutable_values():
+    a = mp(THETA, (O21, (1,)), (O10, (2, 1)))
+    b = mp(THETA, (OrbitLabel(1, 0), (2, 1)), (OrbitLabel(2, 1), (1,)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != mp(PHI, (O10, (2, 1)), (O21, (1,)))  # the side counts
+    assert a != mp(THETA, (O10, (2, 1)))
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+    for field in ("side", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, ())
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a.side == THETA and a.entries == ((O10, (2, 1)), (O21, (1,)))
+
+
 def test_stats():
     a = mp(THETA, (O10, (2, 1)), (O21, (1, 1)))
     assert a.size == 3 + 4

@@ -651,3 +651,12 @@ def test_characters_are_orthonormal_under_class_pairing():
                 v = table.value(lam, mu)
                 acc = acc + v * v.conjugate() * (den // cents[mu])
             assert acc == den
+
+
+def test_galois_value_refuses_a_non_unit_every_time():
+    # @cache stores results, not exceptions: a refused (value, k) is refused
+    # again on the next call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="2 is not a unit mod 12"):
+            symfunc._galois_value(cyclotomic.one(12), 2)
+    assert symfunc._galois_value(cyclotomic.zeta(12), 5) == cyclotomic.zeta(12, 5)

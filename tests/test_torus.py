@@ -44,6 +44,41 @@ def test_context_validation():
             ctx.modulus(d)
 
 
+def test_context_refusals_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^q must be a prime power >= 2, got 6$"):
+        TorusContext(6, 2)
+    with pytest.raises(ValueError, match=r"^need n >= 1, got 0$"):
+        TorusContext(3, 0)
+
+
+def test_contexts_and_orbit_labels_are_immutable_values():
+    a, b = TorusContext(3, 4), TorusContext(3, 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != TorusContext(3, 3) and a != TorusContext(5, 4)
+    assert repr(a) == "TorusContext(q=3, n=4)"
+    # the lcm is computed on first use only, and kept
+    assert a._cyclo_modulus is None
+    assert a.cyclo_modulus == 560 == a._cyclo_modulus
+    o, p = OrbitLabel(2, 1), OrbitLabel(2, 1)
+    assert o == p and hash(o) == hash(p)
+    assert repr(o) == "OrbitLabel(level=2, min_exponent=1)"
+    for obj, field in ((a, "q"), (a, "n"), (a, "cyclo_modulus"),
+                       (o, "level"), (o, "min_exponent")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 7)
+    with pytest.raises(AttributeError):
+        del a.q
+    assert (a.q, a.n, o.level, o.min_exponent) == (3, 4, 2, 1)
+
+
+def test_orbit_labels_sort_by_level_then_exponent():
+    labels = [OrbitLabel(2, 1), OrbitLabel(1, 3), OrbitLabel(1, 0),
+              OrbitLabel(3, 0), OrbitLabel(2, 0)]
+    assert sorted(labels) == [OrbitLabel(1, 0), OrbitLabel(1, 3),
+                              OrbitLabel(2, 0), OrbitLabel(2, 1),
+                              OrbitLabel(3, 0)]
+
+
 def test_moduli_values():
     assert [modulus_of(3, d) for d in (1, 2, 3, 4)] == [4, 8, 28, 80]
     assert [modulus_of(2, d) for d in (1, 2, 3, 4)] == [3, 3, 9, 15]

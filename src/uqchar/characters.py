@@ -5,10 +5,14 @@ The degree of the character labelled by a multipartition lam is
     q^(n(lam')) prod_{k<=n} (q^k - (-1)^k) / prod_b (q^h(b) - (-1)^h(b)),
 
 the product in the denominator running over the boxes of all constituent
-partitions with hooks weighted by the orbit size.  The central character and
-reality are read off the orbit labels.  Each orbit phi of exponent e
-restricts to the centre T_1 as (-1)^(|phi|-1) e, with multiplicity
-|lam^(phi)|; chi^lam is real iff each lam^(phi) also sits on phi's conjugate.
+partitions with hooks weighted by the orbit size.  Both q^(n(lam')) and the
+hook product split over the label's (orbit, partition) entries, and labels
+share few distinct entries, so each entry's factors are computed once.
+
+The central character and reality are read off the orbit labels.  Each
+orbit phi of exponent e restricts to the centre T_1 as (-1)^(|phi|-1) e,
+with multiplicity |lam^(phi)|; chi^lam is real iff each lam^(phi) also sits
+on phi's conjugate.
 
 For the indicator there are three routes: the closed-form value on the
 semisimple and regular families (the sign of the central character at a
@@ -26,13 +30,8 @@ from math import comb, lcm
 from . import cyclotomic
 from .conjclasses import class_square, class_table, group_order
 from .cyclotomic import Cyclotomic
-from .multipartition import (
-    MultiPartition,
-    mp_n_conjugate,
-    mp_weighted_hooks,
-    multipartitions_from_units,
-)
-from .partitions import two_core
+from .multipartition import MultiPartition, multipartitions_from_units
+from .partitions import hooks, two_core
 from .symfunc import char_row
 from .torus import (
     THETA,
@@ -50,18 +49,38 @@ class RouteDisagreement(ValueError):
     """Two indicator routes gave different values for the same label."""
 
 
+@cache
+def _order_factor(q: int, n: int) -> int:
+    """prod_{k<=n} (q^k - (-1)^k), the q'-part of |U(n, F_q2)| up to sign."""
+    out = 1
+    for k in range(1, n + 1):
+        out *= q**k - (-1) ** k
+    return out
+
+
+@cache
+def _entry_factors(q: int, level: int, parts: tuple[int, ...]) -> tuple[int, int]:
+    """(q^(level n(p')), prod_h (q^(level h) - (-1)^(level h))) of one entry.
+
+    n(p') = sum C(p_i, 2); h runs over the hook lengths of p.
+    """
+    hook_product = 1
+    for h in hooks(parts):
+        hook_product *= q ** (level * h) - (-1) ** (level * h)
+    return q ** (level * sum(a * (a - 1) // 2 for a in parts)), hook_product
+
+
 def degree(ctx: TorusContext, lam: MultiPartition) -> int:
     """chi^lam(1) by the weighted hook product; exact."""
     if lam.side != THETA:
         raise ValueError("character labels live on the theta side")
-    n = lam.size
     q = ctx.q
-    num = q ** mp_n_conjugate(lam)
-    for k in range(1, n + 1):
-        num *= q**k - (-1) ** k
+    num = _order_factor(q, lam.size)
     den = 1
-    for h in mp_weighted_hooks(lam):
-        den *= q**h - (-1) ** h
+    for o, parts in lam.entries:
+        power, hook_product = _entry_factors(q, o.level, parts)
+        num *= power
+        den *= hook_product
     if num % den:
         raise ValueError(f"hook product does not divide for {lam}")
     deg = num // den
@@ -261,6 +280,17 @@ def census_semisimple(ctx: TorusContext) -> dict:
         "symplectic": symplectic,
         "route_agreement": cross_checked,
     }
+
+
+def semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
+    """The semisimple labels at degree ctx.n, in canonical order.
+
+    Generated directly, not filtered from every label: each orbit o is a
+    unit of weight |o| that carries the column (1^k).
+    """
+    n = ctx.n
+    units = [(o.level, (o,)) for o in orbits_up_to(ctx, n)]
+    return multipartitions_from_units(THETA, n, units, lambda k: ((1,) * k,))
 
 
 @cache

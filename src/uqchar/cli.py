@@ -32,6 +32,7 @@ from .characters import (
     is_semisimple,
     is_unipotent,
     real_semisimple_labels,
+    semisimple_labels,
 )
 from .conjclasses import class_table, group_order
 from .gf import GF, poly_to_str
@@ -45,12 +46,20 @@ from .selfdual import (
 from .symfunc import MAX_CELLS, TableTooLarge, char_table
 from .torus import PHI, THETA, TorusContext
 
-# --family choice -> label predicate, shared by degrees and fs
+
+def _filtered(keep):
+    return lambda ctx: [lam for lam in enumerate_multipartitions(ctx, ctx.n, THETA)
+                        if keep(lam)]
+
+
+# --family choice -> the family's labels at degree ctx.n, shared by degrees
+# and fs.  The semisimple labels are generated, not filtered.  The label
+# sources are looked up when called, as in INDICATOR_ROUTES below.
 FAMILIES = {
-    "semisimple": is_semisimple,
-    "regular": is_regular,
-    "unipotent": is_unipotent,
-    "all": lambda lam: True,
+    "semisimple": lambda ctx: semisimple_labels(ctx),
+    "regular": _filtered(is_regular),
+    "unipotent": _filtered(is_unipotent),
+    "all": lambda ctx: enumerate_multipartitions(ctx, ctx.n, THETA),
 }
 
 # indicator route -> how it computes the indicator; _route picks the route.
@@ -117,12 +126,6 @@ def _approx_text(v) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
-def _family_labels(ctx, args):
-    keep = FAMILIES[args.family]
-    return [lam for lam in enumerate_multipartitions(ctx, args.n, THETA)
-            if keep(lam)]
-
-
 def cmd_census(args) -> int:
     ctx = TorusContext(args.q, args.n)
     out = census_semisimple(ctx)
@@ -145,7 +148,7 @@ def cmd_degrees(args) -> int:
             "regular": is_regular(lam),
             "unipotent": is_unipotent(lam),
         }
-        for lam in _family_labels(ctx, args)), key=lambda e: e["label"])
+        for lam in FAMILIES[args.family](ctx)), key=lambda e: e["label"])
     if args.format == "tsv":
         rows = [("label", "degree", "real", "semisimple", "regular", "unipotent")]
         rows += [
@@ -177,7 +180,7 @@ def cmd_chartable(args) -> int:
 
 def cmd_fs(args) -> int:
     ctx = TorusContext(args.q, args.n)
-    routed = [(lam, _route(ctx, lam)) for lam in _family_labels(ctx, args)]
+    routed = [(lam, _route(ctx, lam)) for lam in FAMILIES[args.family](ctx)]
     # brute force builds character rows: refuse an oversized table or field
     brute = sum(route == "brute-force" for _, route in routed)
     if brute:

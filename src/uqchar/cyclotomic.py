@@ -138,13 +138,16 @@ class Cyclotomic:
     """An element of Q(zeta_M): its nonzero power-basis terms over den.
 
     coeffs = ((i, c), ...) with i increasing in [0, phi(M)) and every c a
-    nonzero int; den > 0 is coprime to the c.  from_terms makes every value.
+    nonzero int; den > 0 is coprime to the c.  from_terms makes every value
+    and stores its hash: values key the memos of every table layer.
     """
 
-    __slots__ = ("modulus", "coeffs", "den")
+    __slots__ = ("modulus", "coeffs", "den", "_hash")
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
+
+    __delattr__ = __setattr__
 
     # -- ring ops ----------------------------------------------------------
 
@@ -216,17 +219,18 @@ class Cyclotomic:
         return _rational(c, self.den)
 
     def __eq__(self, other):
+        # values meet values in the memos' dict lookups: that case first
+        if isinstance(other, Cyclotomic):
+            return (self._hash == other._hash and self.modulus == other.modulus
+                    and self.den == other.den and self.coeffs == other.coeffs)
         if isinstance(other, (int, Fraction)):
             # both denominators are positive: compare by cross-multiplying
             c = self._constant()
             return c is not None and c * other.denominator == other.numerator * self.den
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return (self.modulus == other.modulus and self.den == other.den
-                and self.coeffs == other.coeffs)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.modulus, self.coeffs, self.den))
+        return self._hash
 
     def __repr__(self):
         return f"<{to_text(self)}>"
@@ -274,10 +278,12 @@ def from_terms(modulus: int, terms, den: int = 1) -> Cyclotomic:
     if den < 0:
         g = -g
     obj = object.__new__(Cyclotomic)
+    coeffs = tuple((i, c // g) for i, c in sorted(out.items()) if c)
+    den //= g
     object.__setattr__(obj, "modulus", modulus)
-    object.__setattr__(
-        obj, "coeffs", tuple((i, c // g) for i, c in sorted(out.items()) if c))
-    object.__setattr__(obj, "den", den // g)
+    object.__setattr__(obj, "coeffs", coeffs)
+    object.__setattr__(obj, "den", den)
+    object.__setattr__(obj, "_hash", hash((modulus, coeffs, den)))
     return obj
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import check_partition, hooks, n_stat, partitions_of
+from .partitions import check_partition, n_stat, partitions_of
 from .torus import SIDES, OrbitLabel, TorusContext, frobenius_orbit, orbits_up_to
 
 
@@ -60,7 +60,7 @@ class MultiPartition:
         cleaned = []
         seen = set()
         for orbit, parts in pairs:
-            parts = check_partition(tuple(parts))
+            parts = check_partition(parts)
             if not parts:
                 continue
             if orbit in seen:
@@ -89,32 +89,22 @@ class MultiPartition:
 
     def to_key(self) -> str:
         """Compact string form, usable as a dict key in JSON documents."""
-        return "+".join(
-            f"{self.side}:{o.level}:{o.min_exponent}[{','.join(map(str, parts))}]"
-            for o, parts in self.entries
-        ) or "empty:" + self.side
+        keys = [_entry_key(self.side, o, parts) for o, parts in self.entries]
+        return "+".join(keys) or "empty:" + self.side
 
     def __repr__(self):
         return f"<mp {self.to_key()}>"
 
 
+@cache
+def _entry_key(side: str, orbit: OrbitLabel, parts: tuple[int, ...]) -> str:
+    """One entry of to_key; labels share entries, so each is written once."""
+    return f"{side}:{orbit.level}:{orbit.min_exponent}[{','.join(map(str, parts))}]"
+
+
 def mp_n_stat(mp: MultiPartition) -> int:
     """n(mp) = sum |orbit| * n(partition)."""
     return sum(o.level * n_stat(parts) for o, parts in mp.entries)
-
-
-def mp_weighted_hooks(mp: MultiPartition) -> tuple[int, ...]:
-    """Multiset of |orbit| * hook over all boxes, descending."""
-    out = []
-    for o, parts in mp.entries:
-        out.extend(o.level * h for h in hooks(parts))
-    return tuple(sorted(out, reverse=True))
-
-
-def mp_n_conjugate(mp: MultiPartition) -> int:
-    """n(mp') = sum |orbit| * n(partition'), with n(p') = sum C(p_i, 2)."""
-    return sum(o.level * sum(a * (a - 1) for a in parts)
-               for o, parts in mp.entries) // 2
 
 
 def mp_bar(ctx: TorusContext, mp: MultiPartition) -> MultiPartition:

@@ -9,9 +9,25 @@ hook lengths use the standard formula h(i,j) = lam_i + lam'_j - i - j + 1.
 from functools import cache
 
 
-def check_partition(p: tuple[int, ...]) -> tuple[int, ...]:
+def check_partition(p) -> tuple[int, ...]:
+    """p as a tuple, refused with ValueError unless it is a partition.
+
+    p may be any sequence of ints, a list too.  Each distinct partition is
+    checked once, and its first tuple is returned for every equal one; a
+    refusal is not cached, so a bad partition is refused on every call.
+    """
     p = tuple(p)
-    if any(a < b for a, b in zip(p, p[1:])) or any(a < 1 for a in p):
+    checked = _checked_partition(p)
+    # an equal tuple found in the cache may hold other types: (2.0,) == (2,)
+    if checked is not p and any(type(a) is not int for a in p):
+        raise ValueError(f"not a partition: {p}")
+    return checked
+
+
+@cache
+def _checked_partition(p: tuple[int, ...]) -> tuple[int, ...]:
+    if (any(type(a) is not int or a < 1 for a in p)
+            or any(a < b for a, b in zip(p, p[1:]))):
         raise ValueError(f"not a partition: {p}")
     return p
 

@@ -30,6 +30,7 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      (multipartition.mp_galois).  Steps 1-4 run for the first label of each
      Galois orbit of labels (galois_orbits); every other row is sigma_k of
      that one, applied once per distinct (value, k) (_galois_value).
+     Rows share one object per distinct value (_shared).
 
 Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
@@ -370,7 +371,17 @@ def _galois_value(v: Cyclotomic, k: int) -> Cyclotomic:
     Its entries are bounded by the sigma_k cells char_row's cache holds.
     """
     # through the module name, so that a wrapper bound in its place sees it
-    return cyclotomic.galois(v, k)
+    return _shared(cyclotomic.galois(v, k))
+
+
+@cache
+def _shared(v: Cyclotomic) -> Cyclotomic:
+    """The first object equal to v: rows share one object per distinct value.
+
+    A table holds few distinct values in many cells (181 in the 12100 at
+    (4,3)); its entries are values char_row's cache holds anyway.
+    """
+    return v
 
 
 def _expand_row(
@@ -435,7 +446,7 @@ def _expand_row(
                 total[e] = total.get(e, 0) + c * x
         val = cyclotomic.from_terms(big, total.items(), sign * common * den)
         if not val.is_zero():
-            out[mu] = val
+            out[mu] = _shared(val)
     return out
 
 

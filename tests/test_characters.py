@@ -15,6 +15,7 @@ import pytest
 from uqchar import characters, cyclotomic
 from uqchar.characters import (
     RouteDisagreement,
+    _semisimple_count,
     census_semisimple,
     central_value,
     degree,
@@ -27,10 +28,12 @@ from uqchar.characters import (
     is_unipotent,
     omega_exponent,
     real_semisimple_labels,
+    semisimple_labels,
 )
 from uqchar.conjclasses import central_class, group_order
 from uqchar.multipartition import MultiPartition, enumerate_multipartitions, mp_bar
 from uqchar.nt import prime_power
+from uqchar.partitions import hooks
 from uqchar.symfunc import char_table
 from uqchar.torus import (
     PHI,
@@ -104,11 +107,57 @@ def test_degree_rejects_class_side():
 
 
 def test_degree_rejects_a_hook_product_that_does_not_divide(monkeypatch):
+    # the entry's factors as if its hooks were (2, 2): the hook product
+    # (q^2 - 1)^2 = 64 does not divide the numerator q + 1 = 4
     ctx = TorusContext(3, 1)
     triv = _label(ctx, THETA, ((1, 0), (1,)))
-    monkeypatch.setattr(characters, "mp_weighted_hooks", lambda lam: (2, 2))
+    monkeypatch.setattr(characters, "_entry_factors",
+                        lambda q, level, parts: (1, (q**2 - 1) ** 2))
     with pytest.raises(ValueError, match="hook product does not divide"):
         degree(ctx, triv)
+
+
+def _weighted_hooks(lam):
+    """Oracle: the multiset of |orbit| * hook over all boxes, descending."""
+    return tuple(sorted(
+        (o.level * h for o, parts in lam.entries for h in hooks(parts)),
+        reverse=True))
+
+
+def _n_conjugate(lam):
+    """Oracle: n(lam') = sum |orbit| * n(partition'), n(p') = sum C(p_i, 2)."""
+    return sum(o.level * sum(a * (a - 1) for a in parts)
+               for o, parts in lam.entries) // 2
+
+
+def _hook_formula_degree(q, lam):
+    """Oracle: q^n(lam') prod_{k<=n} (q^k - (-1)^k) / prod_h (q^h - (-1)^h)."""
+    num = q ** _n_conjugate(lam)
+    for k in range(1, lam.size + 1):
+        num *= q**k - (-1) ** k
+    den = 1
+    for h in _weighted_hooks(lam):
+        den *= q**h - (-1) ** h
+    assert num % den == 0, lam
+    return num // den
+
+
+def test_hook_oracle_on_a_known_label():
+    ctx = TorusContext(3, 2)
+    lam = _label(ctx, THETA, ((1, 0), (2, 1)), ((2, 1), (1, 1)))
+    # hooks of (2,1) are (3,1,1); of (1,1) are (2,1), weighted by orbit size 2
+    assert _weighted_hooks(lam) == (4, 3, 2, 1, 1)
+    # n((2,1)') = 1, n((1,1)') = n((2)) = 0
+    assert _n_conjugate(lam) == 1 * 1 + 2 * 0
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 5), (4, 4), (5, 3), (9, 3)])
+def test_degree_matches_the_spelled_out_hook_formula(q, n):
+    # the per-entry factors against the hook product over the whole label,
+    # on every label at degree n
+    ctx = TorusContext(q, n)
+    for lam in enumerate_multipartitions(ctx, n, THETA):
+        assert degree(ctx, lam) == _hook_formula_degree(q, lam), lam
 
 
 def test_degree_rejects_a_degree_that_is_not_positive():
@@ -461,6 +510,19 @@ def test_real_semisimple_labels_match_filtered_enumeration(q):
         real = [lam for lam in semisimple if is_real(ctx, lam)]
         assert real_semisimple_labels(ctx) == tuple(real), (q, n)
         assert census_semisimple(ctx)["semisimple"] == len(semisimple), (q, n)
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))
+def test_semisimple_labels_match_filtered_enumeration(q):
+    # the direct generation against filtering every multipartition, and
+    # against the generating-function count
+    for n in range(1, ORACLE_MAX_N[q] + 1):
+        ctx = TorusContext(q, n)
+        semisimple = tuple(
+            lam for lam in enumerate_multipartitions(ctx, n, THETA)
+            if is_semisimple(lam))
+        assert semisimple_labels(ctx) == semisimple, (q, n)
+        assert len(semisimple) == _semisimple_count(ctx), (q, n)
 
 
 @pytest.mark.parametrize(

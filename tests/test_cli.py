@@ -15,7 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from uqchar import characters, cli, conjclasses, cyclotomic, gf, symfunc
+from uqchar import (
+    characters,
+    cli,
+    conjclasses,
+    cyclotomic,
+    gf,
+    multipartition,
+    partitions,
+    symfunc,
+)
 from uqchar.characters import degree
 from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
@@ -589,6 +598,47 @@ def test_chartable_works_once_per_distinct_value(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[
         "chartable --q 4 --n 3 --max-cells 100000"]["sha256"]
     assert calls == {"galois": 960, "to_text": 181}
+
+
+def test_degrees_work_once_per_distinct_entry(capsys, monkeypatch):
+    # the 5816 labels at (3, 7) hold 15284 (orbit, partition) entries, but
+    # only 706 distinct entries, 57 distinct (level, partition) pairs and 44
+    # distinct partitions: the hooks run once per pair, a partition is
+    # checked once and an entry's key text is written once
+    multipartition.enumerate_multipartitions.cache_clear()
+    multipartition._entry_key.cache_clear()
+    characters._entry_factors.cache_clear()
+    partitions._checked_partition.cache_clear()
+    calls = {"hooks": 0}
+
+    def counted_hooks(parts):
+        calls["hooks"] += 1
+        return partitions.hooks(parts)
+
+    monkeypatch.setattr(characters, "hooks", counted_hooks)
+    code, out, err = run(capsys, ["degrees", "--q", "3", "--n", "7"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[
+        "degrees --q 3 --n 7"]["sha256"]
+    assert calls["hooks"] == characters._entry_factors.cache_info().misses == 57
+    assert partitions._checked_partition.cache_info().misses == 44
+    assert multipartition._entry_key.cache_info().misses == 706
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["degrees", "--q", "3", "--n", "7", "--format", "tsv"],
+     "24db24ae5274a1ba52bd1a1633326496a102c287c6c82541afa4861fc025f9fa"),
+    (["degrees", "--q", "4", "--n", "4", "--family", "semisimple"],
+     "91c376b07ccea94107a9bda2bec0260b5c0da9a566be513c05141417279525be"),
+    (["fs", "--q", "5", "--n", "4", "--family", "semisimple"],
+     "eeecedd6aba57c84d9a3b5a58c8255b367874b9d5add4b3c4e10400fa8e431d1"),
+], ids=["degrees-3-7-tsv", "degrees-4-4-semisimple", "fs-5-4-semisimple"])
+def test_label_lists_are_pinned(capsys, argv, sha256):
+    # recorded from the implementation that computed every hook product per
+    # label and filtered the semisimple family out of every label
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_no_assert_statement_in_the_library_or_the_scripts():

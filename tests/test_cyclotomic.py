@@ -243,6 +243,30 @@ def test_the_dense_constructor_makes_no_value():
         Cyclotomic(8, [0, 1, 0, 0])
 
 
+def test_values_keep_their_equality_hash_and_immutability():
+    # the hash is stored at construction and equality tests the Cyclotomic
+    # case first; the comparisons with ints and Fractions, the hash and
+    # immutability are as they were, and no attribute can be deleted
+    a = from_terms(12, [(1, 2), (13, 1)], 6)  # 3 z / 6 = z / 2
+    b = from_terms(12, [(1, 1)], 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((12, ((1, 1),), 2))
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+    assert a != zeta(12) and a != from_terms(24, [(2, 1)], 2)
+    half = from_terms(12, [(0, 3)], 6)
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != 0 and half != Fraction(1, 3) and a != Fraction(1, 2)
+    assert one(12) == 1 and 1 == one(12) and zero(12) == 0 and one(12) != 2
+    assert from_terms(12, [(0, -4)], 2) == -2
+    assert (a == "z") is False and a != "z"
+    for field in ("modulus", "coeffs", "den", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert (a.modulus, a.coeffs, a.den) == (12, ((1, 1),), 2)
+
+
 def test_integral_values_hold_ints_over_one():
     a = from_terms(12, [(0, 2), (5, -3), (13, 1)])
     assert a.den == 1

@@ -2,13 +2,12 @@
 
 import pytest
 
+from uqchar.characters import _entry_factors
 from uqchar.multipartition import (
     MultiPartition,
     enumerate_multipartitions,
     mp_bar,
-    mp_n_conjugate,
     mp_n_stat,
-    mp_weighted_hooks,
 )
 from uqchar.partitions import conjugate
 from uqchar.torus import PHI, THETA, OrbitLabel, TorusContext, count_exact_orbits
@@ -65,21 +64,23 @@ def test_stats():
     assert a.size == 3 + 4
     assert sum(len(parts) for _, parts in a.entries) == 4
     assert mp_n_stat(a) == 1 * (0 + 1) + 2 * (0 + 1)
-    # hooks of (2,1) are (3,1,1); of (1,1) are (2,1), weighted by orbit size 2
-    assert mp_weighted_hooks(a) == (4, 3, 2, 1, 1)
     assert mp_conjugate(a).part_for(O10) == (2, 1)
     assert mp_conjugate(a).part_for(O21) == (2,)
-    assert mp_n_conjugate(a) == mp_n_stat(mp_conjugate(a)) == 1 * 1 + 2 * 0
+    assert mp_n_stat(mp_conjugate(a)) == 1 * 1 + 2 * 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_n_of_the_conjugate_read_from_the_parts(q):
-    # n(lam') summed from the parts equals n of the conjugated label, at
-    # every label up to n = 4
+    # the degree's per-entry powers q^(|o| n(p')), n(p') read from the parts,
+    # multiply to q^n(lam') of the conjugated label, at every label up to
+    # n = 4
     for n in range(1, 5):
         ctx = TorusContext(q, n)
         for lam in enumerate_multipartitions(ctx, n, THETA):
-            assert mp_n_conjugate(lam) == mp_n_stat(mp_conjugate(lam)), lam
+            power = 1
+            for o, parts in lam.entries:
+                power *= _entry_factors(q, o.level, parts)[0]
+            assert power == q ** mp_n_stat(mp_conjugate(lam)), lam
 
 
 def test_bar_relabels_conjugate_orbits():

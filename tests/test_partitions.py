@@ -73,6 +73,22 @@ def test_check_partition():
         check_partition((2, 0))
 
 
+def test_check_partition_is_cached_and_refuses_every_time():
+    # the check runs once per distinct partition; a refusal is not cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a partition"):
+            check_partition((1, 2))
+    # a list is taken as its tuple, before and after that tuple is cached
+    assert check_partition([3, 1]) == (3, 1)
+    assert check_partition((3, 1)) == (3, 1)
+    assert check_partition([3, 1]) == (3, 1)
+    # parts must be ints: a cached (2,) must not answer for (2.0,)
+    assert check_partition((2,)) == (2,)
+    for bad in ((2.0,), (True,)):
+        with pytest.raises(ValueError, match="not a partition"):
+            check_partition(bad)
+
+
 def test_conjugate_examples():
     assert conjugate((3, 2, 1)) == (3, 2, 1)
     assert conjugate((4, 1)) == (2, 1, 1, 1)

@@ -660,3 +660,10 @@ def test_galois_value_refuses_a_non_unit_every_time():
         with pytest.raises(ValueError, match="2 is not a unit mod 12"):
             symfunc._galois_value(cyclotomic.one(12), 2)
     assert symfunc._galois_value(cyclotomic.zeta(12), 5) == cyclotomic.zeta(12, 5)
+
+
+def test_rows_share_one_object_per_distinct_value():
+    # expanded and sigma_k rows alike hold the first object of each value
+    table = char_table(TorusContext(4, 2))
+    cells = [v for row in table.values for v in row]
+    assert len({id(v) for v in cells}) == len(set(cells)) < len(cells) // 4

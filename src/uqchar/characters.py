@@ -9,17 +9,19 @@ partitions with hooks weighted by the orbit size.  Both q^(n(lam')) and the
 hook product split over the label's (orbit, partition) entries, and labels
 share few distinct entries, so each entry's factors are computed once.
 
-The central character and reality are read off the orbit labels.  Each
-orbit phi of exponent e restricts to the centre T_1 as (-1)^(|phi|-1) e,
-with multiplicity |lam^(phi)|; chi^lam is real iff each lam^(phi) also sits
-on phi's conjugate.
+The central character, reality and the families are read off the orbit
+labels.  Each orbit phi of exponent e restricts to the centre T_1 as
+(-1)^(|phi|-1) e, with multiplicity |lam^(phi)|; chi^lam is real iff each
+lam^(phi) also sits on phi's conjugate.  A semisimple label puts a column on
+every orbit, a regular one a row, and a unipotent one any partition on the
+trivial orbit alone; family_labels generates each family from these shapes.
 
 For the indicator there are three routes: the closed-form value on the
 semisimple and regular families (the sign of the central character at a
 generator of the centre, equivalently the parity of the partition sitting on
 the order-two character), the two-core parity rule on unipotent labels, and
 the brute-force average of chi over squared classes.  They are computed
-independently so tests can triangulate.
+independently so tests can triangulate; indicator_route picks one per label.
 """
 
 from __future__ import annotations
@@ -28,16 +30,21 @@ from functools import cache
 from math import comb, lcm
 
 from . import cyclotomic
-from .conjclasses import class_square, class_table, group_order
+from .conjclasses import class_square, class_table, group_order, order_factor
 from .cyclotomic import Cyclotomic
-from .multipartition import MultiPartition, multipartitions_from_units
-from .partitions import hooks, two_core
+from .multipartition import (
+    MultiPartition,
+    enumerate_multipartitions,
+    multipartitions_from_units,
+)
+from .partitions import hooks, partitions_of, two_core
 from .symfunc import char_row
 from .torus import (
     THETA,
     TorusContext,
     conjugate_orbit,
     count_exact_orbits,
+    modulus_of,
     one_orbit,
     orbits_up_to,
     self_conjugate_orbits,
@@ -50,23 +57,14 @@ class RouteDisagreement(ValueError):
 
 
 @cache
-def _order_factor(q: int, n: int) -> int:
-    """prod_{k<=n} (q^k - (-1)^k), the q'-part of |U(n, F_q2)| up to sign."""
-    out = 1
-    for k in range(1, n + 1):
-        out *= q**k - (-1) ** k
-    return out
-
-
-@cache
 def _entry_factors(q: int, level: int, parts: tuple[int, ...]) -> tuple[int, int]:
-    """(q^(level n(p')), prod_h (q^(level h) - (-1)^(level h))) of one entry.
+    """(q^(level n(p')), prod_h M_(level h)) of one entry.
 
     n(p') = sum C(p_i, 2); h runs over the hook lengths of p.
     """
     hook_product = 1
     for h in hooks(parts):
-        hook_product *= q ** (level * h) - (-1) ** (level * h)
+        hook_product *= modulus_of(q, level * h)
     return q ** (level * sum(a * (a - 1) // 2 for a in parts)), hook_product
 
 
@@ -75,7 +73,7 @@ def degree(ctx: TorusContext, lam: MultiPartition) -> int:
     if lam.side != THETA:
         raise ValueError("character labels live on the theta side")
     q = ctx.q
-    num = _order_factor(q, lam.size)
+    num = order_factor(q, lam.size)
     den = 1
     for o, parts in lam.entries:
         power, hook_product = _entry_factors(q, o.level, parts)
@@ -231,6 +229,30 @@ def fs_bruteforce(ctx: TorusContext, lam: MultiPartition) -> int:
     return eps
 
 
+def indicator_route(ctx: TorusContext, lam: MultiPartition) -> str:
+    """The route of indicator that covers lam; "non-real" gives 0."""
+    if not is_real(ctx, lam):
+        return "non-real"
+    if is_semisimple(lam) or is_regular(lam):
+        return "closed-form"
+    if is_unipotent(lam):
+        return "two-core"
+    return "brute-force"
+
+
+def indicator(ctx: TorusContext, lam: MultiPartition, route: str) -> int:
+    """The indicator of lam by route; brute force builds a character row."""
+    if route == "non-real":
+        return 0
+    if route == "closed-form":
+        return fs_semisimple_regular(ctx, lam)
+    if route == "two-core":
+        return fs_unipotent(ctx, lam)
+    if route == "brute-force":
+        return fs_bruteforce(ctx, lam)
+    raise ValueError(f"unknown indicator route {route!r}")
+
+
 def _semisimple_count(ctx: TorusContext) -> int:
     """The number of semisimple labels at degree ctx.n.
 
@@ -282,15 +304,24 @@ def census_semisimple(ctx: TorusContext) -> dict:
     }
 
 
-def semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
-    """The semisimple labels at degree ctx.n, in canonical order.
+# family -> the shapes a unit of multiplicity k carries, in the CLI's order;
+# unipotent labels have one unit, the trivial orbit
+FAMILIES = {
+    "semisimple": lambda k: ((1,) * k,),
+    "regular": lambda k: ((k,),),
+    "unipotent": partitions_of,
+    "all": partitions_of,
+}
 
-    Generated directly, not filtered from every label: each orbit o is a
-    unit of weight |o| that carries the column (1^k).
-    """
+
+def family_labels(ctx: TorusContext, family: str) -> tuple[MultiPartition, ...]:
+    """The labels of a family (a key of FAMILIES) at degree ctx.n, sorted."""
     n = ctx.n
-    units = [(o.level, (o,)) for o in orbits_up_to(ctx, n)]
-    return multipartitions_from_units(THETA, n, units, lambda k: ((1,) * k,))
+    if family == "all":
+        return enumerate_multipartitions(ctx, n, THETA)
+    orbits = [one_orbit(ctx)] if family == "unipotent" else orbits_up_to(ctx, n)
+    units = [(o.level, (o,)) for o in orbits]
+    return multipartitions_from_units(THETA, n, units, FAMILIES[family])
 
 
 @cache
@@ -310,4 +341,4 @@ def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
         if o < bar:
             units.append((2 * o.level, (o, bar)))
     units.sort()
-    return multipartitions_from_units(THETA, n, units, lambda k: ((1,) * k,))
+    return multipartitions_from_units(THETA, n, units, FAMILIES["semisimple"])

@@ -5,7 +5,8 @@ Six subcommands: census (real semisimple indicator counts), degrees
 fs (indicators with the route used), selfdual (self-dual polynomial
 enumeration), and verify (the cross-validation stack).  Output is JSON with
 sorted keys or TSV with fixed column order, so identical invocations are
-byte-identical.
+byte-identical.  This module parses arguments, calls the library and
+prints: --family labels and indicator routes come from characters.
 
 Exit status: 0 on success, 1 on refusals, internal check failures and an
 unwritable --out (diagnostic on stderr), 2 on usage errors (argparse),
@@ -22,17 +23,18 @@ from functools import cache
 
 from . import cyclotomic
 from .characters import (
+    FAMILIES,
     census_semisimple,
     degree,
+    family_labels,
     fs_bruteforce,
-    fs_semisimple_regular,
-    fs_unipotent,
+    indicator,
+    indicator_route,
     is_real,
     is_regular,
     is_semisimple,
     is_unipotent,
     real_semisimple_labels,
-    semisimple_labels,
 )
 from .conjclasses import class_table, group_order
 from .gf import GF, poly_to_str
@@ -44,45 +46,7 @@ from .selfdual import (
     enumerate_self_dual,
 )
 from .symfunc import MAX_CELLS, TableTooLarge, char_table
-from .torus import PHI, THETA, TorusContext
-
-
-def _filtered(keep):
-    return lambda ctx: [lam for lam in enumerate_multipartitions(ctx, ctx.n, THETA)
-                        if keep(lam)]
-
-
-# --family choice -> the family's labels at degree ctx.n, shared by degrees
-# and fs.  The semisimple labels are generated, not filtered.  The label
-# sources are looked up when called, as in INDICATOR_ROUTES below.
-FAMILIES = {
-    "semisimple": lambda ctx: semisimple_labels(ctx),
-    "regular": _filtered(is_regular),
-    "unipotent": _filtered(is_unipotent),
-    "all": lambda ctx: enumerate_multipartitions(ctx, ctx.n, THETA),
-}
-
-# indicator route -> how it computes the indicator; _route picks the route.
-# Each function is looked up when called, so a rebinding of the module-level
-# name (as perfbench/tracer.py does) reaches every call.
-INDICATOR_ROUTES = {
-    "non-real": lambda ctx, lam: 0,
-    "closed-form": lambda ctx, lam: fs_semisimple_regular(ctx, lam),
-    "two-core": lambda ctx, lam: fs_unipotent(ctx, lam),
-    # builds a character row; callers bound the table size with --max-cells
-    "brute-force": lambda ctx, lam: fs_bruteforce(ctx, lam),
-}
-
-
-def _route(ctx, lam) -> str:
-    """The key of INDICATOR_ROUTES that computes the indicator of lam."""
-    if not is_real(ctx, lam):
-        return "non-real"
-    if is_semisimple(lam) or is_regular(lam):
-        return "closed-form"
-    if is_unipotent(lam):
-        return "two-core"
-    return "brute-force"
+from .torus import PHI, TorusContext
 
 
 def _emit(args, text: str) -> None:
@@ -148,7 +112,7 @@ def cmd_degrees(args) -> int:
             "regular": is_regular(lam),
             "unipotent": is_unipotent(lam),
         }
-        for lam in FAMILIES[args.family](ctx)), key=lambda e: e["label"])
+        for lam in family_labels(ctx, args.family)), key=lambda e: e["label"])
     if args.format == "tsv":
         rows = [("label", "degree", "real", "semisimple", "regular", "unipotent")]
         rows += [
@@ -180,7 +144,8 @@ def cmd_chartable(args) -> int:
 
 def cmd_fs(args) -> int:
     ctx = TorusContext(args.q, args.n)
-    routed = [(lam, _route(ctx, lam)) for lam in FAMILIES[args.family](ctx)]
+    routed = [(lam, indicator_route(ctx, lam))
+              for lam in family_labels(ctx, args.family)]
     # brute force builds character rows: refuse an oversized table or field
     brute = sum(route == "brute-force" for _, route in routed)
     if brute:
@@ -192,7 +157,7 @@ def cmd_fs(args) -> int:
         cyclotomic.check_degree(ctx.cyclo_modulus)
     entries = sorted((
         {"label": lam.to_key(),
-         "indicator": INDICATOR_ROUTES[route](ctx, lam),
+         "indicator": indicator(ctx, lam, route),
          "route": route}
         for lam, route in routed), key=lambda e: e["label"])
     if args.format == "tsv":
@@ -258,7 +223,7 @@ def cmd_verify(args) -> int:
     per_n = []
     for n in range(1, args.max_n + 1):
         ctx = TorusContext(q, n)
-        labels = enumerate_multipartitions(ctx, n, THETA)
+        labels = family_labels(ctx, "all")
         cells = len(labels) ** 2
         if cells <= args.max_cells:
             cyclotomic.check_degree(ctx.cyclo_modulus)
@@ -302,9 +267,9 @@ def cmd_verify(args) -> int:
             # routed to brute force has no other route to compare with
             good = True
             for lam in labels:
-                brute, route = fs_bruteforce(ctx, lam), _route(ctx, lam)
+                brute, route = fs_bruteforce(ctx, lam), indicator_route(ctx, lam)
                 if route != "brute-force":
-                    good &= brute == INDICATOR_ROUTES[route](ctx, lam)
+                    good &= brute == indicator(ctx, lam, route)
             check(good, f"n={n}: indicator routes agree with brute force")
     text = "".join(line + "\n" for line in lines)
     _emit(args, text)

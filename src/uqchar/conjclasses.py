@@ -20,11 +20,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import prod
 from typing import NamedTuple
 
 from .multipartition import MultiPartition, enumerate_multipartitions
 from .partitions import n_stat
-from .torus import PHI, OrbitLabel, TorusContext, frobenius_orbit
+from .torus import PHI, OrbitLabel, TorusContext, frobenius_orbit, modulus_of
 
 
 def a_partition_poly(parts: tuple[int, ...], x: Fraction) -> Fraction:
@@ -40,13 +41,16 @@ def a_partition_poly(parts: tuple[int, ...], x: Fraction) -> Fraction:
     return val
 
 
+@cache
+def order_factor(q: int, n: int) -> int:
+    """prod_{k<=n} M_k, M_k = q^k - (-1)^k: |U(n, F_q2)| without its q-part."""
+    return prod(modulus_of(q, k) for k in range(1, n + 1))
+
+
 def group_order(ctx: TorusContext) -> int:
-    """|U(n, F_q2)| = q^(n(n-1)/2) prod_{i<=n} (q^i - (-1)^i), n = ctx.n."""
-    n, q = ctx.n, ctx.q
-    order = q ** (n * (n - 1) // 2)
-    for i in range(1, n + 1):
-        order *= q**i - (-1) ** i
-    return order
+    """|U(n, F_q2)| = q^(n(n-1)/2) prod_{k<=n} M_k, n = ctx.n."""
+    q, n = ctx.q, ctx.n
+    return q ** (n * (n - 1) // 2) * order_factor(q, n)
 
 
 def centralizer_order(ctx: TorusContext, mu: MultiPartition) -> int:

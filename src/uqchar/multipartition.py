@@ -57,18 +57,16 @@ class MultiPartition:
         """Normalize: drop empty partitions, sort by orbit, validate."""
         if side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-        cleaned = []
-        seen = set()
+        entries = []
         for orbit, parts in pairs:
             parts = check_partition(parts)
-            if not parts:
-                continue
-            if orbit in seen:
-                raise ValueError(f"orbit {orbit} assigned twice")
-            seen.add(orbit)
-            cleaned.append((orbit, parts))
-        cleaned.sort(key=lambda item: item[0])
-        return MultiPartition(side, tuple(cleaned))
+            if parts:
+                entries.append((orbit, parts))
+        entries.sort()
+        for (a, _), (b, _) in zip(entries, entries[1:]):
+            if a == b:
+                raise ValueError(f"orbit {a} assigned twice")
+        return MultiPartition(side, tuple(entries))
 
     def part_for(self, orbit: OrbitLabel) -> tuple[int, ...]:
         for o, parts in self.entries:

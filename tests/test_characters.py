@@ -14,11 +14,13 @@ import pytest
 
 from uqchar import characters, cyclotomic
 from uqchar.characters import (
+    FAMILIES,
     RouteDisagreement,
     _semisimple_count,
     census_semisimple,
     central_value,
     degree,
+    family_labels,
     fs_bruteforce,
     fs_semisimple_regular,
     fs_unipotent,
@@ -28,7 +30,6 @@ from uqchar.characters import (
     is_unipotent,
     omega_exponent,
     real_semisimple_labels,
-    semisimple_labels,
 )
 from uqchar.conjclasses import central_class, group_order
 from uqchar.multipartition import MultiPartition, enumerate_multipartitions, mp_bar
@@ -514,15 +515,20 @@ def test_real_semisimple_labels_match_filtered_enumeration(q):
 
 @pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))
 def test_semisimple_labels_match_filtered_enumeration(q):
-    # the direct generation against filtering every multipartition, and
-    # against the generating-function count
+    # every family's generated labels against filtering every multipartition
+    # by the family's predicate, and the semisimple ones against the
+    # generating-function count
+    keeps = {"semisimple": is_semisimple, "regular": is_regular,
+             "unipotent": is_unipotent, "all": lambda lam: True}
+    assert list(keeps) == list(FAMILIES)
     for n in range(1, ORACLE_MAX_N[q] + 1):
         ctx = TorusContext(q, n)
-        semisimple = tuple(
-            lam for lam in enumerate_multipartitions(ctx, n, THETA)
-            if is_semisimple(lam))
-        assert semisimple_labels(ctx) == semisimple, (q, n)
-        assert len(semisimple) == _semisimple_count(ctx), (q, n)
+        for family, keep in keeps.items():
+            filtered = tuple(
+                lam for lam in enumerate_multipartitions(ctx, n, THETA)
+                if keep(lam))
+            assert family_labels(ctx, family) == filtered, (q, n, family)
+        assert len(family_labels(ctx, "semisimple")) == _semisimple_count(ctx), (q, n)
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from uqchar import (
     partitions,
     symfunc,
 )
-from uqchar.characters import degree
+from uqchar.characters import degree, indicator, indicator_route
 from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
 from uqchar.multipartition import enumerate_multipartitions
@@ -340,15 +340,13 @@ def test_an_oversized_field_is_refused_before_any_row(capsys, monkeypatch, argv)
     monkeypatch.setattr(symfunc, "char_row", counted)
     monkeypatch.setattr(characters, "char_row", counted)
     indicators = []
+    real_indicator = characters.indicator
 
-    def counting(real_route):
-        def route(ctx, lam):
-            indicators.append(lam)
-            return real_route(ctx, lam)
-        return route
+    def counting(ctx, lam, route):
+        indicators.append(lam)
+        return real_indicator(ctx, lam, route)
 
-    for key, real_route in list(cli.INDICATOR_ROUTES.items()):
-        monkeypatch.setitem(cli.INDICATOR_ROUTES, key, counting(real_route))
+    monkeypatch.setattr(cli, "indicator", counting)
     code, out, err = run(capsys, argv)
     assert code == 1 and not out
     assert err.splitlines() == [f"error: cyclotomic modulus {field}"]
@@ -415,7 +413,7 @@ def test_indicator_sum_counts_square_roots_of_one(q, n, count):
     # Frobenius-Schur: sum_chi eps(chi) chi(1) = #{g : g^2 = 1}
     ctx = TorusContext(q, n)
     eps_deg = sum(
-        cli.INDICATOR_ROUTES[cli._route(ctx, lam)](ctx, lam) * degree(ctx, lam)
+        indicator(ctx, lam, indicator_route(ctx, lam)) * degree(ctx, lam)
         for lam in enumerate_multipartitions(ctx, n, THETA))
     identity = central_class(ctx, 0)
     squares_to_one = sum(
@@ -632,13 +630,41 @@ def test_degrees_work_once_per_distinct_entry(capsys, monkeypatch):
      "91c376b07ccea94107a9bda2bec0260b5c0da9a566be513c05141417279525be"),
     (["fs", "--q", "5", "--n", "4", "--family", "semisimple"],
      "eeecedd6aba57c84d9a3b5a58c8255b367874b9d5add4b3c4e10400fa8e431d1"),
-], ids=["degrees-3-7-tsv", "degrees-4-4-semisimple", "fs-5-4-semisimple"])
+    (["degrees", "--q", "3", "--n", "7", "--family", "regular"],
+     "3cd027765cdf3f7dcc0cb908f800c9657b3cfc5b9d8ad61d8c25fc52c473fe00"),
+    (["degrees", "--q", "4", "--n", "4", "--family", "unipotent",
+      "--format", "tsv"],
+     "8d7e66957b2d64569fd2cf6c603afdd7ba34f540129f63795e66b3cf7af3bccf"),
+    (["fs", "--q", "3", "--n", "5", "--family", "regular"],
+     "91d20e1a58ffc7002cf24e7f036173ffaa92cd9a3dadb845479b8eb84012710f"),
+], ids=["degrees-3-7-tsv", "degrees-4-4-semisimple", "fs-5-4-semisimple",
+        "degrees-3-7-regular", "degrees-4-4-unipotent-tsv", "fs-3-5-regular"])
 def test_label_lists_are_pinned(capsys, argv, sha256):
-    # recorded from the implementation that computed every hook product per
-    # label and filtered the semisimple family out of every label
+    # the first three recorded from the implementation that computed every
+    # hook product per label and filtered the semisimple family out of every
+    # label; the last three from the one that filtered the regular and
+    # unipotent families out of every label
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_a_family_is_generated_without_enumerating_every_label(capsys, monkeypatch):
+    # the 15 unipotent labels at (3, 7) are the partitions of 7 on the
+    # trivial orbit, not a filter over all 5816 labels
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_multipartitions(*args)
+
+    monkeypatch.setattr(characters, "enumerate_multipartitions", counted)
+    monkeypatch.setattr(cli, "enumerate_multipartitions", counted)
+    code, out, err = run(
+        capsys, ["degrees", "--q", "3", "--n", "7", "--family", "unipotent"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["characters"]) == 15
+    assert calls == []
 
 
 def test_no_assert_statement_in_the_library_or_the_scripts():

@@ -38,6 +38,11 @@ def test_make_normalizes():
         mp(THETA, (O10, (1, 2)))
     with pytest.raises(ValueError):
         mp(THETA, (O10, (1,)), (O10, (2,)))
+    # a repeated orbit is found after sorting, wherever it stands; an empty
+    # partition is dropped before the check
+    with pytest.raises(ValueError, match=r"orbit .* assigned twice"):
+        mp(THETA, (O10, (1,)), (O21, (1,)), (O10, (1,)))
+    assert mp(THETA, (O10, (1,)), (O10, ())).entries == ((O10, (1,)),)
     # an orbit label carries no side: the same orbit serves either side
     assert mp(PHI, (O10, (1,))).entries == mp(THETA, (O10, (1,))).entries
     with pytest.raises(ValueError, match="side must be one of"):

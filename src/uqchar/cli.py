@@ -85,6 +85,18 @@ def _tsv(rows) -> str:
     return "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
 
 
+def _emit_records(args, name, header, records) -> None:
+    """A label listing: JSON with the records under name, or TSV rows of
+    the header's columns with booleans as 0/1."""
+    if args.format == "tsv":
+        _emit(args, _tsv([header] + [
+            [int(r[k]) if isinstance(r[k], bool) else r[k] for k in header]
+            for r in records]))
+    else:
+        _emit(args, _json({
+            "q": args.q, "n": args.n, "family": args.family, name: records}))
+
+
 def _approx_text(v) -> str:
     z = cyclotomic.approx(v)
     return f"{z.real:.12g}{z.imag:+.12g}j"
@@ -113,17 +125,8 @@ def cmd_degrees(args) -> int:
             "unipotent": is_unipotent(lam),
         }
         for lam in family_labels(ctx, args.family)), key=lambda e: e["label"])
-    if args.format == "tsv":
-        rows = [("label", "degree", "real", "semisimple", "regular", "unipotent")]
-        rows += [
-            (e["label"], e["degree"], int(e["real"]), int(e["semisimple"]),
-             int(e["regular"]), int(e["unipotent"]))
-            for e in entries]
-        _emit(args, _tsv(rows))
-    else:
-        _emit(args, _json({
-            "q": args.q, "n": args.n, "family": args.family,
-            "characters": entries}))
+    _emit_records(args, "characters", (
+        "label", "degree", "real", "semisimple", "regular", "unipotent"), entries)
     return 0
 
 
@@ -160,14 +163,7 @@ def cmd_fs(args) -> int:
          "indicator": indicator(ctx, lam, route),
          "route": route}
         for lam, route in routed), key=lambda e: e["label"])
-    if args.format == "tsv":
-        rows = [("label", "indicator", "route")]
-        rows += [(e["label"], e["indicator"], e["route"]) for e in entries]
-        _emit(args, _tsv(rows))
-    else:
-        _emit(args, _json({
-            "q": args.q, "n": args.n, "family": args.family,
-            "indicators": entries}))
+    _emit_records(args, "indicators", ("label", "indicator", "route"), entries)
     return 0
 
 
@@ -211,12 +207,9 @@ def _rows_orthogonal(ctx, table, classes) -> bool:
 def cmd_verify(args) -> int:
     q = args.q
     lines = []
-    ok = True
 
     def check(cond: bool, desc: str):
-        nonlocal ok
         lines.append(("ok" if cond else "FAIL") + f": {desc}")
-        ok = ok and cond
 
     # a table built below must fit cyclotomic.MAX_DEGREE: refuse before any
     # work; there are as many classes as labels
@@ -273,7 +266,7 @@ def cmd_verify(args) -> int:
             check(good, f"n={n}: indicator routes agree with brute force")
     text = "".join(line + "\n" for line in lines)
     _emit(args, text)
-    return 0 if ok else 1
+    return 1 if any(line.startswith("FAIL:") for line in lines) else 0
 
 
 def _int_at_least(text: str, low: int) -> int:

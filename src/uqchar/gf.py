@@ -12,7 +12,10 @@ primitive element in it, so every field, modulus and generator is
 reproducible across runs.
 
 Polynomials over a field are trimmed tuples of coefficients, low degree
-first; the zero polynomial is ().  Everything here is sized for degrees in
+first; the zero polynomial is ().  Each job has one algorithm: products by
+schoolbook multiplication, division by long division (poly_divmod, whose
+quotient the extended Euclid of ExtField.inv reads), and powers by
+field_pow's square-and-multiply.  Everything here is sized for degrees in
 the single digits over fields with at most a few thousand elements.
 """
 
@@ -199,17 +202,6 @@ def poly_divmod(F, a, b):
         while a and a[-1] == F.zero:
             a.pop()
     return poly_trim(F, tuple(quot)), poly_trim(F, tuple(a))
-
-
-def poly_pow(F, a, k: int):
-    out = (F.one,)
-    base = a
-    while k:
-        if k & 1:
-            out = poly_mul(F, out, base)
-        base = poly_mul(F, base, base)
-        k >>= 1
-    return out
 
 
 def counter(F, k: int):

@@ -114,7 +114,11 @@ def mp_galois(ctx: TorusContext, mp: MultiPartition, k: int) -> MultiPartition:
     """Relabel along e -> k e (k a unit mod ctx.cyclo_modulus), partitions kept.
 
     On the theta side this is the label of sigma_k(chi^mp), sigma_k the
-    automorphism zeta -> zeta^k of the value field.
+    automorphism zeta -> zeta^k of the value field.  On the phi side it is
+    the class of g^k' for g in class mp, with k' = k mod ctx.cyclo_modulus
+    and k' = 1 modulo the p-part of the order of g: the semisimple part goes
+    to its k-th power and the unipotent part is kept, so chi(mp^k) =
+    sigma_k(chi(mp)).
     """
     return MultiPartition.make(
         mp.side,

@@ -28,7 +28,6 @@ from .gf import (
     field_pow,
     monic_polys,
     poly_mul,
-    poly_pow,
     poly_trim,
     subgroup_generator,
 )
@@ -52,21 +51,28 @@ def is_self_dual(F, h) -> bool:
     return dual_poly(F, h) == h
 
 
+def _constants(F, constant):
+    """The constant terms h(0) that constant (1, -1 or None for both) allows."""
+    if constant not in (None, 1, -1):
+        raise ValueError(f"constant must be 1, -1 or None, not {constant!r}")
+    one, minus = F.one, F.neg(F.one)
+    wanted = {None: (one, minus), 1: (one,), -1: (minus,)}[constant]
+    return tuple(dict.fromkeys(wanted))
+
+
 def enumerate_self_dual(F, n: int, constant: int | None = None):
     """All monic self-dual polynomials of degree n, sorted by coefficients.
 
-    constant restricts h(0) to +1 or -1 (ints); None allows both.  In
-    characteristic two the two constants coincide.  The rule: c_(n-i) =
-    c_0 c_i, so the middle coefficient is free only when c_0 = 1.
+    constant restricts h(0) to +1 or -1 (ints); None allows both, and any
+    other value is refused.  In characteristic two the two constants
+    coincide.  The rule: c_(n-i) = c_0 c_i, so the middle coefficient is
+    free only when c_0 = 1.
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    one, minus = F.one, F.neg(F.one)
-    constants = (one, minus) if constant is None else (
-        one if constant == 1 else minus,)
     out = []
-    for c0 in dict.fromkeys(constants):
-        plus = c0 == one
+    for c0 in _constants(F, constant):
+        plus = c0 == F.one
         free = n // 2 if plus else (n - 1) // 2
         for choice in product(F.elements(), repeat=free):
             h = [F.zero] * (n + 1)
@@ -86,11 +92,9 @@ def count_by_constant(F, n: int, constant: int) -> int:
 
 def brute_force_self_dual(F, n: int, constant: int | None = None):
     """Filter all monic degree-n polynomials; the independent oracle."""
-    want = None
-    if constant is not None:
-        want = F.one if constant == 1 else F.neg(F.one)
+    allowed = _constants(F, constant)
     return tuple(sorted(h for h in monic_polys(F, n)
-                        if (want is None or h[0] == want) and is_self_dual(F, h)))
+                        if h[0] in allowed and is_self_dual(F, h)))
 
 
 def orbit_polynomial(ctx: TorusContext, orbit):
@@ -123,7 +127,9 @@ def char_to_polynomial(ctx: TorusContext, lam: MultiPartition):
     # of a pair is taken once, at its smaller orbit
     for f, parts in lam.entries:
         if f <= conjugate_orbit(ctx, f):
-            h = poly_mul(base, h, poly_pow(base, orbit_polynomial(ctx, f), sum(parts)))
+            factor = orbit_polynomial(ctx, f)
+            for _ in range(sum(parts)):
+                h = poly_mul(base, h, factor)
     if len(h) - 1 != n or h[-1] != base.one:
         raise ValueError(f"polynomial {h} of {lam} is not monic of degree {n}")
     if not is_self_dual(base, h):

@@ -1,0 +1,171 @@
+"""Replayable mutation checks: each mutant breaks one check on purpose.
+
+A mutant names a file of the repository, an exact snippet `old` that occurs
+there once, its replacement `new`, and the tests that must fail once `old`
+is replaced.  tests/test_mutants.py checks, in milliseconds, that every
+snippet still occurs exactly once and that every named test exists, so a
+refactor cannot leave the catalogue behind without a failing test.
+
+Running this file applies each mutant in turn to a temporary copy of the
+repository and runs only its named tests there:
+
+    python tests/mutants.py            # every mutant, one after another
+    python tests/mutants.py NAME ...   # only the named mutants
+
+It prints one line per mutant: `killed` when every named test fails (for a
+parametrized test, at least one of its cases), `SURVIVED` with the named
+tests that passed, or `ERROR` when pytest could not run them or did not
+finish within TIMEOUT_S seconds.  The exit status is 1 unless every mutant
+is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# a mutant that makes a loop run forever is reported, not waited for
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "inverse-unchecked", "src/uqchar/gf.py",
+        "        if len(r0) != 1:\n",
+        "        if False:\n",
+        ("tests/test_gf.py::test_inverse_rejects_a_reducible_modulus",)),
+    Mutant(
+        "quotient-digits-all-one", "src/uqchar/gf.py",
+        "        quot[shift] = factor\n",
+        "        quot[shift] = F.one\n",
+        ("tests/test_gf.py::test_poly_divmod_round_trip",
+         "tests/test_gf.py::test_ext_field_inverse_and_embed")),
+    Mutant(
+        "orbit-factor-taken-once", "src/uqchar/selfdual.py",
+        "            for _ in range(sum(parts)):\n",
+        "            for _ in range(1):\n",
+        ("tests/test_selfdual.py::test_realization_u2_f9",)),
+    Mutant(
+        "constant-not-refused", "src/uqchar/selfdual.py",
+        "    if constant not in (None, 1, -1):\n        raise ValueError(",
+        "    if constant not in (None, 1):\n        constant = -1\n    if False:\n"
+        "        raise ValueError(",
+        ("tests/test_selfdual.py::"
+         "test_a_constant_other_than_plus_or_minus_one_is_refused",)),
+    Mutant(
+        "tsv-booleans-as-words", "src/uqchar/cli.py",
+        "[int(r[k]) if isinstance(r[k], bool) else r[k] for k in header]",
+        "[r[k] for k in header]",
+        ("tests/test_cli.py::test_label_lists_are_pinned",)),
+    Mutant(
+        "verify-always-exits-zero", "src/uqchar/cli.py",
+        '    return 1 if any(line.startswith("FAIL:") for line in lines) else 0\n',
+        "    return 0\n",
+        ("tests/test_cli.py::test_verify_fails_on_a_corrupted_table",
+         "tests/test_cli.py::test_verify_fails_on_a_non_integral_value")),
+    Mutant(
+        "orthogonality-ignores-denominators", "src/uqchar/cli.py",
+        "        return False  # character values are cyclotomic integers\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_verify_fails_on_a_row_over_a_denominator",)),
+    Mutant(
+        "verify-bijection-line-always-ok", "src/uqchar/cli.py",
+        "            image == set(sd_all),\n",
+        "            True,\n",
+        ("tests/test_cli.py::test_verify_fails_when_a_self_dual_check_breaks",)),
+    Mutant(
+        "verify-brute-force-line-always-ok", "src/uqchar/cli.py",
+        "            sd_all == brute_force_self_dual(F, n),\n",
+        "            True,\n",
+        ("tests/test_cli.py::test_verify_fails_when_a_self_dual_check_breaks",)),
+    Mutant(
+        "fs-refusal-dropped", "src/uqchar/cli.py",
+        "        if cells > args.max_cells:\n            raise TableTooLarge(\n",
+        "        if False:\n            raise TableTooLarge(\n",
+        ("tests/test_cli.py::test_fs_refusal_when_brute_needed_and_table_large",)),
+    Mutant(
+        "two-core-route-returns-one", "src/uqchar/characters.py",
+        "    return (-1) ** (sum(core) // 2)\n",
+        "    return 1\n",
+        ("tests/test_cli.py::test_indicator_sum_counts_square_roots_of_one",
+         "tests/test_characters.py::test_fs_unipotent_examples")),
+    Mutant(
+        "route-disagreement-unraised", "src/uqchar/characters.py",
+        "    if via_sigma not in (None, via_centre):\n",
+        "    if False:\n",
+        ("tests/test_characters.py::test_census_raises_when_routes_disagree",)),
+    Mutant(
+        "order-factor-stops-at-n-minus-1", "src/uqchar/conjclasses.py",
+        "for k in range(1, n + 1))",
+        "for k in range(1, n))",
+        ("tests/test_conjclasses.py::test_group_orders",)),
+    Mutant(
+        "class-galois-ignores-k", "src/uqchar/multipartition.py",
+        "frobenius_orbit(ctx, o.level, k * o.min_exponent)",
+        "frobenius_orbit(ctx, o.level, (1 if mp.side == 'phi' else k)"
+        " * o.min_exponent)",
+        ("tests/test_symfunc.py::test_columns_are_galois_equivariant",)),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """Apply mutant to a copy of the repository and run its tests there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        path = tree / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "ERROR (old snippet does not occur exactly once)"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                 *mutant.tests],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"ERROR (tests still running after {TIMEOUT_S} s)"
+    # pytest exits 0 when every test passed and 1 when some test failed
+    if proc.returncode not in (0, 1):
+        return f"ERROR (pytest exit {proc.returncode})"
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    passed = [test for test in mutant.tests
+              if not any(f == test or f.startswith(test + "[") for f in failed)]
+    return f"SURVIVED ({', '.join(passed)} passed)" if passed else "killed"
+
+
+def main(names) -> int:
+    known = {m.name for m in MUTANTS}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        print(f"error: unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    killed = True
+    for mutant in MUTANTS:
+        if not names or mutant.name in names:
+            verdict = run(mutant)
+            print(f"{verdict}: {mutant.name}", flush=True)
+            killed &= verdict == "killed"
+    return 0 if killed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

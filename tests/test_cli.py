@@ -126,6 +126,44 @@ def test_verify_fails_on_a_non_integral_value(capsys, monkeypatch):
     assert "ok: n=1: row orthogonality over all pairs" in out.splitlines()
 
 
+def test_verify_fails_on_a_row_over_a_denominator(capsys, monkeypatch):
+    # the trivial row with each 1 replaced by 1/2 keeps its numerators, and
+    # so every orthogonality sum: only the integrality check can fail it
+    real_char_table = cli.char_table
+
+    def halved(ctx, **kw):
+        table = real_char_table(ctx, **kw)
+        if table.n != 2:
+            return table
+        one = cyclotomic.one(table.modulus)
+        half = cyclotomic.from_terms(table.modulus, [(0, 1)], 2)
+        assert half.coeffs == one.coeffs and half.den == 2
+        i = table.values.index((one,) * len(table.classes))
+        values = table.values[:i] + ((half,) * len(table.classes),) \
+            + table.values[i + 1:]
+        return table._replace(values=values)
+
+    monkeypatch.setattr(cli, "char_table", halved)
+    code, out, err = run(capsys, ["verify", "--q", "3", "--max-n", "2"])
+    assert code == 1
+    assert "FAIL: n=2: row orthogonality over all pairs" in out.splitlines()
+    assert "ok: n=1: row orthogonality over all pairs" in out.splitlines()
+
+
+@pytest.mark.parametrize("name,broken,line", [
+    ("char_to_polynomial", lambda ctx, lam: (1,),
+     "realization is a bijection onto self-dual polynomials"),
+    ("brute_force_self_dual", lambda F, n: (),
+     "self-dual enumeration matches brute force"),
+], ids=["realization", "brute-force"])
+def test_verify_fails_when_a_self_dual_check_breaks(capsys, monkeypatch, name,
+                                                    broken, line):
+    monkeypatch.setattr(cli, name, broken)
+    code, out, err = run(capsys, ["verify", "--q", "3", "--max-n", "2"])
+    assert code == 1
+    assert f"FAIL: n=2: {line}" in out.splitlines()
+
+
 def test_verify_computes_each_centralizer_order_once(capsys, monkeypatch):
     # U(1), U(2), U(3) over F_9 have 4 + 16 + 56 classes; the class table of
     # each degree is built once, for verify and every brute-force label

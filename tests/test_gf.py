@@ -22,7 +22,6 @@ from uqchar.gf import (
     monic_polys,
     poly_divmod,
     poly_mul,
-    poly_pow,
     poly_sub,
     poly_to_str,
     poly_trim,
@@ -85,11 +84,15 @@ def test_field_pow_refuses_a_negative_exponent():
 
 
 def test_ext_field_inverse_and_embed():
+    # every nonzero element's inverse, in each extension field up to 27
+    for q in (4, 8, 9, 16, 25, 27):
+        F = GF(q)
+        inverses = {a: F.inv(a) for a in F.elements() if a != F.zero}
+        assert all(F.mul(a, b) == F.one for a, b in inverses.items())
+        assert sorted(inverses.values()) == sorted(inverses)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(F.zero)
     F = GF(9)
-    for a in F.elements():
-        if a == F.zero:
-            continue
-        assert F.mul(a, F.inv(a)) == F.one
     assert F.to_base((2, 0)) == 2
     with pytest.raises(ValueError):
         F.to_base((0, 1))
@@ -204,19 +207,26 @@ def test_monic_polys_order_and_count():
     assert got[3] == (0, 1, 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(0, 4), max_size=6),
-    st.lists(st.integers(0, 4), min_size=1, max_size=4))
-def test_poly_divmod_round_trip(a, b):
-    F = GF(5)
-    a = poly_trim(F, tuple(a))
-    b = poly_trim(F, tuple(b))
+def _poly(F, digits):
+    """The polynomial with the given coefficient indices into F's elements."""
+    elements = list(F.elements())
+    return poly_trim(F, tuple(elements[d] for d in digits))
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from([5, 4]), data=st.data())
+def test_poly_divmod_round_trip(q, data):
+    # quot * b + r divides back to (quot, r) for every r of lower degree
+    # than b, over GF(5) and GF(4)
+    F = GF(q)
+    coeffs = st.integers(0, q - 1)
+    quot = _poly(F, data.draw(st.lists(coeffs, max_size=4)))
+    b = _poly(F, data.draw(st.lists(coeffs, min_size=1, max_size=4)))
     if not b:
         return
-    q, r = poly_divmod(F, a, b)
-    assert len(r) < len(b)
-    assert poly_add(F, poly_mul(F, q, b), r) == a
+    r = _poly(F, data.draw(st.lists(coeffs, max_size=len(b) - 1)))
+    a = poly_add(F, poly_mul(F, quot, b), r)
+    assert poly_divmod(F, a, b) == (quot, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,9 +244,9 @@ def test_poly_ring_laws(a, b, c):
     assert poly_sub(F, poly_add(F, a, b), b) == a
 
 
-def test_poly_pow_and_eval():
+def test_poly_square_and_eval():
     F = GF(3)
-    sq = poly_pow(F, (1, 1), 2)  # (x + 1)^2 = x^2 + 2x + 1
+    sq = poly_mul(F, (1, 1), (1, 1))  # (x + 1)^2 = x^2 + 2x + 1
     assert sq == (1, 2, 1)
     # evaluation at a is the remainder on division by x - a
     assert poly_divmod(F, sq, (F.neg(2), 1))[1] == ()  # 4 + 4 + 1 = 9

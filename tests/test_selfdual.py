@@ -99,6 +99,16 @@ def test_brute_force_char2_constants_collapse():
     assert enumerate_self_dual(F, 2, 1) == enumerate_self_dual(F, 2, -1)
 
 
+@pytest.mark.parametrize("constant", [0, 2, -2, "1"])
+def test_a_constant_other_than_plus_or_minus_one_is_refused(constant):
+    # h(0)^2 = 1 for a self-dual h: any other constant names no polynomial,
+    # and is refused rather than read as -1
+    F = GF(5)
+    for call in (enumerate_self_dual, brute_force_self_dual, count_by_constant):
+        with pytest.raises(ValueError, match="constant must be 1, -1 or None"):
+            call(F, 2, constant)
+
+
 def test_orbit_polynomial_oracles_q3():
     ctx = TorusContext(3, 4)
     one = frobenius_orbit(ctx, 1, 0)

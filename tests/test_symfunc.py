@@ -600,6 +600,24 @@ def test_rows_are_galois_equivariant(q, n):
                 mu: cyclotomic.galois(v, k) for mu, v in direct.items()}, (lam, k)
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (2, 4), (4, 3), (9, 2)])
+def test_columns_are_galois_equivariant(q, n):
+    # chi(mu^k) = sigma_k(chi(mu)) for every class mu and unit k, where mu^k
+    # is mp_galois on the class side.  The tables never use this identity,
+    # so it checks the characteristic map apart from the row-side sigma_k
+    # shortcut.  mu^(-q) = mu, so one unit per coset of <-q> covers them all
+    ctx = TorusContext(q, n)
+    table = char_table(ctx, max_cells=10**5)
+    big = table.modulus
+    column = {mu: j for j, mu in enumerate(table.classes)}
+    assert all(mp_galois(ctx, mu, -q) == mu for mu in table.classes)
+    for k in coset_representatives(big, -q % big):
+        for j, mu in enumerate(table.classes):
+            image = column[mp_galois(ctx, mu, k)]
+            for lam, row in zip(table.chars, table.values):
+                assert row[image] == cyclotomic.galois(row[j], k), (lam, mu, k)
+
+
 @pytest.mark.parametrize("q,n,orbits", [(4, 3, 28), (9, 2, 27), (5, 3, 84), (3, 4, 99)])
 def test_galois_orbits_of_labels(q, n, orbits):
     ctx = TorusContext(q, n)

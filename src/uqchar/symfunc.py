@@ -27,10 +27,10 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      so for k prime to M the automorphism sigma_k: zeta_M -> zeta_M^k takes
      chi^lam to chi^(lam^k), where lam^k moves each orbit of exponent e to
      the orbit of k e at the same level, with the same partition
-     (multipartition.mp_galois).  Steps 1-4 run for the first label of each
-     Galois orbit of labels (galois_orbits); every other row is sigma_k of
-     that one, applied once per distinct (value, k) (_galois_value).
-     Rows share one object per distinct value (_shared).
+     (multipartition.mp_galois).  Steps 1-4 run, short of the reduction, for
+     the first label of each Galois orbit (galois_orbits, _row_sums); every
+     row applies e -> k e to those sums and reduces each distinct (sum,
+     denominator) once (_reduced).  Rows share one object per value (_shared).
 
 Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
@@ -346,10 +346,8 @@ def char_row(
 ) -> dict[MultiPartition, Cyclotomic]:
     """All nonzero values of chi^lam, keyed by class multipartition.
 
-    Only the first label of each Galois orbit goes through the
-    characteristic map (_expand_row); any other label lam = rep^k has the
-    row sigma_k(chi^rep), since the torus character values are the only
-    irrational inputs of the map.
+    lam = rep^k, rep its Galois orbit's first label: sigma_k, e -> k e on the
+    cell sums of rep, commutes with the ring map Z[Z/M] -> Z[zeta_M].
     """
     if lam.side != THETA:
         raise ValueError("characters are labelled on the theta side")
@@ -359,38 +357,40 @@ def char_row(
     if found is None:
         raise ValueError(f"{lam} is not a character label of U({ctx.n})")
     rep, k = found
-    if k == 1:  # lam is its orbit's representative
-        return _expand_row(ctx, lam)
-    return {mu: _galois_value(v, k) for mu, v in char_row(ctx, rep).items()}
+    big = ctx.cyclo_modulus
+    mus, sums = _row_sums(ctx, rep)
+    out = {}
+    for mu, (ring, den) in zip(mus, sums):
+        val = _reduced(big, tuple(sorted((e * k % big, c) for e, c in ring)), den)
+        if not val.is_zero():
+            out[mu] = val
+    return out
 
 
 @cache
-def _galois_value(v: Cyclotomic, k: int) -> Cyclotomic:
-    """sigma_k(v), once per distinct (value, k): a table holds few values.
-
-    Its entries are bounded by the sigma_k cells char_row's cache holds.
-    """
-    # through the module name, so that a wrapper bound in its place sees it
-    return _shared(cyclotomic.galois(v, k))
+def _reduced(modulus: int, ring: Ring, den: int) -> Cyclotomic:
+    """ring / den in Q(zeta_M), once per distinct (sum, denominator)."""
+    return _shared(cyclotomic.from_terms(modulus, ring, den))
 
 
 @cache
-def _shared(v: Cyclotomic) -> Cyclotomic:
-    """The first object equal to v: rows share one object per distinct value.
+def _shared(v):
+    """The first object equal to v: one object per distinct value or sum.
 
     A table holds few distinct values in many cells (181 in the 12100 at
-    (4,3)); its entries are values char_row's cache holds anyway.
+    (4,3)); its entries are values and sums the row caches hold anyway.
     """
     return v
 
 
-def _expand_row(
+@cache
+def _row_sums(
     ctx: TorusContext, lam: MultiPartition
-) -> dict[MultiPartition, Cyclotomic]:
-    """chi^lam through the characteristic map, for a checked theta label.
+) -> tuple[tuple[MultiPartition, ...], tuple[tuple[Ring, int], ...]]:
+    """chi^lam through the characteristic map, short of reducing any cell.
 
-    Every intermediate is a group-ring element {exponent mod M: coefficient};
-    each cell is reduced to the power basis once.
+    (mus, sums): chi^lam(mus[i]) is sums[i] = (ring, den), the group-ring
+    element ring (zeros dropped) reduced to Q(zeta_M), over den.
     """
     n = lam.size
     big = ctx.cyclo_modulus
@@ -432,22 +432,21 @@ def _expand_row(
         for mu, a, b in _class_expansion(ctx, key):
             cells.setdefault(mu, []).append((a, b, ring))
 
-    # reduce: bring each cell's scalars to one denominator, sum its group-ring
-    # elements with integer coefficients, and reduce the sum once over that
-    # denominator, which also carries the row's sign
+    # sum: bring each cell's scalars to one denominator and sum its group-ring
+    # elements with integer coefficients, over that denominator, which also
+    # carries the row's sign
     sign = (-1) ** (n // 2 + mp_n_stat(lam))
-    out: dict[MultiPartition, Cyclotomic] = {}
-    for mu, parts in cells.items():
+    sums = []
+    for parts in cells.values():
         common = lcm(*(b for _, b, _ in parts))
         total: dict[int, int] = {}
         for a, b, ring in parts:
             c = a * (common // b)
             for e, x in ring.items():
                 total[e] = total.get(e, 0) + c * x
-        val = cyclotomic.from_terms(big, total.items(), sign * common * den)
-        if not val.is_zero():
-            out[mu] = _shared(val)
-    return out
+        ring = tuple(sorted((e, x) for e, x in total.items() if x))
+        sums.append(_shared((ring, sign * common * den)))
+    return tuple(cells), tuple(sums)
 
 
 class CharTable(NamedTuple):

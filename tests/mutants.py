@@ -119,6 +119,26 @@ MUTANTS = (
         "frobenius_orbit(ctx, o.level, (1 if mp.side == 'phi' else k)"
         " * o.min_exponent)",
         ("tests/test_symfunc.py::test_columns_are_galois_equivariant",)),
+    Mutant(
+        "image-rows-skip-sigma-k", "src/uqchar/symfunc.py",
+        "tuple(sorted((e * k % big, c) for e, c in ring))",
+        "tuple(sorted((e, c) for e, c in ring))",
+        ("tests/test_symfunc.py::test_rows_are_galois_equivariant",
+         "tests/test_cli.py::test_benchmark_cases_match_their_reference")),
+    Mutant(
+        "reduction-cache-ignores-denominator", "src/uqchar/symfunc.py",
+        "@cache\ndef _reduced(",
+        "def _by_sum(reduce):\n"
+        "    seen = {}\n\n"
+        "    def first(modulus, ring, den):\n"
+        "        if (modulus, ring) not in seen:\n"
+        "            seen[modulus, ring] = reduce(modulus, ring, den)\n"
+        "        return seen[modulus, ring]\n"
+        "    first.cache_clear = seen.clear\n"
+        "    return first\n\n\n"
+        "@_by_sum\ndef _reduced(",
+        ("tests/test_symfunc.py::test_rows_are_galois_equivariant",
+         "tests/test_cli.py::test_benchmark_cases_match_their_reference")),
 )
 
 

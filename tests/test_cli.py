@@ -330,11 +330,17 @@ def test_an_inexact_coefficient_exits_one_with_one_error_line(capsys, monkeypatc
                      for f, r, val in real_transform(ctx, k, phi))
 
     monkeypatch.setattr(symfunc, "_transform_embedded", floating)
-    symfunc.char_row.cache_clear()
+    # every cache a row is built through: a float sum equals and hashes like
+    # its int twin, so one left in _shared would stand in for later sums
+    caches = (symfunc.char_row, symfunc._row_sums, symfunc._reduced,
+              symfunc._shared)
+    for fn in caches:
+        fn.cache_clear()
     try:
         code, out, err = run(capsys, ["chartable", "--q", "2", "--n", "2"])
     finally:
-        symfunc.char_row.cache_clear()
+        for fn in caches:
+            fn.cache_clear()
     assert code == 1 and not out
     assert err.splitlines() == [
         "error: inexact value of type float; need int"]
@@ -612,13 +618,18 @@ def test_the_cli_imports_no_dataclasses():
 
 
 def test_chartable_works_once_per_distinct_value(capsys, monkeypatch):
-    # at (4, 3) the 12100 cells hold 181 distinct values, and the sigma_k
-    # rows meet 960 distinct (value, k) pairs in 5960 cells: sigma_k runs
-    # once per pair and the text is rendered once per value
-    symfunc.char_row.cache_clear()
-    symfunc.galois_orbits.cache_clear()
-    symfunc._galois_value.cache_clear()
-    calls = {"galois": 0, "to_text": 0}
+    # at (4, 3) the 12100 cells hold 181 distinct values.  The 110 rows take
+    # sigma_k of the group-ring sums of 28 expanded rows and meet 258
+    # distinct (sum, denominator) pairs: each is reduced once, no value goes
+    # through galois, and the text is rendered once per value.  from_terms
+    # runs once more, for the zero of the empty cells; a first run fills the
+    # transform caches, whose zero tests call it too
+    argv = ["chartable", "--q", "4", "--n", "3", "--max-cells", "100000"]
+    run(capsys, argv)
+    for fn in (symfunc.char_row, symfunc.galois_orbits, symfunc._row_sums,
+               symfunc._reduced):
+        fn.cache_clear()
+    calls = {"from_terms": 0, "galois": 0, "to_text": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -628,12 +639,13 @@ def test_chartable_works_once_per_distinct_value(capsys, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(cyclotomic, name, counted(name, getattr(cyclotomic, name)))
-    code, out, err = run(capsys, ["chartable", "--q", "4", "--n", "3",
-                                  "--max-cells", "100000"])
+    code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[
         "chartable --q 4 --n 3 --max-cells 100000"]["sha256"]
-    assert calls == {"galois": 960, "to_text": 181}
+    assert calls == {"from_terms": 258 + 1, "galois": 0, "to_text": 181}
+    assert symfunc._reduced.cache_info().misses == 258
+    assert symfunc._row_sums.cache_info().misses == 28
 
 
 def test_degrees_work_once_per_distinct_entry(capsys, monkeypatch):

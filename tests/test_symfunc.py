@@ -560,6 +560,7 @@ def test_class_expansions_are_shared_by_all_rows(q, n, classes):
     # (q, n) and the product, and there is one product per class
     ctx = TorusContext(q, n)
     char_row.cache_clear()
+    symfunc._row_sums.cache_clear()
     symfunc._class_expansion.cache_clear()
     table = char_table(ctx, max_cells=classes**2)
     assert len(table.classes) == classes
@@ -582,17 +583,27 @@ def coset_representatives(m, base):
     return reps
 
 
+def expanded_row(ctx, lam):
+    """chi^lam with no cache and no sigma_k: lam's own group-ring sums,
+    each reduced by one from_terms."""
+    big = ctx.cyclo_modulus
+    mus, sums = symfunc._row_sums.__wrapped__(ctx, lam)
+    row = {mu: cyclotomic.from_terms(big, ring, den)
+           for mu, (ring, den) in zip(mus, sums)}
+    return {mu: v for mu, v in row.items() if not v.is_zero()}
+
+
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (2, 4), (4, 3), (9, 2)])
 def test_rows_are_galois_equivariant(q, n):
     # sigma_k(chi^lam) = chi^(lam^k) for every label and every unit k, with
-    # the uncached characteristic-map expansion as the oracle.  sigma_(-q)
-    # fixes each row (lam^(-q) = lam), so every unit is covered by checking
-    # that and one unit per coset of <-q>
+    # each label expanded through the characteristic map on its own as the
+    # oracle.  sigma_(-q) fixes each row (lam^(-q) = lam), so every unit is
+    # covered by checking that and one unit per coset of <-q>
     ctx = TorusContext(q, n)
     big = ctx.cyclo_modulus
     units = coset_representatives(big, -q % big)
     for lam in enumerate_multipartitions(ctx, n, THETA):
-        direct = symfunc._expand_row(ctx, lam)
+        direct = expanded_row(ctx, lam)
         assert mp_galois(ctx, lam, -q) == lam
         assert {mu: cyclotomic.galois(v, -q) for mu, v in direct.items()} == direct
         for k in units:
@@ -600,12 +611,13 @@ def test_rows_are_galois_equivariant(q, n):
                 mu: cyclotomic.galois(v, k) for mu, v in direct.items()}, (lam, k)
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (2, 4), (4, 3), (9, 2)])
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (2, 4), (4, 3), (9, 2), (3, 4)])
 def test_columns_are_galois_equivariant(q, n):
     # chi(mu^k) = sigma_k(chi(mu)) for every class mu and unit k, where mu^k
     # is mp_galois on the class side.  The tables never use this identity,
-    # so it checks the characteristic map apart from the row-side sigma_k
-    # shortcut.  mu^(-q) = mu, so one unit per coset of <-q> covers them all
+    # and sigma_k here acts on values, so it checks the characteristic map
+    # apart from the rows' sigma_k on group-ring sums.  mu^(-q) = mu, so one
+    # unit per coset of <-q> covers them all
     ctx = TorusContext(q, n)
     table = char_table(ctx, max_cells=10**5)
     big = table.modulus
@@ -671,17 +683,8 @@ def test_characters_are_orthonormal_under_class_pairing():
             assert acc == den
 
 
-def test_galois_value_refuses_a_non_unit_every_time():
-    # @cache stores results, not exceptions: a refused (value, k) is refused
-    # again on the next call
-    for _ in range(2):
-        with pytest.raises(ValueError, match="2 is not a unit mod 12"):
-            symfunc._galois_value(cyclotomic.one(12), 2)
-    assert symfunc._galois_value(cyclotomic.zeta(12), 5) == cyclotomic.zeta(12, 5)
-
-
 def test_rows_share_one_object_per_distinct_value():
-    # expanded and sigma_k rows alike hold the first object of each value
+    # representative and image rows alike hold the first object of each value
     table = char_table(TorusContext(4, 2))
     cells = [v for row in table.values for v in row]
     assert len({id(v) for v in cells}) == len(set(cells)) < len(cells) // 4

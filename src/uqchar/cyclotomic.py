@@ -140,6 +140,11 @@ class Cyclotomic:
     coeffs = ((i, c), ...) with i increasing in [0, phi(M)) and every c a
     nonzero int; den > 0 is coprime to the c.  from_terms makes every value
     and stores its hash: values key the memos of every table layer.
+
+    The one value type that is not a NamedTuple.  coeffs can hold phi(M)
+    terms, a tuple's hash is recomputed on every lookup, and the render
+    cache and symfunc._shared look a value up once per table cell; a tuple
+    base would also give values len, indexing and 3 * v as repetition.
     """
 
     __slots__ = ("modulus", "coeffs", "den", "_hash")

@@ -16,41 +16,22 @@ written "side:level:min_exponent[parts]".
 from __future__ import annotations
 
 from functools import cache
+from typing import NamedTuple
 
 from .partitions import check_partition, n_stat, partitions_of
 from .torus import SIDES, OrbitLabel, TorusContext, frobenius_orbit, orbits_up_to
 
 
-class MultiPartition:
+class MultiPartition(NamedTuple):
     """A nonempty partition on each of finitely many orbits, on one side.
 
-    Immutable, equal by (side, entries) and hashed once, at construction:
-    labels key the dicts and caches of every layer.
+    A NamedTuple of (side, entries), so it equals and hashes like that pair;
+    make() gives the canonical entries.  Labels key the dicts and caches of
+    every layer.  Tuple order is not the canonical order: sort by sort_key.
     """
-
-    __slots__ = ("side", "entries", "_hash")
 
     side: str
     entries: tuple[tuple[OrbitLabel, tuple[int, ...]], ...]
-
-    def __init__(self, side: str, entries):
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash((side, entries)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiPartition values are immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not MultiPartition:
-            return NotImplemented
-        return (self._hash == other._hash and self.side == other.side
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return self._hash
 
     @staticmethod
     def make(side: str, pairs) -> "MultiPartition":

@@ -52,40 +52,26 @@ def norm_multiplier(q: int, m: int, r: int) -> int:
     return s
 
 
-class TorusContext:
+class _Context(NamedTuple):
+    q: int
+    n: int
+
+
+class TorusContext(_Context):
     """Fixes q and a working degree n; levels run over 1..n.
 
-    Immutable, equal by (q, n) and hashed once: every @cache keyed by a
-    context hashes it.  cyclo_modulus is computed on first use only.
+    A NamedTuple of (q, n), so it equals and hashes like that pair; the
+    subclass only refuses a q that is not a prime power and an n below 1.
     """
 
-    __slots__ = ("q", "n", "_hash", "_cyclo_modulus")
+    __slots__ = ()
 
-    def __init__(self, q: int, n: int):
+    def __new__(cls, q: int, n: int):
         if prime_power(q) is None:
             raise ValueError(f"q must be a prime power >= 2, got {q}")
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash((q, n)))
-        object.__setattr__(self, "_cyclo_modulus", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TorusContext values are immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not TorusContext:
-            return NotImplemented
-        return self.q == other.q and self.n == other.n
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"TorusContext(q={self.q!r}, n={self.n!r})"
+        return super().__new__(cls, q, n)
 
     def modulus(self, d: int) -> int:
         if not 1 <= d <= self.n:
@@ -95,11 +81,13 @@ class TorusContext:
     @property
     def cyclo_modulus(self) -> int:
         """Common cyclotomic modulus for all values at degree n: lcm of M_1..M_n."""
-        m = self._cyclo_modulus
-        if m is None:
-            m = lcm(*(self.modulus(d) for d in range(1, self.n + 1)))
-            object.__setattr__(self, "_cyclo_modulus", m)
-        return m
+        return cyclo_modulus_of(self.q, self.n)
+
+
+@cache
+def cyclo_modulus_of(q: int, n: int) -> int:
+    """lcm of M_1..M_n."""
+    return lcm(*(modulus_of(q, d) for d in range(1, n + 1)))
 
 
 class OrbitLabel(NamedTuple):

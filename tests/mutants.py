@@ -109,10 +109,38 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_characters.py::test_census_raises_when_routes_disagree",)),
     Mutant(
+        "is-real-skips-level-one", "src/uqchar/characters.py",
+        "    return {conjugate_orbit(ctx, o): p for o, p in lam.entries} == dict(lam.entries)\n",
+        "    return ({conjugate_orbit(ctx, o): p for o, p in lam.entries if o.level > 1}\n"
+        "            == {o: p for o, p in lam.entries if o.level > 1})\n",
+        ("tests/test_characters.py::test_is_real_agrees_with_the_conjugate_label",)),
+    Mutant(
         "order-factor-stops-at-n-minus-1", "src/uqchar/conjclasses.py",
         "for k in range(1, n + 1))",
         "for k in range(1, n))",
         ("tests/test_conjclasses.py::test_group_orders",)),
+    Mutant(
+        "phi-drops-mu-minus-one-at-d-1", "src/uqchar/cyclotomic.py",
+        "        elif mu == -1:\n",
+        "        elif mu == -1 and d > 1:\n",
+        ("tests/test_cyclotomic.py::test_cyclotomic_product_identity_on_cli_fields",)),
+    Mutant(
+        "context-accepts-any-q", "src/uqchar/torus.py",
+        "        if prime_power(q) is None:\n            raise ValueError(",
+        "        if False:\n            raise ValueError(",
+        ("tests/test_torus.py::test_context_validation",
+         "tests/test_torus.py::test_context_refusals_keep_their_messages")),
+    Mutant(
+        "make-keeps-input-order", "src/uqchar/multipartition.py",
+        "        entries.sort()\n",
+        "",
+        ("tests/test_multipartition.py::test_multipartitions_are_immutable_values",)),
+    Mutant(
+        "labels-sorted-as-tuples", "src/uqchar/multipartition.py",
+        "    out.sort(key=MultiPartition.sort_key)\n",
+        "    out.sort()\n",
+        ("tests/test_multipartition.py::test_enumeration_is_sorted_and_canonical",
+         "tests/test_cli.py::test_benchmark_cases_match_their_reference")),
     Mutant(
         "class-galois-ignores-k", "src/uqchar/multipartition.py",
         "frobenius_orbit(ctx, o.level, k * o.min_exponent)",

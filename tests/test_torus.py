@@ -56,9 +56,8 @@ def test_contexts_and_orbit_labels_are_immutable_values():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != TorusContext(3, 3) and a != TorusContext(5, 4)
     assert repr(a) == "TorusContext(q=3, n=4)"
-    # the lcm is computed on first use only, and kept
-    assert a._cyclo_modulus is None
-    assert a.cyclo_modulus == 560 == a._cyclo_modulus
+    # lcm(M_1..M_4) = lcm(4, 8, 28, 80), the same for every equal context
+    assert a.cyclo_modulus == 560 == b.cyclo_modulus
     o, p = OrbitLabel(2, 1), OrbitLabel(2, 1)
     assert o == p and hash(o) == hash(p)
     assert repr(o) == "OrbitLabel(level=2, min_exponent=1)"

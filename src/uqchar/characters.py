@@ -27,7 +27,7 @@ independently so tests can triangulate; indicator_route picks one per label.
 from __future__ import annotations
 
 from functools import cache
-from math import comb, lcm
+from math import lcm
 
 from . import cyclotomic
 from .conjclasses import class_square, class_table, group_order, order_factor
@@ -35,6 +35,7 @@ from .cyclotomic import Cyclotomic
 from .multipartition import (
     MultiPartition,
     enumerate_multipartitions,
+    label_count,
     multipartitions_from_units,
 )
 from .partitions import hooks, partitions_of, two_core
@@ -43,7 +44,6 @@ from .torus import (
     THETA,
     TorusContext,
     conjugate_orbit,
-    count_exact_orbits,
     modulus_of,
     one_orbit,
     orbits_up_to,
@@ -253,27 +253,6 @@ def indicator(ctx: TorusContext, lam: MultiPartition, route: str) -> int:
     raise ValueError(f"unknown indicator route {route!r}")
 
 
-def _semisimple_count(ctx: TorusContext) -> int:
-    """The number of semisimple labels at degree ctx.n.
-
-    A semisimple label puts a column (1^k), k >= 0, on every orbit, so the
-    count is the coefficient of x^n in prod_{d<=n} (1 - x^d)^(-N_d), where
-    N_d is the number of orbits of size d.
-    """
-    n = ctx.n
-    series = [1] + [0] * n
-    for d in range(1, n + 1):
-        # (1 - x^d)^(-N) = sum_j C(N + j - 1, j) x^(dj); 1 when N = 0
-        orbits = count_exact_orbits(ctx, d)
-        if not orbits:
-            continue
-        series = [
-            sum(series[i - d * j] * comb(orbits + j - 1, j)
-                for j in range(i // d + 1))
-            for i in range(n + 1)]
-    return series[n]
-
-
 def census_semisimple(ctx: TorusContext) -> dict:
     """Count real semisimple characters by indicator at degree ctx.n.
 
@@ -296,7 +275,7 @@ def census_semisimple(ctx: TorusContext) -> dict:
     return {
         "q": ctx.q,
         "n": ctx.n,
-        "semisimple": _semisimple_count(ctx),
+        "semisimple": label_count(ctx, "semisimple"),
         "real_total": len(real),
         "orthogonal": orthogonal,
         "symplectic": symplectic,

@@ -38,7 +38,7 @@ from .characters import (
 )
 from .conjclasses import class_table, group_order
 from .gf import GF, poly_to_str
-from .multipartition import enumerate_multipartitions
+from .multipartition import label_count
 from .selfdual import (
     brute_force_self_dual,
     char_to_polynomial,
@@ -46,7 +46,7 @@ from .selfdual import (
     enumerate_self_dual,
 )
 from .symfunc import MAX_CELLS, TableTooLarge, char_table
-from .torus import PHI, TorusContext
+from .torus import TorusContext
 
 
 def _emit(args, text: str) -> None:
@@ -152,7 +152,7 @@ def cmd_fs(args) -> int:
     # brute force builds character rows: refuse an oversized table or field
     brute = sum(route == "brute-force" for _, route in routed)
     if brute:
-        cells = brute * len(enumerate_multipartitions(ctx, args.n, PHI))
+        cells = brute * label_count(ctx)
         if cells > args.max_cells:
             raise TableTooLarge(
                 f"indicator run would need {cells} table cells "
@@ -213,16 +213,14 @@ def cmd_verify(args) -> int:
 
     # a table built below must fit cyclotomic.MAX_DEGREE: refuse before any
     # work; there are as many classes as labels
-    per_n = []
-    for n in range(1, args.max_n + 1):
-        ctx = TorusContext(q, n)
-        labels = family_labels(ctx, "all")
-        cells = len(labels) ** 2
-        if cells <= args.max_cells:
+    contexts = [TorusContext(q, n) for n in range(1, args.max_n + 1)]
+    for ctx in contexts:
+        if label_count(ctx) ** 2 <= args.max_cells:
             cyclotomic.check_degree(ctx.cyclo_modulus)
-        per_n.append((n, ctx, labels, cells))
     F = GF(q)
-    for n, ctx, labels, cells in per_n:
+    for n, ctx in enumerate(contexts, 1):
+        labels = family_labels(ctx, "all")
+        cells = label_count(ctx) ** 2
         classes = class_table(ctx)
         check(
             sum(c.size for c in classes) == group_order(ctx),
@@ -328,6 +326,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ValueError, OSError) as exc:  # TableTooLarge is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its text is empty
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

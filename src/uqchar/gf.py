@@ -234,12 +234,14 @@ def least_irreducible(F, degree: int):
     raise ValueError(f"no irreducible of degree {degree} over {F.describe()}")
 
 
+@cache
 def subgroup_generator(F, order: int):
     """An element of exact multiplicative order `order`, deterministically.
 
     Scans the canonical element order for the first primitive root, then
     powers it down; the subgroup of each order therefore gets a fixed,
-    reproducible generator.
+    reproducible generator.  Cached: GF and ext_field hand out one field
+    object per field, so each scan runs once per (field, order).
     """
     group = F.size - 1
     if order < 1 or group % order:

@@ -16,10 +16,18 @@ written "side:level:min_exponent[parts]".
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 from typing import NamedTuple
 
 from .partitions import check_partition, n_stat, partitions_of
-from .torus import SIDES, OrbitLabel, TorusContext, frobenius_orbit, orbits_up_to
+from .torus import (
+    SIDES,
+    OrbitLabel,
+    TorusContext,
+    count_exact_orbits,
+    frobenius_orbit,
+    orbits_up_to,
+)
 
 
 class MultiPartition(NamedTuple):
@@ -143,3 +151,27 @@ def enumerate_multipartitions(
     """All multipartitions of size n over the orbits of size <= n, sorted."""
     units = [(o.level, (o,)) for o in orbits_up_to(ctx, n)]
     return multipartitions_from_units(side, n, units, partitions_of)
+
+
+def label_count(ctx: TorusContext, family: str = "all") -> int:
+    """The number of labels of a family at degree ctx.n, on either side.
+
+    With N_d orbits of size d, it is the coefficient of x^n in
+    prod_d F(x^d)^(N_d): F = prod_k 1/(1 - x^k), the partition series, for
+    all labels, and F = 1/(1 - x) for semisimple (column) and regular (row)
+    labels, which have one shape per size.
+    """
+    if family not in ("all", "semisimple", "regular"):
+        raise ValueError(f"no label count for family {family!r}")
+    n = ctx.n
+    series = [1] + [0] * n
+    for d in range(1, n + 1):
+        c = count_exact_orbits(ctx, d)
+        if not c:
+            continue  # comb(-1, 0) would raise
+        for m in range(d, n + 1, d) if family == "all" else (d,):
+            # (1 - x^m)^(-c) = sum_j C(c + j - 1, j) x^(mj)
+            series = [
+                sum(series[i - m * j] * comb(c + j - 1, j) for j in range(i // m + 1))
+                for i in range(n + 1)]
+    return series[n]

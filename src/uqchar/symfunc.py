@@ -56,6 +56,7 @@ from .cyclotomic import Cyclotomic
 from .multipartition import (
     MultiPartition,
     enumerate_multipartitions,
+    label_count,
     mp_galois,
     mp_n_stat,
 )
@@ -481,14 +482,14 @@ class CharTable(NamedTuple):
 def char_table(ctx: TorusContext, max_cells: int = MAX_CELLS) -> CharTable:
     """The character table at degree ctx.n; refused beyond max_cells or MAX_DEGREE."""
     n = ctx.n
-    chars = enumerate_multipartitions(ctx, n, THETA)
-    classes = enumerate_multipartitions(ctx, n, PHI)
-    cells = len(chars) * len(classes)
+    cells = label_count(ctx) ** 2  # as many classes as characters
     if cells > max_cells:
         raise TableTooLarge(
             f"table would have {cells} entries (bound {max_cells}); "
             "raise the bound explicitly to proceed")
     cyclotomic.check_degree(ctx.cyclo_modulus)
+    chars = enumerate_multipartitions(ctx, n, THETA)
+    classes = enumerate_multipartitions(ctx, n, PHI)
     zero_big = cyclotomic.zero(ctx.cyclo_modulus)
     rows = []
     for lam in chars:

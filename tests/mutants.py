@@ -98,6 +98,11 @@ MUTANTS = (
         "        if False:\n            raise TableTooLarge(\n",
         ("tests/test_cli.py::test_fs_refusal_when_brute_needed_and_table_large",)),
     Mutant(
+        "memory-error-unhandled", "src/uqchar/cli.py",
+        "    except MemoryError:  # its text is empty\n",
+        "    except ():  # its text is empty\n",
+        ("tests/test_cli.py::test_running_out_of_memory_is_one_error_line",)),
+    Mutant(
         "two-core-route-returns-one", "src/uqchar/characters.py",
         "    return (-1) ** (sum(core) // 2)\n",
         "    return 1\n",
@@ -114,6 +119,12 @@ MUTANTS = (
         "    return ({conjugate_orbit(ctx, o): p for o, p in lam.entries if o.level > 1}\n"
         "            == {o: p for o, p in lam.entries if o.level > 1})\n",
         ("tests/test_characters.py::test_is_real_agrees_with_the_conjugate_label",)),
+    Mutant(
+        "omega-drops-the-level-sign", "src/uqchar/characters.py",
+        "    return sum((-1) ** (phi.level - 1) * phi.min_exponent * sum(parts)\n",
+        "    return sum(phi.min_exponent * sum(parts)\n",
+        ("tests/test_characters.py::test_omega_examples",
+         "tests/test_characters.py::test_omega_matches_the_orbit_sum_on_every_label")),
     Mutant(
         "order-factor-stops-at-n-minus-1", "src/uqchar/conjclasses.py",
         "for k in range(1, n + 1))",
@@ -142,11 +153,37 @@ MUTANTS = (
         ("tests/test_multipartition.py::test_enumeration_is_sorted_and_canonical",
          "tests/test_cli.py::test_benchmark_cases_match_their_reference")),
     Mutant(
+        "count-semisimple-as-all", "src/uqchar/multipartition.py",
+        'if family == "all" else (d,):',
+        'if family in ("all", "semisimple") else (d,):',
+        ("tests/test_characters.py::test_semisimple_labels_match_filtered_enumeration",
+         "tests/test_characters.py::test_real_semisimple_labels_match_filtered_enumeration",
+         "tests/test_multipartition.py::test_label_count_skips_a_size_with_no_orbit")),
+    Mutant(
+        "count-at-n-minus-1", "src/uqchar/multipartition.py",
+        "    return series[n]\n",
+        "    return series[n - 1]\n",
+        ("tests/test_multipartition.py::test_enumeration_counts_match_generating_function",
+         "tests/test_multipartition.py::test_label_count_needs_no_enumeration",
+         "tests/test_symfunc.py::test_a_table_is_priced_before_any_label_is_built")),
+    Mutant(
         "class-galois-ignores-k", "src/uqchar/multipartition.py",
         "frobenius_orbit(ctx, o.level, k * o.min_exponent)",
         "frobenius_orbit(ctx, o.level, (1 if mp.side == 'phi' else k)"
         " * o.min_exponent)",
         ("tests/test_symfunc.py::test_columns_are_galois_equivariant",)),
+    Mutant(
+        "chartable-enumerates-before-pricing", "src/uqchar/symfunc.py",
+        "    cells = label_count(ctx) ** 2  # as many classes as characters\n",
+        "    chars = enumerate_multipartitions(ctx, n, THETA)\n"
+        "    cells = label_count(ctx) ** 2  # as many classes as characters\n",
+        ("tests/test_symfunc.py::test_a_table_is_priced_before_any_label_is_built",)),
+    Mutant(
+        "galois-walk-squares-the-generator", "src/uqchar/symfunc.py",
+        "                    kg = k * g % big\n",
+        "                    kg = k * g * g % big\n",
+        ("tests/test_symfunc.py::test_galois_orbits_of_labels",
+         "tests/test_symfunc.py::test_rows_are_galois_equivariant")),
     Mutant(
         "image-rows-skip-sigma-k", "src/uqchar/symfunc.py",
         "tuple(sorted((e * k % big, c) for e, c in ring))",

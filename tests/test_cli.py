@@ -24,12 +24,13 @@ from uqchar import (
     multipartition,
     partitions,
     symfunc,
+    torus,
 )
 from uqchar.characters import degree, indicator, indicator_route
 from uqchar.cli import main
 from uqchar.conjclasses import central_class, class_square, class_table
 from uqchar.multipartition import enumerate_multipartitions
-from uqchar.torus import THETA, TorusContext
+from uqchar.torus import PHI, THETA, TorusContext
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -474,6 +475,61 @@ def test_fs_refusal_when_brute_needed_and_table_large(capsys):
     assert "error:" in err
 
 
+def test_fs_prices_brute_force_without_enumerating_classes(capsys, monkeypatch):
+    # the one brute-force label at (3, 3) costs a row over the 56 classes;
+    # the classes are counted, and no class label is built to count them
+    sides = []
+    real = multipartition.multipartitions_from_units
+
+    def recorded(side, *args):
+        sides.append(side)
+        return real(side, *args)
+
+    multipartition.enumerate_multipartitions.cache_clear()
+    monkeypatch.setattr(multipartition, "multipartitions_from_units", recorded)
+    code, out, err = run(capsys, ["fs", "--q", "3", "--n", "3",
+                                  "--max-cells", "5"])
+    assert code == 1 and not out
+    assert err == "error: indicator run would need 56 table cells (bound 5)\n"
+    assert PHI not in sides
+
+
+@pytest.mark.parametrize("command", ["degrees", "fs"])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, command):
+    # the orbit scan at q = 1000003, n = 2 asks for a 10^12-byte bytearray;
+    # the failed allocation is raised here, whatever the host would allow
+    def exhausted(ctx, d):
+        raise MemoryError
+
+    monkeypatch.setattr(torus, "exact_orbits", exhausted)
+    code, out, err = run(capsys, [command, "--q", "1000003", "--n", "2"])
+    assert code == 1 and not out
+    assert err == "error: out of memory\n"
+
+
+EDGE_INPUTS = [
+    ["--q", "1", "--n", "2"], ["--q", "6", "--n", "2"],
+    ["--q", "3", "--n", "0"], ["--q", "3", "--n", "-1"]]
+
+
+@pytest.mark.parametrize("argv", [
+    [command] + (
+        [a.replace("--n", "--max-n") for a in args] if command == "verify"
+        else args)
+    for command in ("census", "degrees", "chartable", "fs", "selfdual", "verify")
+    for args in EDGE_INPUTS
+] + [["chartable", "--q", "1000003", "--n", "1"],
+     ["chartable", "--q", "101", "--n", "3"]], ids=" ".join)
+def test_bad_input_ends_without_a_traceback(argv):
+    # a refusal or a usage error, each with a diagnostic, never a traceback;
+    # the two tables are refused from their label counts, at once
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-m", "uqchar.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode in (1, 2) and not run.stdout
+    assert run.stderr and "Traceback" not in run.stderr
+
+
 def test_usage_error_exit_two(capsys):
     for argv in (["census", "--n", "4"],
                  ["degrees", "--q", "3", "--n", "2", "--jobs", "2"],
@@ -709,7 +765,6 @@ def test_a_family_is_generated_without_enumerating_every_label(capsys, monkeypat
         return enumerate_multipartitions(*args)
 
     monkeypatch.setattr(characters, "enumerate_multipartitions", counted)
-    monkeypatch.setattr(cli, "enumerate_multipartitions", counted)
     code, out, err = run(
         capsys, ["degrees", "--q", "3", "--n", "7", "--family", "unipotent"])
     assert code == 0 and err == ""

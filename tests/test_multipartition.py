@@ -6,6 +6,7 @@ from uqchar.characters import _entry_factors
 from uqchar.multipartition import (
     MultiPartition,
     enumerate_multipartitions,
+    label_count,
     mp_bar,
     mp_n_stat,
 )
@@ -134,6 +135,30 @@ def test_enumeration_counts_match_generating_function(q, side):
     for m in range(1, n + 1):
         assert len(enumerate_multipartitions(TorusContext(q, m), m, side)) \
             == series[m], (q, m)
+        assert label_count(TorusContext(q, m)) == series[m], (q, m)
+
+
+def test_label_count_needs_no_enumeration():
+    # (q + 1)(q + 4)/2 labels on the q + 1 level-1 orbits and one on each of
+    # the (q^2 - q - 2)/2 level-2 ones: (q + 1)^2 at q = 1000003, read off
+    # the series without building an orbit
+    assert label_count(TorusContext(1000003, 2)) == 1_000_008_000_016
+    assert label_count(TorusContext(1000003, 1), "semisimple") == 1_000_004
+
+
+def test_label_count_skips_a_size_with_no_orbit():
+    # at q = 2, M_1 = M_2 = 3: no orbit of size 2, so the semisimple series
+    # has no (1 - x^2) factor; the 3 columns (1,1) and the 3 pairs of
+    # distinct level-1 orbits remain
+    ctx = TorusContext(2, 2)
+    assert count_exact_orbits(ctx, 2) == 0
+    assert label_count(ctx, "semisimple") == label_count(ctx, "regular") == 6
+    assert label_count(ctx) == 9
+
+
+def test_label_count_refuses_an_uncounted_family():
+    with pytest.raises(ValueError, match="no label count for family 'unipotent'"):
+        label_count(TorusContext(3, 2), "unipotent")
 
 
 def test_enumeration_is_sorted_and_canonical():

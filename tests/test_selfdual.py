@@ -8,7 +8,7 @@ the orthogonal ones onto constant +1.
 
 import pytest
 
-from uqchar import selfdual
+from uqchar import gf, selfdual
 from uqchar.characters import fs_semisimple_regular, real_semisimple_labels
 from uqchar.gf import GF, poly_to_str, poly_trim
 from uqchar.multipartition import MultiPartition
@@ -201,6 +201,19 @@ def test_bijection_with_self_dual_polynomials(q, n):
     for h, lam in image.items():
         eps = fs_semisimple_regular(ctx, lam)
         assert (h in minus) == (eps == -1), (h, lam)
+
+
+def test_each_subgroup_generator_is_found_once_per_level():
+    # orbit_polynomial asks for the generator of order M_d in F_(q^(2d)) once
+    # per orbit; the scan for a primitive root runs once per level
+    ctx = TorusContext(5, 4)
+    gf.subgroup_generator.cache_clear()
+    labels = real_semisimple_labels(ctx)
+    for lam in labels:
+        char_to_polynomial(ctx, lam)
+    info = gf.subgroup_generator.cache_info()
+    assert len(labels) > info.misses
+    assert info.hits and info.misses <= ctx.n
 
 
 def test_poly_rendering_for_cli():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqchar import cyclotomic, symfunc
+from uqchar import cyclotomic, symfunc, torus
 from uqchar.conjclasses import centralizer_order, class_table, group_order
 from uqchar.multipartition import (
     MultiPartition,
@@ -552,6 +552,21 @@ def test_table_size_refusal():
     ctx = TorusContext(3, 2)
     with pytest.raises(TableTooLarge):
         char_table(ctx, max_cells=10)
+
+
+def test_a_table_is_priced_before_any_label_is_built(monkeypatch):
+    # the (q + 1)^2 cells at (1000003, 1) are counted, not enumerated: with
+    # the orbit scan and the enumeration broken, the refusal still comes
+    def broken(*args):
+        raise AssertionError("enumerated before the refusal")
+
+    monkeypatch.setattr(symfunc, "enumerate_multipartitions", broken)
+    monkeypatch.setattr(torus, "exact_orbits", broken)
+    with pytest.raises(TableTooLarge) as exc:
+        char_table(TorusContext(1000003, 1))
+    assert str(exc.value) == (
+        "table would have 1000008000016 entries (bound 4096); "
+        "raise the bound explicitly to proceed")
 
 
 @pytest.mark.parametrize("q,n,classes", [(4, 3, 110), (9, 2, 100)])

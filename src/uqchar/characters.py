@@ -88,14 +88,13 @@ def degree(ctx: TorusContext, lam: MultiPartition) -> int:
 
 
 def is_unipotent(lam: MultiPartition) -> bool:
-    """Support entirely on the trivial character orbit."""
-    return all(o.level == 1 and o.min_exponent == 0 for o in lam.orbits())
+    """Support entirely on the trivial character orbit (level 1, exponent 0)."""
+    return all(o == (1, 0) for o, _ in lam.entries)
 
 
 def is_semisimple(lam: MultiPartition) -> bool:
-    """Every constituent partition is a column (all parts equal to 1)."""
-    return all(
-        all(p == 1 for p in parts) for _, parts in lam.entries)
+    """Every constituent partition is a column: its largest part is 1."""
+    return all(parts[0] == 1 for _, parts in lam.entries)
 
 
 def is_regular(lam: MultiPartition) -> bool:
@@ -166,6 +165,11 @@ def fs_semisimple_regular(ctx: TorusContext, lam: MultiPartition) -> int:
         raise ValueError("closed form only covers semisimple or regular labels")
     if not is_real(ctx, lam):
         raise ValueError("indicator routes expect a real character")
+    return _closed_form(ctx, lam)
+
+
+def _closed_form(ctx: TorusContext, lam: MultiPartition) -> int:
+    """fs_semisimple_regular without its guards, for a label known to pass them."""
     via_centre = fs_via_centre(ctx, lam)
     via_sigma = fs_via_sigma(ctx, lam)
     if via_sigma not in (None, via_centre):
@@ -179,6 +183,11 @@ def fs_unipotent(ctx: TorusContext, lam: MultiPartition) -> int:
     """Indicator of a unipotent character: parity of half the two-core size."""
     if not is_unipotent(lam):
         raise ValueError("two-core rule only covers unipotent labels")
+    return _two_core_rule(ctx, lam)
+
+
+def _two_core_rule(ctx: TorusContext, lam: MultiPartition) -> int:
+    """fs_unipotent without its guard, for a label known to pass it."""
     core = two_core(lam.part_for(one_orbit(ctx, THETA)))
     return (-1) ** (sum(core) // 2)
 
@@ -241,13 +250,17 @@ def indicator_route(ctx: TorusContext, lam: MultiPartition) -> str:
 
 
 def indicator(ctx: TorusContext, lam: MultiPartition, route: str) -> int:
-    """The indicator of lam by route; brute force builds a character row."""
+    """The indicator of lam by route; brute force builds a character row.
+
+    route is indicator_route's finding, so the closed-form and two-core
+    rules apply without re-running its reality and family tests.
+    """
     if route == "non-real":
         return 0
     if route == "closed-form":
-        return fs_semisimple_regular(ctx, lam)
+        return _closed_form(ctx, lam)
     if route == "two-core":
-        return fs_unipotent(ctx, lam)
+        return _two_core_rule(ctx, lam)
     if route == "brute-force":
         return fs_bruteforce(ctx, lam)
     raise ValueError(f"unknown indicator route {route!r}")
@@ -311,6 +324,8 @@ def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
 
     Its units are the self-conjugate orbits o (weight |o|) and the pairs
     {o, o-bar} of conjugate orbits (weight 2|o|), each with the column (1^k).
+    A pair unit puts o-bar next to o, out of orbit order, so each label is
+    normalized by make() and the labels are sorted here.
     """
     n = ctx.n
     units = [(d, (o,)) for d in range(1, n + 1)
@@ -320,4 +335,9 @@ def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
         if o < bar:
             units.append((2 * o.level, (o, bar)))
     units.sort()
-    return multipartitions_from_units(THETA, n, units, FAMILIES["semisimple"])
+    labels = list(multipartitions_from_units(THETA, n, units, FAMILIES["semisimple"]))
+    # in place, so each raw label is freed as its normal form is made
+    for i, lam in enumerate(labels):
+        labels[i] = MultiPartition.make(THETA, lam.entries)
+    labels.sort(key=MultiPartition.sort_key)
+    return tuple(labels)

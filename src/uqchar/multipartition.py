@@ -9,6 +9,9 @@ conjugacy classes of U(n, F_q2), on the theta side the irreducible characters.
 
 Canonical order: entries sorted by orbit label; multipartitions compare by
 their entry sequences with partitions in reverse-lexicographic order.
+Enumeration over single orbits builds each label in canonical form and in
+canonical order, with no make() or sort; only labels whose units pair two
+orbits are normalized afterwards, by their caller.
 to_key() is the string form that JSON and TSV output use: each entry is
 written "side:level:min_exponent[parts]".
 """
@@ -63,9 +66,6 @@ class MultiPartition(NamedTuple):
                 return parts
         return ()
 
-    def orbits(self) -> tuple[OrbitLabel, ...]:
-        return tuple(o for o, _ in self.entries)
-
     @property
     def size(self) -> int:
         return sum(o.level * sum(parts) for o, parts in self.entries)
@@ -118,29 +118,39 @@ def mp_galois(ctx: TorusContext, mp: MultiPartition, k: int) -> MultiPartition:
 def multipartitions_from_units(
     side: str, n: int, units, shapes
 ) -> tuple[MultiPartition, ...]:
-    """All multipartitions of size n from units (weight, orbits), sorted.
+    """All multipartitions of size n from units (weight, orbits).
 
     The units come sorted by weight.  Each is used at most once, with a
     multiplicity k >= 1, and puts each partition in shapes(k) on every one
-    of its orbits.
+    of its orbits.  Each shape is checked once, and the shapes of every k
+    are walked in canonical order (parts reverse-lexicographic, the order
+    sort_key compares).  So when every unit is one orbit and the units are
+    sorted by orbit, each label is built canonical and the labels come out
+    sorted.  Otherwise a label's entries stand in unit order, and the caller
+    normalizes them: real_semisimple_labels does, for its pairs (o, o-bar).
     """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    choices = sorted(
+        ((k, check_partition(parts)) for k in range(1, n + 1) for parts in shapes(k)),
+        key=lambda choice: [-a for a in choice[1]])
+    # the choices a unit can take with k <= budget, in the same order
+    within = [[c for c in choices if c[0] <= budget] for budget in range(n + 1)]
     out = []
 
     def rec(idx, remaining, acc):
         if remaining == 0:
-            out.append(MultiPartition.make(side, acc))
+            out.append(MultiPartition(side, acc))
             return
         for j in range(idx, len(units)):
             weight, orbits = units[j]
             if weight > remaining:
                 break  # units are sorted by weight: every later one is heavier
-            for k in range(1, remaining // weight + 1):
-                for parts in shapes(k):
-                    rec(j + 1, remaining - weight * k,
-                        acc + [(o, parts) for o in orbits])
+            for k, parts in within[remaining // weight]:
+                rec(j + 1, remaining - weight * k,
+                    acc + tuple([(o, parts) for o in orbits]))
 
-    rec(0, n, [])
-    out.sort(key=MultiPartition.sort_key)
+    rec(0, n, ())
     return tuple(out)
 
 

@@ -126,6 +126,12 @@ MUTANTS = (
         ("tests/test_characters.py::test_omega_examples",
          "tests/test_characters.py::test_omega_matches_the_orbit_sum_on_every_label")),
     Mutant(
+        "regular-shapes-also-columns", "src/uqchar/characters.py",
+        '    "regular": lambda k: ((k,),),\n',
+        '    "regular": lambda k: ((k,), (1,) * k)[:k],\n',
+        ("tests/test_characters.py::test_semisimple_labels_match_filtered_enumeration",
+         "tests/test_cli.py::test_label_lists_are_pinned")),
+    Mutant(
         "order-factor-stops-at-n-minus-1", "src/uqchar/conjclasses.py",
         "for k in range(1, n + 1))",
         "for k in range(1, n))",
@@ -147,9 +153,14 @@ MUTANTS = (
         "",
         ("tests/test_multipartition.py::test_multipartitions_are_immutable_values",)),
     Mutant(
-        "labels-sorted-as-tuples", "src/uqchar/multipartition.py",
-        "    out.sort(key=MultiPartition.sort_key)\n",
-        "    out.sort()\n",
+        "make-accepts-a-repeated-orbit", "src/uqchar/multipartition.py",
+        "            if a == b:\n",
+        "            if False:\n",
+        ("tests/test_multipartition.py::test_make_normalizes",)),
+    Mutant(
+        "shapes-in-increasing-k", "src/uqchar/multipartition.py",
+        "        key=lambda choice: [-a for a in choice[1]])\n",
+        "        key=lambda choice: choice[0])\n",
         ("tests/test_multipartition.py::test_enumeration_is_sorted_and_canonical",
          "tests/test_cli.py::test_benchmark_cases_match_their_reference")),
     Mutant(

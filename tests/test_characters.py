@@ -355,7 +355,7 @@ def test_fs_bruteforce_u1():
         ctx = TorusContext(q, 1)
         m1 = q + 1
         for lam in enumerate_multipartitions(ctx, 1, THETA):
-            c = lam.orbits()[0].min_exponent
+            c = lam.entries[0][0].min_exponent
             expect = 1 if c in (0, m1 // 2) else 0
             assert fs_bruteforce(ctx, lam) == expect
 
@@ -534,6 +534,52 @@ def test_semisimple_labels_match_filtered_enumeration(q):
             assert family_labels(ctx, family) == filtered, (q, n, family)
             if family != "unipotent":
                 assert label_count(ctx, family) == len(filtered), (q, n, family)
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))
+def test_every_family_is_built_canonical_and_sorted(q):
+    # enumeration builds labels as it walks them; the oracle normalizes
+    # each one with make() and sorts them by sort_key
+    for n in range(1, ORACLE_MAX_N[q] + 1):
+        ctx = TorusContext(q, n)
+        families = {family: family_labels(ctx, family) for family in FAMILIES}
+        families["real semisimple"] = real_semisimple_labels(ctx)
+        families["classes"] = enumerate_multipartitions(ctx, n, PHI)
+        for family, labels in families.items():
+            assert all(lam == MultiPartition.make(lam.side, lam.entries)
+                       for lam in labels), (q, n, family)
+            assert labels == tuple(sorted(labels, key=MultiPartition.sort_key)), \
+                (q, n, family)
+            assert len(set(labels)) == len(labels), (q, n, family)
+            if family in ("all", "semisimple", "regular"):
+                assert len(labels) == label_count(ctx, family), (q, n, family)
+            elif family == "classes":
+                assert len(labels) == label_count(ctx), (q, n)
+
+
+def test_enumeration_neither_normalizes_nor_sorts(monkeypatch):
+    # the 5816 labels at (3, 7) are built canonical and in canonical order,
+    # so no label goes through make() or sort_key
+    calls = {"make": 0, "sort_key": 0}
+    make, sort_key = MultiPartition.make, MultiPartition.sort_key
+
+    def counted_make(side, pairs):
+        calls["make"] += 1
+        return make(side, pairs)
+
+    def counted_sort_key(lam):
+        calls["sort_key"] += 1
+        return sort_key(lam)
+
+    monkeypatch.setattr(MultiPartition, "make", staticmethod(counted_make))
+    monkeypatch.setattr(MultiPartition, "sort_key", counted_sort_key)
+    enumerate_multipartitions.cache_clear()
+    try:
+        labels = family_labels(TorusContext(3, 7), "all")
+    finally:
+        enumerate_multipartitions.cache_clear()
+    assert len(labels) == 5816
+    assert calls == {"make": 0, "sort_key": 0}
 
 
 @pytest.mark.parametrize(

@@ -729,6 +729,24 @@ def test_degrees_work_once_per_distinct_entry(capsys, monkeypatch):
     assert multipartition._entry_key.cache_info().misses == 706
 
 
+def test_fs_tests_each_label_for_reality_once(capsys, monkeypatch):
+    # indicator applies the route that indicator_route found: the 36
+    # closed-form labels among the 972 are not tested for reality again
+    calls = {"is_real": 0}
+    is_real = characters.is_real
+
+    def counted_is_real(ctx, lam):
+        calls["is_real"] += 1
+        return is_real(ctx, lam)
+
+    monkeypatch.setattr(characters, "is_real", counted_is_real)
+    code, out, err = run(capsys, ["fs", "--q", "3", "--n", "6", "--family", "semisimple"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[
+        "fs --q 3 --n 6 --family semisimple"]["sha256"]
+    assert calls["is_real"] == 972
+
+
 @pytest.mark.parametrize("argv,sha256", [
     (["degrees", "--q", "3", "--n", "7", "--format", "tsv"],
      "24db24ae5274a1ba52bd1a1633326496a102c287c6c82541afa4861fc025f9fa"),

@@ -31,7 +31,7 @@ O21 = OrbitLabel(2, 1)
 
 def test_make_normalizes():
     a = mp(THETA, (O21, (1,)), (O10, (2, 1)), (O12, ()))
-    assert a.orbits() == (O10, O21)
+    assert [o for o, _ in a.entries] == [O10, O21]
     assert a.part_for(O10) == (2, 1)
     assert a.part_for(O12) == ()
     assert a.size == 3 + 2

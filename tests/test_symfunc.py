@@ -366,9 +366,9 @@ def test_u1_table_is_fourier_matrix():
     table = char_table(ctx)
     assert len(table.chars) == 4 and len(table.classes) == 4
     for lam in table.chars:
-        c = lam.orbits()[0].min_exponent
+        c = lam.entries[0][0].min_exponent
         for mu in table.classes:
-            e = mu.orbits()[0].min_exponent
+            e = mu.entries[0][0].min_exponent
             assert cyclotomic.same_value(
                 table.value(lam, mu), cyclotomic.zeta(4, (c * e) % 4))
 
@@ -378,9 +378,9 @@ def test_u1_q2():
     table = char_table(ctx)
     assert len(table.chars) == 3
     for lam in table.chars:
-        c = lam.orbits()[0].min_exponent
+        c = lam.entries[0][0].min_exponent
         for mu in table.classes:
-            e = mu.orbits()[0].min_exponent
+            e = mu.entries[0][0].min_exponent
             assert cyclotomic.same_value(
                 table.value(lam, mu), cyclotomic.zeta(3, (c * e) % 3))
 

@@ -34,6 +34,7 @@ from .conjclasses import class_square, class_table, group_order, order_factor
 from .cyclotomic import Cyclotomic
 from .multipartition import (
     MultiPartition,
+    binomial_product,
     enumerate_multipartitions,
     label_count,
     multipartitions_from_units,
@@ -44,6 +45,7 @@ from .torus import (
     THETA,
     TorusContext,
     conjugate_orbit,
+    count_exact_orbits,
     modulus_of,
     one_orbit,
     orbits_up_to,
@@ -270,34 +272,58 @@ def census_semisimple(ctx: TorusContext) -> dict:
     """Count real semisimple characters by indicator at degree ctx.n.
 
     Returns q, n, the number of semisimple labels, the number of real ones,
-    and the orthogonal/symplectic split.  route_agreement counts the labels
-    on which the sigma route gives the indicator that was reported; where
-    the sigma route applies and disagrees, fs_semisimple_regular has already
-    raised RouteDisagreement.
+    the orthogonal/symplectic split, and route_agreement, the labels on
+    which the sigma route gives the centre route's indicator.  No label is
+    built.  A real one picks units, each k >= 1 times with (1^k) on each of
+    its orbits: self-conjugate orbits o (weight |o|) and pairs {o, o-bar}
+    (weight 2|o|).  A unit's omega bit is its restriction to the centre (0
+    or M_1/2, and 0 for a pair), its sigma bit whether it is sigma; for even
+    n a route gives -1 when its bits, k times, add up odd.  So the counts
+    are x^n coefficients of prod 1/(1 - a^omega b^sigma x^weight) at
+    (a, b) = (1, 1), (-1, 1) and (-1, -1).
     """
-    real = real_semisimple_labels(ctx)
-    orthogonal = symplectic = 0
-    cross_checked = 0
-    for lam in real:
-        eps = fs_semisimple_regular(ctx, lam)
-        if eps == 1:
-            orthogonal += 1
-        else:
-            symplectic += 1
-        cross_checked += fs_via_sigma(ctx, lam) == eps
+    n = ctx.n
+    sigma = sigma_orbit(ctx) if ctx.q % 2 else None
+    units: dict[tuple[int, int, int], int] = {}  # (weight, omega, sigma) -> count
+    for d in range(1, n + 1):
+        self_conjugate = self_conjugate_orbits(ctx, d)
+        for o in self_conjugate:
+            w = omega_exponent(ctx, MultiPartition(THETA, ((o, (1,)),)))
+            if 2 * w % ctx.modulus(1):
+                raise ValueError(f"central character of {o} is not real ({w})")
+            bits = (d, int(w != 0), int(o == sigma))
+            units[bits] = units.get(bits, 0) + 1
+        if 2 * d <= n:
+            pairs, odd = divmod(count_exact_orbits(ctx, d) - len(self_conjugate), 2)
+            if odd:
+                raise ValueError(f"level {d}: orbits not self-conjugate do not pair up")
+            units[2 * d, 0, 0] = pairs
+
+    def coefficient(a: int, b: int) -> int:
+        return binomial_product(n, [(weight, c, a**omega * b**sig)
+                                    for (weight, omega, sig), c in units.items()])
+
+    real = coefficient(1, 1)
+    symplectic = agree = 0
+    if n % 2 == 0:
+        symplectic = (real - coefficient(-1, 1)) // 2
+        if sigma is not None:
+            agree = (real + coefficient(-1, -1)) // 2
+            if agree != real:
+                raise RouteDisagreement(f"routes differ on {real - agree} of {real}")
     return {
         "q": ctx.q,
-        "n": ctx.n,
+        "n": n,
         "semisimple": label_count(ctx, "semisimple"),
-        "real_total": len(real),
-        "orthogonal": orthogonal,
+        "real_total": real,
+        "orthogonal": real - symplectic,
         "symplectic": symplectic,
-        "route_agreement": cross_checked,
+        "route_agreement": agree,
     }
 
 
-# family -> the shapes a unit of multiplicity k carries, in the CLI's order;
-# unipotent labels have one unit, the trivial orbit
+# family -> the shapes an orbit of multiplicity k carries, in the CLI's order;
+# unipotent labels have one orbit, the trivial one
 FAMILIES = {
     "semisimple": lambda k: ((1,) * k,),
     "regular": lambda k: ((k,),),
@@ -312,32 +338,4 @@ def family_labels(ctx: TorusContext, family: str) -> tuple[MultiPartition, ...]:
     if family == "all":
         return enumerate_multipartitions(ctx, n, THETA)
     orbits = [one_orbit(ctx)] if family == "unipotent" else orbits_up_to(ctx, n)
-    units = [(o.level, (o,)) for o in orbits]
-    return multipartitions_from_units(THETA, n, units, FAMILIES[family])
-
-
-@cache
-def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
-    """The real semisimple labels at degree ctx.n, in canonical order.
-
-    Cached: census_semisimple and verify's realization checks share them.
-
-    Its units are the self-conjugate orbits o (weight |o|) and the pairs
-    {o, o-bar} of conjugate orbits (weight 2|o|), each with the column (1^k).
-    A pair unit puts o-bar next to o, out of orbit order, so each label is
-    normalized by make() and the labels are sorted here.
-    """
-    n = ctx.n
-    units = [(d, (o,)) for d in range(1, n + 1)
-             for o in self_conjugate_orbits(ctx, d)]
-    for o in orbits_up_to(ctx, n // 2):
-        bar = conjugate_orbit(ctx, o)
-        if o < bar:
-            units.append((2 * o.level, (o, bar)))
-    units.sort()
-    labels = list(multipartitions_from_units(THETA, n, units, FAMILIES["semisimple"]))
-    # in place, so each raw label is freed as its normal form is made
-    for i, lam in enumerate(labels):
-        labels[i] = MultiPartition.make(THETA, lam.entries)
-    labels.sort(key=MultiPartition.sort_key)
-    return tuple(labels)
+    return multipartitions_from_units(THETA, n, orbits, FAMILIES[family])

@@ -34,7 +34,6 @@ from .characters import (
     is_regular,
     is_semisimple,
     is_unipotent,
-    real_semisimple_labels,
 )
 from .conjclasses import class_table, group_order
 from .gf import GF, poly_to_str
@@ -229,7 +228,7 @@ def cmd_verify(args) -> int:
             sum(degree(ctx, lam) ** 2 for lam in labels) == group_order(ctx),
             f"n={n}: degree squares sum to |G|")
         census = census_semisimple(ctx)
-        real_ss = real_semisimple_labels(ctx)
+        real_ss = [lam for lam in labels if is_semisimple(lam) and is_real(ctx, lam)]
         sd_all = enumerate_self_dual(F, n)
         check(
             len(real_ss) == len(sd_all),

@@ -9,9 +9,8 @@ conjugacy classes of U(n, F_q2), on the theta side the irreducible characters.
 
 Canonical order: entries sorted by orbit label; multipartitions compare by
 their entry sequences with partitions in reverse-lexicographic order.
-Enumeration over single orbits builds each label in canonical form and in
-canonical order, with no make() or sort; only labels whose units pair two
-orbits are normalized afterwards, by their caller.
+Enumeration walks the orbits in canonical order, so it builds each label in
+canonical form and in canonical order, with no make() or sort.
 to_key() is the string form that JSON and TSV output use: each entry is
 written "side:level:min_exponent[parts]".
 """
@@ -38,7 +37,7 @@ class MultiPartition(NamedTuple):
 
     A NamedTuple of (side, entries), so it equals and hashes like that pair;
     make() gives the canonical entries.  Labels key the dicts and caches of
-    every layer.  Tuple order is not the canonical order: sort by sort_key.
+    every layer.  Enumeration builds labels in canonical order, not tuple order.
     """
 
     side: str
@@ -69,10 +68,6 @@ class MultiPartition(NamedTuple):
     @property
     def size(self) -> int:
         return sum(o.level * sum(parts) for o, parts in self.entries)
-
-    def sort_key(self):
-        # reverse-lex on partitions via negated parts
-        return tuple((o, tuple(-a for a in parts)) for o, parts in self.entries)
 
     def to_key(self) -> str:
         """Compact string form, usable as a dict key in JSON documents."""
@@ -116,39 +111,38 @@ def mp_galois(ctx: TorusContext, mp: MultiPartition, k: int) -> MultiPartition:
 
 
 def multipartitions_from_units(
-    side: str, n: int, units, shapes
+    side: str, n: int, orbits, shapes
 ) -> tuple[MultiPartition, ...]:
-    """All multipartitions of size n from units (weight, orbits).
+    """All multipartitions of size n with their entries on the given orbits.
 
-    The units come sorted by weight.  Each is used at most once, with a
-    multiplicity k >= 1, and puts each partition in shapes(k) on every one
-    of its orbits.  Each shape is checked once, and the shapes of every k
-    are walked in canonical order (parts reverse-lexicographic, the order
-    sort_key compares).  So when every unit is one orbit and the units are
-    sorted by orbit, each label is built canonical and the labels come out
-    sorted.  Otherwise a label's entries stand in unit order, and the caller
-    normalizes them: real_semisimple_labels does, for its pairs (o, o-bar).
+    The orbits come in canonical order.  Each is used at most once, with a
+    multiplicity k >= 1, and carries a partition in shapes(k).  The shapes
+    of every k are checked once and walked in canonical order, so each label
+    is built canonical, the labels come out in canonical order, and labels
+    share each distinct entry.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     choices = sorted(
         ((k, check_partition(parts)) for k in range(1, n + 1) for parts in shapes(k)),
         key=lambda choice: [-a for a in choice[1]])
-    # the choices a unit can take with k <= budget, in the same order
+    # the choices an orbit can take with k <= budget, in the same order
     within = [[c for c in choices if c[0] <= budget] for budget in range(n + 1)]
     out = []
+    shared = {}  # entry -> (entry,), one object per distinct entry
 
     def rec(idx, remaining, acc):
         if remaining == 0:
             out.append(MultiPartition(side, acc))
             return
-        for j in range(idx, len(units)):
-            weight, orbits = units[j]
-            if weight > remaining:
-                break  # units are sorted by weight: every later one is heavier
-            for k, parts in within[remaining // weight]:
-                rec(j + 1, remaining - weight * k,
-                    acc + tuple([(o, parts) for o in orbits]))
+        for j in range(idx, len(orbits)):
+            o = orbits[j]
+            if o.level > remaining:
+                break  # orbits are sorted by level: every later one is larger
+            for k, parts in within[remaining // o.level]:
+                entry = (o, parts)
+                rec(j + 1, remaining - o.level * k,
+                    acc + shared.setdefault(entry, (entry,)))
 
     rec(0, n, ())
     return tuple(out)
@@ -159,8 +153,7 @@ def enumerate_multipartitions(
     ctx: TorusContext, n: int, side: str
 ) -> tuple[MultiPartition, ...]:
     """All multipartitions of size n over the orbits of size <= n, sorted."""
-    units = [(o.level, (o,)) for o in orbits_up_to(ctx, n)]
-    return multipartitions_from_units(side, n, units, partitions_of)
+    return multipartitions_from_units(side, n, orbits_up_to(ctx, n), partitions_of)
 
 
 def label_count(ctx: TorusContext, family: str = "all") -> int:
@@ -174,14 +167,23 @@ def label_count(ctx: TorusContext, family: str = "all") -> int:
     if family not in ("all", "semisimple", "regular"):
         raise ValueError(f"no label count for family {family!r}")
     n = ctx.n
-    series = [1] + [0] * n
+    factors = []
     for d in range(1, n + 1):
         c = count_exact_orbits(ctx, d)
+        sizes = range(d, n + 1, d) if family == "all" else (d,)
+        factors += [(m, c, 1) for m in sizes]
+    return binomial_product(n, factors)
+
+
+def binomial_product(n: int, factors) -> int:
+    """The x^n coefficient of prod (1 - s x^m)^(-c) over factors (m, c, s),
+    s = +-1: each factor is sum_j C(c + j - 1, j) s^j x^(mj)."""
+    series = [1] + [0] * n
+    for m, c, s in factors:
         if not c:
             continue  # comb(-1, 0) would raise
-        for m in range(d, n + 1, d) if family == "all" else (d,):
-            # (1 - x^m)^(-c) = sum_j C(c + j - 1, j) x^(mj)
-            series = [
-                sum(series[i - m * j] * comb(c + j - 1, j) for j in range(i // m + 1))
-                for i in range(n + 1)]
+        series = [
+            sum(series[i - m * j] * comb(c + j - 1, j) * s**j
+                for j in range(i // m + 1))
+            for i in range(n + 1)]
     return series[n]

@@ -112,7 +112,28 @@ MUTANTS = (
         "route-disagreement-unraised", "src/uqchar/characters.py",
         "    if via_sigma not in (None, via_centre):\n",
         "    if False:\n",
-        ("tests/test_characters.py::test_census_raises_when_routes_disagree",)),
+        ("tests/test_characters.py::test_closed_form_raises_when_routes_disagree",)),
+    Mutant(
+        "census-route-check-dropped", "src/uqchar/characters.py",
+        "            if agree != real:\n",
+        "            if False:\n",
+        ("tests/test_characters.py::test_census_raises_when_routes_disagree",
+         "tests/test_characters.py::test_census_route_agreement_compares_the_routes_itself")),
+    Mutant(
+        "census-pairs-weighted-d", "src/uqchar/characters.py",
+        "            units[2 * d, 0, 0] = pairs\n",
+        "            units[d, 0, 0] = units.get((d, 0, 0), 0) + pairs\n",
+        ("tests/test_characters.py::test_census_u2_f9",
+         "tests/test_characters.py::test_census_closed_forms",
+         "tests/test_characters.py::test_real_semisimple_labels_match_filtered_enumeration",
+         "tests/test_characters.py::test_census_matches_the_enumerating_oracle")),
+    Mutant(
+        "census-omega-bit-ignored", "src/uqchar/characters.py",
+        "            bits = (d, int(w != 0), int(o == sigma))\n",
+        "            bits = (d, 0, int(o == sigma))\n",
+        ("tests/test_characters.py::test_census_u2_f9",
+         "tests/test_characters.py::test_census_closed_forms",
+         "tests/test_characters.py::test_census_matches_the_enumerating_oracle")),
     Mutant(
         "is-real-skips-level-one", "src/uqchar/characters.py",
         "    return {conjugate_orbit(ctx, o): p for o, p in lam.entries} == dict(lam.entries)\n",
@@ -132,10 +153,22 @@ MUTANTS = (
         ("tests/test_characters.py::test_semisimple_labels_match_filtered_enumeration",
          "tests/test_cli.py::test_label_lists_are_pinned")),
     Mutant(
+        "degree-bypasses-the-entry-cache", "src/uqchar/characters.py",
+        "        power, hook_product = _entry_factors(q, o.level, parts)\n",
+        "        power, hook_product = _entry_factors.__wrapped__(q, o.level, parts)\n",
+        ("tests/test_cli.py::test_degrees_work_once_per_distinct_entry",)),
+    Mutant(
         "order-factor-stops-at-n-minus-1", "src/uqchar/conjclasses.py",
         "for k in range(1, n + 1))",
         "for k in range(1, n))",
         ("tests/test_conjclasses.py::test_group_orders",)),
+    Mutant(
+        "galois-rational-shortcut-before-unit-check", "src/uqchar/cyclotomic.py",
+        "    if gcd(k, m) != 1:\n        raise ValueError(f\"{k} is not a unit mod {m}\")\n"
+        "    if a.is_rational():  # sigma_k fixes Q\n        return a\n",
+        "    if a.is_rational():  # sigma_k fixes Q\n        return a\n"
+        "    if gcd(k, m) != 1:\n        raise ValueError(f\"{k} is not a unit mod {m}\")\n",
+        ("tests/test_cyclotomic.py::test_galois_refuses_a_non_unit_on_a_rational_value",)),
     Mutant(
         "phi-drops-mu-minus-one-at-d-1", "src/uqchar/cyclotomic.py",
         "        elif mu == -1:\n",
@@ -164,9 +197,14 @@ MUTANTS = (
         ("tests/test_multipartition.py::test_enumeration_is_sorted_and_canonical",
          "tests/test_cli.py::test_benchmark_cases_match_their_reference")),
     Mutant(
+        "entries-not-shared", "src/uqchar/multipartition.py",
+        "acc + shared.setdefault(entry, (entry,))",
+        "acc + (entry,)",
+        ("tests/test_multipartition.py::test_labels_share_each_distinct_entry",)),
+    Mutant(
         "count-semisimple-as-all", "src/uqchar/multipartition.py",
-        'if family == "all" else (d,):',
-        'if family in ("all", "semisimple") else (d,):',
+        'if family == "all" else (d,)\n',
+        'if family in ("all", "semisimple") else (d,)\n',
         ("tests/test_characters.py::test_semisimple_labels_match_filtered_enumeration",
          "tests/test_characters.py::test_real_semisimple_labels_match_filtered_enumeration",
          "tests/test_multipartition.py::test_label_count_skips_a_size_with_no_orbit")),

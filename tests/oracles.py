@@ -1,0 +1,89 @@
+"""Slow, independent ways to get what the library builds or counts.
+
+The library builds every label canonical and in canonical order, and counts
+the census without building a label.  The tests hold these oracles against
+it: the canonical order as a sort key, the real semisimple labels generated
+from pair units and normalized one by one, and the census computed on those
+labels one label at a time.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+
+from uqchar.characters import fs_semisimple_regular, fs_via_sigma
+from uqchar.multipartition import MultiPartition
+from uqchar.torus import (
+    THETA,
+    TorusContext,
+    conjugate_orbit,
+    orbits_up_to,
+    self_conjugate_orbits,
+)
+
+
+def sort_key(lam: MultiPartition):
+    """The canonical label order: entries by orbit, partitions reverse-lex."""
+    return tuple((o, tuple(-a for a in parts)) for o, parts in lam.entries)
+
+
+@cache
+def real_semisimple_labels(ctx: TorusContext) -> tuple[MultiPartition, ...]:
+    """The real semisimple labels at degree ctx.n, in canonical order.
+
+    Units are the self-conjugate orbits o (weight |o|) and the pairs
+    {o, o-bar} of conjugate orbits (weight 2|o|); a unit chosen k times puts
+    the column (1^k) on each of its orbits.  A pair puts o-bar next to o, out
+    of orbit order, so each label is normalized by make() and the labels are
+    sorted by sort_key.
+    """
+    n = ctx.n
+    units = [(d, (o,)) for d in range(1, n + 1)
+             for o in self_conjugate_orbits(ctx, d)]
+    for o in orbits_up_to(ctx, n // 2):
+        bar = conjugate_orbit(ctx, o)
+        if o < bar:
+            units.append((2 * o.level, (o, bar)))
+    units.sort()
+    labels = []
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            labels.append(MultiPartition.make(THETA, acc))
+            return
+        for j in range(idx, len(units)):
+            weight, orbits = units[j]
+            if weight > remaining:
+                break
+            for k in range(1, remaining // weight + 1):
+                rec(j + 1, remaining - weight * k,
+                    acc + [(o, (1,) * k) for o in orbits])
+
+    rec(0, n, [])
+    return tuple(sorted(labels, key=sort_key))
+
+
+def census_by_enumeration(ctx: TorusContext, real) -> dict:
+    """census_semisimple's counts of real labels, one label at a time.
+
+    Every key but semisimple, which counts labels that are not real.  Each
+    label's indicator comes from fs_semisimple_regular, which raises
+    RouteDisagreement where its two routes differ, and route_agreement
+    counts the labels on which fs_via_sigma gives that indicator.
+    """
+    orthogonal = symplectic = cross_checked = 0
+    for lam in real:
+        eps = fs_semisimple_regular(ctx, lam)
+        if eps == 1:
+            orthogonal += 1
+        else:
+            symplectic += 1
+        cross_checked += fs_via_sigma(ctx, lam) == eps
+    return {
+        "q": ctx.q,
+        "n": ctx.n,
+        "real_total": len(real),
+        "orthogonal": orthogonal,
+        "symplectic": symplectic,
+        "route_agreement": cross_checked,
+    }

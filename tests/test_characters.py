@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from uqchar import characters, cyclotomic
+from oracles import census_by_enumeration, real_semisimple_labels, sort_key
+from uqchar import characters, cyclotomic, multipartition
 from uqchar.characters import (
     FAMILIES,
     RouteDisagreement,
@@ -22,13 +23,13 @@ from uqchar.characters import (
     family_labels,
     fs_bruteforce,
     fs_semisimple_regular,
+    fs_via_centre,
     fs_unipotent,
     is_real,
     is_regular,
     is_semisimple,
     is_unipotent,
     omega_exponent,
-    real_semisimple_labels,
 )
 from uqchar.conjclasses import central_class, group_order
 from uqchar.multipartition import (
@@ -45,10 +46,12 @@ from uqchar.torus import (
     THETA,
     OrbitLabel,
     TorusContext,
+    count_exact_orbits,
     frobenius_orbit,
     lift_character,
     one_orbit,
     orbit_exponents,
+    self_conjugate_orbits,
     sigma_orbit,
 )
 
@@ -454,6 +457,37 @@ def test_census_route_agreement_needs_both_routes(q, n):
 
 
 def test_census_raises_when_routes_disagree(monkeypatch):
+    # with sigma moved to (1, 1), which is not self-conjugate, no unit carries
+    # the sigma bit, so the sigma route reads +1 on the one symplectic label
+    monkeypatch.setattr(characters, "sigma_orbit", lambda ctx: OrbitLabel(1, 1))
+    with pytest.raises(RouteDisagreement, match="differ on 1 of 4$"):
+        census_semisimple(TorusContext(3, 2))
+    # odd n runs the centre route alone, so there is nothing to disagree with
+    assert census_semisimple(TorusContext(3, 3))["route_agreement"] == 0
+
+
+def test_census_route_agreement_compares_the_routes_itself(monkeypatch):
+    # with sigma moved onto the self-conjugate level-2 orbit, the sigma route
+    # reads the parity of that orbit's column: the census must count the
+    # labels on which it differs from the centre route, not copy real_total
+    # or the symplectic count
+    ctx = TorusContext(5, 4)
+    (moved,) = self_conjugate_orbits(ctx, 2)
+    real = real_semisimple_labels(ctx)
+    symplectic = sum(fs_via_centre(ctx, lam) == -1 for lam in real)
+    differ = sum((fs_via_centre(ctx, lam) == -1) != sum(lam.part_for(moved)) % 2
+                 for lam in real)
+    assert (len(real), symplectic, differ) == (30, 5, 8)
+    monkeypatch.setattr(characters, "sigma_orbit", lambda ctx: moved)
+    with pytest.raises(RouteDisagreement, match="differ on 8 of 30$"):
+        census_semisimple(ctx)
+    # on the trivial orbit instead, the level-1 columns of an even degree
+    # have even total size, so its parity is sigma's and nothing differs
+    monkeypatch.setattr(characters, "sigma_orbit", lambda ctx: OrbitLabel(1, 0))
+    assert census_semisimple(ctx)["route_agreement"] == 30
+
+
+def test_closed_form_raises_when_routes_disagree(monkeypatch):
     real_sigma = characters.fs_via_sigma
 
     def flipped(ctx, lam):
@@ -461,21 +495,47 @@ def test_census_raises_when_routes_disagree(monkeypatch):
         return None if eps is None else -eps
 
     monkeypatch.setattr(characters, "fs_via_sigma", flipped)
-    with pytest.raises(RouteDisagreement):
-        census_semisimple(TorusContext(3, 2))
+    ctx = TorusContext(3, 2)
+    for lam in real_semisimple_labels(ctx):
+        with pytest.raises(RouteDisagreement):
+            fs_semisimple_regular(ctx, lam)
     # odd n runs the centre route alone, so there is nothing to disagree with
-    assert census_semisimple(TorusContext(3, 3))["route_agreement"] == 0
+    ctx = TorusContext(3, 3)
+    assert [fs_semisimple_regular(ctx, lam)
+            for lam in real_semisimple_labels(ctx)] == [1] * 6
 
 
-def test_census_route_agreement_compares_the_routes_itself(monkeypatch):
-    # with an indicator that skips the comparison, a sigma route that always
-    # disagrees must count as no agreement, not as 12 labels it covers
-    centre = characters.fs_via_centre
-    monkeypatch.setattr(characters, "fs_semisimple_regular", centre)
-    monkeypatch.setattr(characters, "fs_via_sigma", lambda ctx, lam: -centre(ctx, lam))
-    out = census_semisimple(TorusContext(3, 4))
-    assert out["real_total"] == 12
-    assert out["route_agreement"] == 0
+def test_census_builds_no_label(monkeypatch):
+    # the 8748 real semisimple labels at (3, 16) are counted from their
+    # units: no label is enumerated or normalized
+    calls = {"make": 0, "from_units": 0}
+    make = MultiPartition.make
+    from_units = characters.multipartitions_from_units
+
+    def counted_make(side, pairs):
+        calls["make"] += 1
+        return make(side, pairs)
+
+    def counted_from_units(*args):
+        calls["from_units"] += 1
+        return from_units(*args)
+
+    monkeypatch.setattr(MultiPartition, "make", staticmethod(counted_make))
+    monkeypatch.setattr(characters, "multipartitions_from_units", counted_from_units)
+    monkeypatch.setattr(multipartition, "multipartitions_from_units",
+                        counted_from_units)
+    out = census_semisimple(TorusContext(3, 16))
+    assert out["real_total"] == 8748
+    assert calls == {"make": 0, "from_units": 0}
+
+
+def test_census_refuses_unpaired_orbits(monkeypatch):
+    # the orbits that are not self-conjugate come in pairs {o, o-bar}; a
+    # level whose count leaves one over is refused, not halved
+    monkeypatch.setattr(characters, "count_exact_orbits",
+                        lambda ctx, d: count_exact_orbits(ctx, d) + (d == 1))
+    with pytest.raises(ValueError, match="level 1: .* do not pair up"):
+        census_semisimple(TorusContext(3, 2))
 
 
 def test_census_u2_f25():
@@ -506,7 +566,8 @@ ORACLE_MAX_N = {2: 8, 3: 6, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3}
 
 @pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))
 def test_real_semisimple_labels_match_filtered_enumeration(q):
-    # the direct generation against filtering every multipartition
+    # the pair-unit oracle against filtering every multipartition, and the
+    # counted census against the census made one filtered label at a time
     for n in range(1, ORACLE_MAX_N[q] + 1):
         ctx = TorusContext(q, n)
         semisimple = [
@@ -514,7 +575,23 @@ def test_real_semisimple_labels_match_filtered_enumeration(q):
             if is_semisimple(lam)]
         real = [lam for lam in semisimple if is_real(ctx, lam)]
         assert real_semisimple_labels(ctx) == tuple(real), (q, n)
-        assert census_semisimple(ctx)["semisimple"] == len(semisimple), (q, n)
+        census = census_semisimple(ctx)
+        assert census["semisimple"] == len(semisimple), (q, n)
+        assert census == {**census_by_enumeration(ctx, real),
+                          "semisimple": len(semisimple)}, (q, n)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(2, 20), (3, 16), (4, 10), (5, 10), (7, 8), (8, 8), (9, 8), (11, 6),
+            (13, 6), (16, 6), (25, 4), (27, 4)])
+def test_census_matches_the_enumerating_oracle(q, n):
+    # beyond the filtering grid, against the census made one label at a
+    # time on the pair-unit oracle's labels; the oracle takes at most about
+    # 0.2 s a case, at (3, 16)
+    ctx = TorusContext(q, n)
+    census = census_semisimple(ctx)
+    assert census == {**census_by_enumeration(ctx, real_semisimple_labels(ctx)),
+                      "semisimple": label_count(ctx, "semisimple")}
 
 
 @pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))
@@ -539,16 +616,15 @@ def test_semisimple_labels_match_filtered_enumeration(q):
 @pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))
 def test_every_family_is_built_canonical_and_sorted(q):
     # enumeration builds labels as it walks them; the oracle normalizes
-    # each one with make() and sorts them by sort_key
+    # each one with make() and sorts them by the canonical sort key
     for n in range(1, ORACLE_MAX_N[q] + 1):
         ctx = TorusContext(q, n)
         families = {family: family_labels(ctx, family) for family in FAMILIES}
-        families["real semisimple"] = real_semisimple_labels(ctx)
         families["classes"] = enumerate_multipartitions(ctx, n, PHI)
         for family, labels in families.items():
             assert all(lam == MultiPartition.make(lam.side, lam.entries)
                        for lam in labels), (q, n, family)
-            assert labels == tuple(sorted(labels, key=MultiPartition.sort_key)), \
+            assert labels == tuple(sorted(labels, key=sort_key)), \
                 (q, n, family)
             assert len(set(labels)) == len(labels), (q, n, family)
             if family in ("all", "semisimple", "regular"):
@@ -559,31 +635,28 @@ def test_every_family_is_built_canonical_and_sorted(q):
 
 def test_enumeration_neither_normalizes_nor_sorts(monkeypatch):
     # the 5816 labels at (3, 7) are built canonical and in canonical order,
-    # so no label goes through make() or sort_key
-    calls = {"make": 0, "sort_key": 0}
-    make, sort_key = MultiPartition.make, MultiPartition.sort_key
+    # so no label goes through make(); the library has no label sort key,
+    # and test_every_family_is_built_canonical_and_sorted checks the order
+    calls = {"make": 0}
+    make = MultiPartition.make
 
     def counted_make(side, pairs):
         calls["make"] += 1
         return make(side, pairs)
 
-    def counted_sort_key(lam):
-        calls["sort_key"] += 1
-        return sort_key(lam)
-
     monkeypatch.setattr(MultiPartition, "make", staticmethod(counted_make))
-    monkeypatch.setattr(MultiPartition, "sort_key", counted_sort_key)
     enumerate_multipartitions.cache_clear()
     try:
         labels = family_labels(TorusContext(3, 7), "all")
     finally:
         enumerate_multipartitions.cache_clear()
     assert len(labels) == 5816
-    assert calls == {"make": 0, "sort_key": 0}
+    assert calls == {"make": 0}
 
 
-@pytest.mark.parametrize(
-    "q,n", [(3, 10), (3, 12), (5, 8), (9, 6), (3, 16), (7, 8)])
+@pytest.mark.parametrize("q,n", list(dict.fromkeys(
+    [(3, 10), (3, 12), (5, 8), (9, 6), (3, 16), (7, 8), (3, 20)]
+    + [(q, 2 * m) for q in (3, 5, 7, 9, 11) for m in range(1, 5)])))
 def test_census_closed_forms(q, n):
     # U(2m) with q odd: q^(m-1) symplectic and q^m orthogonal characters
     m = n // 2
@@ -595,8 +668,8 @@ def test_census_closed_forms(q, n):
 
 def test_symplectic_labels_carry_odd_sigma_part():
     ctx = TorusContext(3, 4)
-    labels = [lam for lam in real_semisimple_labels(ctx)
-              if fs_semisimple_regular(ctx, lam) == -1]
+    labels = [lam for lam in family_labels(ctx, "semisimple")
+              if is_real(ctx, lam) and fs_semisimple_regular(ctx, lam) == -1]
     assert len(labels) == 3
     sig = sigma_orbit(ctx)
     for lam in labels:

@@ -2,9 +2,11 @@
 
 import pytest
 
+from oracles import sort_key
 from uqchar.characters import _entry_factors
 from uqchar.multipartition import (
     MultiPartition,
+    binomial_product,
     enumerate_multipartitions,
     label_count,
     mp_bar,
@@ -156,6 +158,17 @@ def test_label_count_skips_a_size_with_no_orbit():
     assert label_count(ctx) == 9
 
 
+def test_binomial_product_takes_signed_factors():
+    # 1/(1 + x) = 1 - x + x^2 - ..., (1 + x^2)^(-2) = 1 - 2x^2 + 3x^4 - ...,
+    # and a factor with c = 0 is 1
+    assert [binomial_product(n, [(1, 1, -1)]) for n in range(4)] == [1, -1, 1, -1]
+    assert [binomial_product(n, [(2, 2, -1), (1, 0, 1)]) for n in range(5)] == \
+        [1, 0, -2, 0, 3]
+    # 1/((1 - x)(1 + x)) = 1/(1 - x^2)
+    assert [binomial_product(n, [(1, 1, 1), (1, 1, -1)]) for n in range(5)] == \
+        [1, 0, 1, 0, 1]
+
+
 def test_label_count_refuses_an_uncounted_family():
     with pytest.raises(ValueError, match="no label count for family 'unipotent'"):
         label_count(TorusContext(3, 2), "unipotent")
@@ -164,7 +177,7 @@ def test_label_count_refuses_an_uncounted_family():
 def test_enumeration_is_sorted_and_canonical():
     ctx = TorusContext(3, 2)
     labels = enumerate_multipartitions(ctx, 2, THETA)
-    keys = [l.sort_key() for l in labels]
+    keys = [sort_key(l) for l in labels]
     assert keys == sorted(keys)
     # first label: everything on the smallest orbit, largest partition first;
     # (1) is a prefix of (1,1), so the two-orbit labels sort between them
@@ -172,6 +185,15 @@ def test_enumeration_is_sorted_and_canonical():
     assert labels[1] == mp(THETA, (O10, (1,)), (OrbitLabel(1, 1), (1,)))
     assert labels[4] == mp(THETA, (O10, (1, 1)))
     assert labels[-1] == mp(THETA, (OrbitLabel(2, 3), (1,)))
+
+
+def test_labels_share_each_distinct_entry():
+    # the 5816 labels at (3, 7) hold 15284 entries, 706 of them distinct:
+    # each distinct (orbit, partition) entry is one object
+    labels = enumerate_multipartitions(TorusContext(3, 7), 7, THETA)
+    entries = [e for lam in labels for e in lam.entries]
+    assert (len(labels), len(entries)) == (5816, 15284)
+    assert len({id(e) for e in entries}) == len(set(entries)) == 706
 
 
 def test_key_string():

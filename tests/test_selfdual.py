@@ -9,7 +9,7 @@ the orthogonal ones onto constant +1.
 import pytest
 
 from uqchar import gf, selfdual
-from uqchar.characters import fs_semisimple_regular, real_semisimple_labels
+from uqchar.characters import family_labels, fs_semisimple_regular, is_real
 from uqchar.gf import GF, poly_to_str, poly_trim
 from uqchar.multipartition import MultiPartition
 from uqchar.selfdual import (
@@ -185,11 +185,16 @@ def test_realization_rejects_a_polynomial_that_is_not_self_dual(monkeypatch):
         char_to_polynomial(*_symplectic_u2())
 
 
+def _real_semisimple(ctx):
+    """The real labels of the semisimple family, filtered."""
+    return [lam for lam in family_labels(ctx, "semisimple") if is_real(ctx, lam)]
+
+
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (5, 2)])
 def test_bijection_with_self_dual_polynomials(q, n):
     ctx = TorusContext(q, n)
     F = GF(q)
-    labels = real_semisimple_labels(ctx)
+    labels = _real_semisimple(ctx)
     image = {}
     for lam in labels:
         h = char_to_polynomial(ctx, lam)
@@ -208,7 +213,7 @@ def test_each_subgroup_generator_is_found_once_per_level():
     # per orbit; the scan for a primitive root runs once per level
     ctx = TorusContext(5, 4)
     gf.subgroup_generator.cache_clear()
-    labels = real_semisimple_labels(ctx)
+    labels = _real_semisimple(ctx)
     for lam in labels:
         char_to_polynomial(ctx, lam)
     info = gf.subgroup_generator.cache_info()

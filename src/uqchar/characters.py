@@ -46,10 +46,10 @@ from .torus import (
     TorusContext,
     conjugate_orbit,
     count_exact_orbits,
+    count_self_conjugate_orbits,
     modulus_of,
     one_orbit,
     orbits_up_to,
-    self_conjugate_orbits,
     sigma_orbit,
 )
 
@@ -276,28 +276,31 @@ def census_semisimple(ctx: TorusContext) -> dict:
     which the sigma route gives the centre route's indicator.  No label is
     built.  A real one picks units, each k >= 1 times with (1^k) on each of
     its orbits: self-conjugate orbits o (weight |o|) and pairs {o, o-bar}
-    (weight 2|o|).  A unit's omega bit is its restriction to the centre (0
-    or M_1/2, and 0 for a pair), its sigma bit whether it is sigma; for even
-    n a route gives -1 when its bits, k times, add up odd.  So the counts
+    (weight 2|o|), counted per level by torus's Moebius sums, not walked.  A
+    unit's omega bit is its restriction to the centre (0 or M_1/2, 0 for a
+    pair), its sigma bit whether it is sigma, which is found by identity; for
+    even n a route gives -1 when its bits, k times, add up odd.  The counts
     are x^n coefficients of prod 1/(1 - a^omega b^sigma x^weight) at
     (a, b) = (1, 1), (-1, 1) and (-1, -1).
     """
     n = ctx.n
-    sigma = sigma_orbit(ctx) if ctx.q % 2 else None
     units: dict[tuple[int, int, int], int] = {}  # (weight, omega, sigma) -> count
     for d in range(1, n + 1):
-        self_conjugate = self_conjugate_orbits(ctx, d)
-        for o in self_conjugate:
-            w = omega_exponent(ctx, MultiPartition(THETA, ((o, (1,)),)))
-            if 2 * w % ctx.modulus(1):
-                raise ValueError(f"central character of {o} is not real ({w})")
-            bits = (d, int(w != 0), int(o == sigma))
-            units[bits] = units.get(bits, 0) + 1
+        trivial, order_two = count_self_conjugate_orbits(ctx, d)
+        units[d, 0, 0] = units.get((d, 0, 0), 0) + trivial
+        units[d, 1, 0] = order_two
         if 2 * d <= n:
-            pairs, odd = divmod(count_exact_orbits(ctx, d) - len(self_conjugate), 2)
+            pairs, odd = divmod(count_exact_orbits(ctx, d) - trivial - order_two, 2)
             if odd:
                 raise ValueError(f"level {d}: orbits not self-conjugate do not pair up")
             units[2 * d, 0, 0] = pairs
+    sigma = sigma_orbit(ctx) if ctx.q % 2 else None
+    if sigma is not None and sigma.level <= n and conjugate_orbit(ctx, sigma) == sigma:
+        w = omega_exponent(ctx, MultiPartition(THETA, ((sigma, (1,)),)))
+        if 2 * w % ctx.modulus(1):
+            raise ValueError(f"central character of {sigma} is not real ({w})")
+        units[sigma.level, int(w != 0), 0] -= 1
+        units[sigma.level, int(w != 0), 1] = 1
 
     def coefficient(a: int, b: int) -> int:
         return binomial_product(n, [(weight, c, a**omega * b**sig)

@@ -20,7 +20,11 @@ Orbits are canonicalized at their exact level (the level equals the orbit
 size), keyed by the minimal exponent in the orbit at that level.  Both sides
 are Z/M_d under the same action, so a character orbit and an element orbit
 with the same exponents are the same (level, min_exponent) label; the side a
-label speaks of is recorded by the multipartition that carries it.
+label speaks of is recorded by the multipartition that carries it.  Orbits
+are counted without a walk: F^k fixes exactly T_k, of order M_k, and
+subgroups of a cyclic group meet in the one of gcd order, so the subgroup of
+Z/M_d of order A holds (1/d) sum_{k | d} mu(d/k) gcd(A, M_k) orbits of exact
+size d.  A = M_d counts them all.
 """
 
 from __future__ import annotations
@@ -163,42 +167,35 @@ def exact_orbits(ctx: TorusContext, d: int) -> tuple[OrbitLabel, ...]:
     return tuple(out)
 
 
-def self_conjugate_orbits(ctx: TorusContext, d: int) -> tuple[OrbitLabel, ...]:
-    """The orbits of exact size d closed under e -> -e, in canonical order.
-
-    Such an orbit has -e = (-q)^i e with 2i a multiple of d.  For even d,
-    i = d/2: ((-q)^(d/2) + 1) e = 0 (mod M_d), i.e. M_{d/2} divides e, so
-    only the cyclic subgroup of multiples of M_{d/2} (order M_d / M_{d/2}) is
-    scanned.  Otherwise i = 0 and 2e = 0, an orbit of size 1: none for odd
-    d > 1.
-    """
-    mod = ctx.modulus(d)
-    if d % 2:
-        if d > 1:
-            return ()
-        step = mod // gcd(2, mod)
-    else:
-        step = ctx.modulus(d // 2)
-    out = []
-    for e in range(0, mod, step):
-        orbit = _orbit_exponents_at(ctx.q, d, e)
-        if len(orbit) == d and e == min(orbit):
-            out.append(OrbitLabel(d, e))
-    return tuple(out)
-
-
-def count_exact_orbits(ctx: TorusContext, d: int) -> int:
-    """Moebius count: (1/d) sum_{e | d} mu(d/e) M_e."""
-    total = sum(moebius(d // e) * ctx.modulus(e) for e in divisors(d))
+def _orbit_count(ctx: TorusContext, d: int, order: int) -> int:
+    """Orbits of exact size d in the subgroup of Z/M_d of that order (see above)."""
+    total = sum(moebius(d // k) * gcd(order, ctx.modulus(k)) for k in divisors(d))
     if total % d:
         raise ValueError(f"Moebius count {total} is not divisible by d = {d}")
     return total // d
 
 
+def count_exact_orbits(ctx: TorusContext, d: int) -> int:
+    """Moebius count over all of T_d: (1/d) sum_{k | d} mu(d/k) M_k."""
+    return _orbit_count(ctx, d, ctx.modulus(d))
+
+
+def count_self_conjugate_orbits(ctx: TorusContext, d: int) -> tuple[int, int]:
+    """Self-conjugate orbits of exact size d: (trivial, order two) on T_1.
+
+    -e = (-q)^i e with d | 2i: for even d, i = d/2 and M_(d/2) divides e;
+    else 2e = 0, so no orbit has odd size d > 1.  Trivial on T_1: M_1 | e.
+    """
+    mod = ctx.modulus(d)
+    order = gcd(2, mod) if d % 2 else mod // ctx.modulus(d // 2)
+    trivial = _orbit_count(ctx, d, gcd(order, mod // ctx.modulus(1)))
+    return trivial, _orbit_count(ctx, d, order) - trivial
+
+
 def orbits_up_to(ctx: TorusContext, n: int) -> tuple[OrbitLabel, ...]:
     """All orbits of size <= n, canonically ordered; the label universe at degree n."""
     out = []
-    for d in range(1, n + 1):
+    for d in range(n, 0, -1):  # the largest table first: a failed allocation fails fast
         out.extend(exact_orbits(ctx, d))
     return tuple(sorted(out))
 

@@ -129,17 +129,31 @@ MUTANTS = (
          "tests/test_characters.py::test_census_matches_the_enumerating_oracle")),
     Mutant(
         "census-omega-bit-ignored", "src/uqchar/characters.py",
-        "            bits = (d, int(w != 0), int(o == sigma))\n",
-        "            bits = (d, 0, int(o == sigma))\n",
+        "        units[d, 1, 0] = order_two\n",
+        "        units[d, 0, 0] += order_two\n        units[d, 1, 0] = 0\n",
         ("tests/test_characters.py::test_census_u2_f9",
          "tests/test_characters.py::test_census_closed_forms",
          "tests/test_characters.py::test_census_matches_the_enumerating_oracle")),
+    Mutant(
+        "census-sigma-unit-not-moved", "src/uqchar/characters.py",
+        "        units[sigma.level, int(w != 0), 0] -= 1\n"
+        "        units[sigma.level, int(w != 0), 1] = 1\n",
+        "        pass\n",
+        ("tests/test_characters.py::test_census_u2_f9",
+         "tests/test_characters.py::test_census_closed_forms",
+         "tests/test_characters.py::test_census_route_agreement_compares_the_routes_itself")),
     Mutant(
         "is-real-skips-level-one", "src/uqchar/characters.py",
         "    return {conjugate_orbit(ctx, o): p for o, p in lam.entries} == dict(lam.entries)\n",
         "    return ({conjugate_orbit(ctx, o): p for o, p in lam.entries if o.level > 1}\n"
         "            == {o: p for o, p in lam.entries if o.level > 1})\n",
         ("tests/test_characters.py::test_is_real_agrees_with_the_conjugate_label",)),
+    Mutant(
+        "is-real-stops-at-the-first-non-real-entry", "src/uqchar/characters.py",
+        "    return {conjugate_orbit(ctx, o): p for o, p in lam.entries} == dict(lam.entries)\n",
+        "    entries = dict(lam.entries)\n"
+        "    return all(entries.get(conjugate_orbit(ctx, o)) == p for o, p in lam.entries)\n",
+        ("tests/test_characters.py::test_is_real_refuses_an_orbit_above_the_degree",)),
     Mutant(
         "omega-drops-the-level-sign", "src/uqchar/characters.py",
         "    return sum((-1) ** (phi.level - 1) * phi.min_exponent * sum(parts)\n",
@@ -152,6 +166,19 @@ MUTANTS = (
         '    "regular": lambda k: ((k,), (1,) * k)[:k],\n',
         ("tests/test_characters.py::test_semisimple_labels_match_filtered_enumeration",
          "tests/test_cli.py::test_label_lists_are_pinned")),
+    Mutant(
+        "unipotent-filtered-from-every-label", "src/uqchar/characters.py",
+        '    if family == "all":\n        return enumerate_multipartitions(ctx, n, THETA)\n',
+        '    if family in ("all", "unipotent"):\n'
+        "        return tuple(lam for lam in enumerate_multipartitions(ctx, n, THETA)\n"
+        '                     if family == "all" or is_unipotent(lam))\n',
+        ("tests/test_cli.py::test_a_family_is_generated_without_enumerating_every_label",)),
+    Mutant(
+        "degree-drops-the-entry-level", "src/uqchar/characters.py",
+        "= _entry_factors(q, o.level, parts)",
+        "= _entry_factors(q, 1, parts)",
+        ("tests/test_cli.py::test_degrees_work_once_per_distinct_entry",
+         "tests/test_characters.py::test_degree_sum_of_squares_is_group_order")),
     Mutant(
         "degree-bypasses-the-entry-cache", "src/uqchar/characters.py",
         "        power, hook_product = _entry_factors(q, o.level, parts)\n",
@@ -174,6 +201,18 @@ MUTANTS = (
         "        elif mu == -1:\n",
         "        elif mu == -1 and d > 1:\n",
         ("tests/test_cyclotomic.py::test_cyclotomic_product_identity_on_cli_fields",)),
+    Mutant(
+        "orbit-count-ignores-the-subgroup", "src/uqchar/torus.py",
+        "moebius(d // k) * gcd(order, ctx.modulus(k))",
+        "moebius(d // k) * ctx.modulus(k)",
+        ("tests/test_torus.py::test_self_conjugate_counts_match_the_scan",
+         "tests/test_torus.py::test_order_two_self_conjugate_orbits_sit_at_level_one",
+         "tests/test_characters.py::test_census_closed_forms")),
+    Mutant(
+        "orbit-levels-smallest-first", "src/uqchar/torus.py",
+        "    for d in range(n, 0, -1):",
+        "    for d in range(1, n + 1):",
+        ("tests/test_torus.py::test_orbits_up_to_asks_for_the_largest_level_first",)),
     Mutant(
         "context-accepts-any-q", "src/uqchar/torus.py",
         "        if prime_power(q) is None:\n            raise ValueError(",

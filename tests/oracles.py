@@ -1,8 +1,9 @@
 """Slow, independent ways to get what the library builds or counts.
 
 The library builds every label canonical and in canonical order, and counts
-the census without building a label.  The tests hold these oracles against
-it: the canonical order as a sort key, the real semisimple labels generated
+the census without building a label or walking an orbit.  The tests hold
+these oracles against it: the canonical order as a sort key, the
+self-conjugate orbits found by a scan, the real semisimple labels generated
 from pair units and normalized one by one, and the census computed on those
 labels one label at a time.
 """
@@ -10,21 +11,43 @@ labels one label at a time.
 from __future__ import annotations
 
 from functools import cache
+from math import gcd
 
 from uqchar.characters import fs_semisimple_regular, fs_via_sigma
 from uqchar.multipartition import MultiPartition
 from uqchar.torus import (
     THETA,
+    OrbitLabel,
     TorusContext,
     conjugate_orbit,
+    frobenius_orbit,
     orbits_up_to,
-    self_conjugate_orbits,
 )
 
 
 def sort_key(lam: MultiPartition):
     """The canonical label order: entries by orbit, partitions reverse-lex."""
     return tuple((o, tuple(-a for a in parts)) for o, parts in lam.entries)
+
+
+def self_conjugate_orbits(ctx: TorusContext, d: int) -> tuple[OrbitLabel, ...]:
+    """The orbits of exact size d closed under e -> -e, in canonical order.
+
+    Such an orbit has -e = (-q)^i e with 2i a multiple of d.  For even d,
+    i = d/2: ((-q)^(d/2) + 1) e = 0 (mod M_d), i.e. M_{d/2} divides e, so
+    only the multiples of M_{d/2} are walked, and e is kept when it is the
+    least exponent of an orbit of size d.  Otherwise i = 0 and 2e = 0, an
+    orbit of size 1: none for odd d > 1.
+    """
+    mod = ctx.modulus(d)
+    if d % 2:
+        if d > 1:
+            return ()
+        step = mod // gcd(2, mod)
+    else:
+        step = ctx.modulus(d // 2)
+    return tuple(OrbitLabel(d, e) for e in range(0, mod, step)
+                 if frobenius_orbit(ctx, d, e) == (d, e))
 
 
 @cache

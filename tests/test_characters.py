@@ -12,8 +12,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import census_by_enumeration, real_semisimple_labels, sort_key
-from uqchar import characters, cyclotomic, multipartition
+from oracles import (
+    census_by_enumeration,
+    real_semisimple_labels,
+    self_conjugate_orbits,
+    sort_key,
+)
+from uqchar import characters, cyclotomic, multipartition, torus
 from uqchar.characters import (
     FAMILIES,
     RouteDisagreement,
@@ -46,12 +51,12 @@ from uqchar.torus import (
     THETA,
     OrbitLabel,
     TorusContext,
+    conjugate_orbit,
     count_exact_orbits,
     frobenius_orbit,
     lift_character,
     one_orbit,
     orbit_exponents,
-    self_conjugate_orbits,
     sigma_orbit,
 )
 
@@ -507,10 +512,14 @@ def test_closed_form_raises_when_routes_disagree(monkeypatch):
 
 def test_census_builds_no_label(monkeypatch):
     # the 8748 real semisimple labels at (3, 16) are counted from their
-    # units: no label is enumerated or normalized
+    # units: no label is enumerated or normalized; at (3, 22) no orbit is
+    # walked either, the self-conjugate ones included, except the one
+    # level-1 walk that tells whether sigma is its own conjugate
     calls = {"make": 0, "from_units": 0}
+    walks = []
     make = MultiPartition.make
     from_units = characters.multipartitions_from_units
+    walk = torus._orbit_exponents_at
 
     def counted_make(side, pairs):
         calls["make"] += 1
@@ -520,13 +529,32 @@ def test_census_builds_no_label(monkeypatch):
         calls["from_units"] += 1
         return from_units(*args)
 
+    def recorded_walk(q, m, e):
+        walks.append((q, m, e))
+        return walk(q, m, e)
+
     monkeypatch.setattr(MultiPartition, "make", staticmethod(counted_make))
     monkeypatch.setattr(characters, "multipartitions_from_units", counted_from_units)
     monkeypatch.setattr(multipartition, "multipartitions_from_units",
                         counted_from_units)
+    monkeypatch.setattr(torus, "_orbit_exponents_at", recorded_walk)
     out = census_semisimple(TorusContext(3, 16))
     assert out["real_total"] == 8748
     assert calls == {"make": 0, "from_units": 0}
+    conjugate_orbit.cache_clear()
+    walks.clear()
+    out = census_semisimple(TorusContext(3, 22))
+    assert out["real_total"] == 3**11 + 3**10
+    assert calls == {"make": 0, "from_units": 0}
+    assert walks == [(3, 1, -sigma_orbit(TorusContext(3, 22)).min_exponent)]
+
+
+def test_census_refuses_a_sigma_that_is_not_real(monkeypatch):
+    # sigma is found by identity, and its omega bit is read off its label;
+    # a central character that is not of order one or two is refused
+    monkeypatch.setattr(characters, "omega_exponent", lambda ctx, lam: 1)
+    with pytest.raises(ValueError, match=r"central character of .* is not real \(1\)"):
+        census_semisimple(TorusContext(3, 2))
 
 
 def test_census_refuses_unpaired_orbits(monkeypatch):
@@ -656,9 +684,11 @@ def test_enumeration_neither_normalizes_nor_sorts(monkeypatch):
 
 @pytest.mark.parametrize("q,n", list(dict.fromkeys(
     [(3, 10), (3, 12), (5, 8), (9, 6), (3, 16), (7, 8), (3, 20)]
-    + [(q, 2 * m) for q in (3, 5, 7, 9, 11) for m in range(1, 5)])))
+    + [(q, 2 * m) for q in (3, 5, 7, 9, 11) for m in range(1, 5)]
+    + [(q, 2 * m) for q in (3, 5, 7, 9, 11, 25, 27, 101) for m in (10, 50, 100)])))
 def test_census_closed_forms(q, n):
-    # U(2m) with q odd: q^(m-1) symplectic and q^m orthogonal characters
+    # U(2m) with q odd: q^(m-1) symplectic and q^m orthogonal characters, up
+    # to m = 100, where U(200, F_(101^2)) has 101^100 + 101^99 real ones
     m = n // 2
     out = census_semisimple(TorusContext(q, n))
     assert out["symplectic"] == q ** (m - 1)

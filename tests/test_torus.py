@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import self_conjugate_orbits
 from uqchar import torus
 from uqchar.cyclotomic import embed, from_terms, one, zeta
 from uqchar.multipartition import MultiPartition
+from uqchar.nt import prime_power
 from uqchar.torus import (
     PHI,
     THETA,
@@ -16,6 +18,7 @@ from uqchar.torus import (
     TorusContext,
     conjugate_orbit,
     count_exact_orbits,
+    count_self_conjugate_orbits,
     exact_orbits,
     frobenius_orbit,
     lift_element,
@@ -25,7 +28,6 @@ from uqchar.torus import (
     orbit_exponents,
     orbits_up_to,
     pairing,
-    self_conjugate_orbits,
     sigma_orbit,
 )
 
@@ -266,11 +268,64 @@ def test_sigma_needs_odd_q():
 
 @pytest.mark.parametrize("q,n", [(3, 8), (5, 6), (2, 8), (4, 6), (9, 4), (3, 12)])
 def test_self_conjugate_orbits_match_the_full_scan(q, n):
+    # the oracle's subgroup scan against conjugating every orbit
     ctx = TorusContext(q, n)
     for d in range(1, n + 1):
         scanned = tuple(o for o in exact_orbits(ctx, d)
                         if conjugate_orbit(ctx, o) == o)
         assert self_conjugate_orbits(ctx, d) == scanned
+
+
+# (q, d) with d <= 14 and q^(d/2) <= 3^8: every prime power q <= 27, and
+# four larger ones
+COUNT_GRID = [(q, d) for q in [*range(2, 28), 81, 101, 125, 243]
+              if prime_power(q) is not None
+              for d in range(1, 15) if q**d <= 3**16]
+
+
+@pytest.mark.parametrize("q", sorted({q for q, _ in COUNT_GRID}))
+def test_self_conjugate_counts_match_the_scan(q):
+    # the Moebius counts per restriction to the centre against the oracle's
+    # scan: an orbit restricts trivially when M_1 divides its exponents
+    for d in [d for p, d in COUNT_GRID if p == q]:
+        ctx = TorusContext(q, d)
+        orbits = self_conjugate_orbits(ctx, d)
+        trivial = sum(o.min_exponent % ctx.modulus(1) == 0 for o in orbits)
+        assert count_self_conjugate_orbits(ctx, d) == \
+            (trivial, len(orbits) - trivial), d
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 101, 1000003])
+def test_order_two_self_conjugate_orbits_sit_at_level_one(q):
+    # at even d the self-conjugate orbits lie in the multiples of M_(d/2),
+    # and M_1 divides M_(d/2), so all of them restrict trivially; odd
+    # d > 1 has none at all
+    ctx = TorusContext(q, 30)
+    for d in range(2, 31):
+        if d % 2 == 0:
+            assert ctx.modulus(d // 2) % ctx.modulus(1) == 0
+        trivial, order_two = count_self_conjugate_orbits(ctx, d)
+        assert order_two == 0, d
+        if d % 2:
+            assert trivial == 0, d
+    assert count_self_conjugate_orbits(ctx, 1) == (1, q % 2)
+
+
+def test_orbits_up_to_asks_for_the_largest_level_first(monkeypatch):
+    # the largest table is requested first, so an allocation that cannot
+    # succeed fails before any smaller level is walked
+    levels = []
+    real = torus.exact_orbits
+
+    def recorded(ctx, d):
+        levels.append(d)
+        return real(ctx, d)
+
+    ctx = TorusContext(3, 4)
+    expected = orbits_up_to(ctx, 4)
+    monkeypatch.setattr(torus, "exact_orbits", recorded)
+    assert orbits_up_to(ctx, 4) == expected == tuple(sorted(expected))
+    assert levels == [4, 3, 2, 1]
 
 
 # -- checks that survive python -O: each is fed a broken input ------------

@@ -8,6 +8,12 @@ sorted keys or TSV with fixed column order, so identical invocations are
 byte-identical.  This module parses arguments, calls the library and
 prints: --family labels and indicator routes come from characters.
 
+Every value of a listing (labels, degrees, flags, indicators, rendered
+cells) is computed before its first byte is written, so a run that fails
+prints nothing on stdout.  The text is then written in batches of BATCH
+items of the listing's one large entry, never held whole: the chunks add up
+to the text that encoding the whole document at once would give.
+
 Exit status: 0 on success, 1 on refusals, internal check failures and an
 unwritable --out (diagnostic on stderr), 2 on usage errors (argparse),
 including a negative --max-cells and a --max-n below 1.
@@ -20,6 +26,8 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import chain
+from operator import itemgetter
 
 from . import cyclotomic
 from .characters import (
@@ -48,16 +56,27 @@ from .symfunc import MAX_CELLS, TableTooLarge, char_table
 from .torus import TorusContext
 
 
-def _emit(args, text: str) -> None:
+# items of a listing encoded at a time.  A record is one label, a row of a
+# table holds a cell per class: at 32 the 53948 records of degrees (3, 9)
+# encode about as fast as at 64 or 128, and chartable (7, 3) peaks at 35 MB
+# (37.5 MB at 64, 53 MB at 1024)
+BATCH = 32
+
+
+def _emit(args, chunks) -> None:
+    """Write chunks, the pieces of one output, one after another to stdout
+    or to --out.  Every value in them is computed before this is called, so
+    a failing run writes nothing; a listing's chunks are its batches, so its
+    whole text is never held."""
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     # a symlink is followed; a device or FIFO is written to as it is
     path = os.path.realpath(args.out)
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             return
         # write beside the file, then rename over it: a write that fails
         # part-way leaves an existing file as it was and no partial file
@@ -66,7 +85,7 @@ def _emit(args, text: str) -> None:
         fh = open(tmp, "x", encoding="utf-8")
         try:
             with fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -84,16 +103,40 @@ def _tsv(rows) -> str:
     return "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
 
 
+def _batches(items):
+    """items in slices of BATCH, the last one shorter."""
+    return (items[i:i + BATCH] for i in range(0, len(items), BATCH))
+
+
+def _json_chunks(doc, name, shape=list):
+    """_json(doc) in chunks: doc[name], a list or a dict, is encoded BATCH
+    items at a time, each batch made JSON-ready by shape first."""
+    entry = doc[name]
+    if isinstance(entry, dict):
+        entry, shape = sorted(entry.items()), dict  # the order of sort_keys
+    empty = _json(shape([]))  # the entry's brackets: "[]\n" or "{}\n"
+    head, tail = _json({**doc, name: None}).split(f'"{name}":null')
+    yield f'{head}"{name}":{empty[0]}'
+    sep = ""
+    for batch in _batches(entry):
+        yield sep + _json(shape(batch))[1:-2]
+        sep = ","
+    yield empty[1] + tail
+
+
 def _emit_records(args, name, header, records) -> None:
-    """A label listing: JSON with the records under name, or TSV rows of
-    the header's columns with booleans as 0/1."""
+    """A label listing from one tuple per label, in header order: JSON with
+    the records under name, or TSV rows of the header's columns with
+    booleans as 0/1.  A record's dict exists only while its batch is
+    written."""
     if args.format == "tsv":
-        _emit(args, _tsv([header] + [
-            [int(r[k]) if isinstance(r[k], bool) else r[k] for k in header]
-            for r in records]))
+        _emit(args, chain([_tsv([header])], (
+            _tsv([[int(c) if isinstance(c, bool) else c for c in r] for r in batch])
+            for batch in _batches(records))))
     else:
-        _emit(args, _json({
-            "q": args.q, "n": args.n, "family": args.family, name: records}))
+        _emit(args, _json_chunks(
+            {"q": args.q, "n": args.n, "family": args.family, name: records},
+            name, lambda batch: [dict(zip(header, r)) for r in batch]))
 
 
 def _approx_text(v) -> str:
@@ -106,24 +149,18 @@ def cmd_census(args) -> int:
     out = census_semisimple(ctx)
     if args.format == "tsv":
         rows = [(k, out[k]) for k in sorted(out)]
-        _emit(args, _tsv(rows))
+        _emit(args, [_tsv(rows)])
     else:
-        _emit(args, _json(out))
+        _emit(args, [_json(out)])
     return 0
 
 
 def cmd_degrees(args) -> int:
     ctx = TorusContext(args.q, args.n)
     entries = sorted((
-        {
-            "label": lam.to_key(),
-            "degree": degree(ctx, lam),
-            "real": is_real(ctx, lam),
-            "semisimple": is_semisimple(lam),
-            "regular": is_regular(lam),
-            "unipotent": is_unipotent(lam),
-        }
-        for lam in family_labels(ctx, args.family)), key=lambda e: e["label"])
+        (lam.to_key(), degree(ctx, lam), is_real(ctx, lam), is_semisimple(lam),
+         is_regular(lam), is_unipotent(lam))
+        for lam in family_labels(ctx, args.family)), key=itemgetter(0))
     _emit_records(args, "characters", (
         "label", "degree", "real", "semisimple", "regular", "unipotent"), entries)
     return 0
@@ -138,9 +175,9 @@ def cmd_chartable(args) -> int:
         rows = [("label",) + tuple(mu.to_key() for mu in table.classes)]
         for lam, row in zip(table.chars, table.values):
             rows.append((lam.to_key(),) + tuple(map(render, row)))
-        _emit(args, _tsv(rows))
+        _emit(args, map(_tsv, _batches(rows)))
     else:
-        _emit(args, _json(table.to_json(render)))
+        _emit(args, _json_chunks(table.to_json(render), "values"))
     return 0
 
 
@@ -158,10 +195,8 @@ def cmd_fs(args) -> int:
                 f"(bound {args.max_cells})")
         cyclotomic.check_degree(ctx.cyclo_modulus)
     entries = sorted((
-        {"label": lam.to_key(),
-         "indicator": indicator(ctx, lam, route),
-         "route": route}
-        for lam, route in routed), key=lambda e: e["label"])
+        (lam.to_key(), indicator(ctx, lam, route), route)
+        for lam, route in routed), key=itemgetter(0))
     _emit_records(args, "indicators", ("label", "indicator", "route"), entries)
     return 0
 
@@ -172,15 +207,15 @@ def cmd_selfdual(args) -> int:
     polys = enumerate_self_dual(F, args.n, want)
     rendered = [poly_to_str(F, h) for h in polys]
     if args.format == "tsv":
-        _emit(args, _tsv([(s,) for s in rendered]))
+        _emit(args, map(_tsv, _batches([(s,) for s in rendered])))
     else:
-        _emit(args, _json({
+        _emit(args, _json_chunks({
             "q": args.q,
             "n": args.n,
             "constant": args.constant,
             "count": len(polys),
             "polynomials": rendered,
-        }))
+        }, "polynomials"))
     return 0
 
 
@@ -261,8 +296,7 @@ def cmd_verify(args) -> int:
                 if route != "brute-force":
                     good &= brute == indicator(ctx, lam, route)
             check(good, f"n={n}: indicator routes agree with brute force")
-    text = "".join(line + "\n" for line in lines)
-    _emit(args, text)
+    _emit(args, ["".join(line + "\n" for line in lines)])
     return 1 if any(line.startswith("FAIL:") for line in lines) else 0
 
 

@@ -68,9 +68,24 @@ MUTANTS = (
          "test_a_constant_other_than_plus_or_minus_one_is_refused",)),
     Mutant(
         "tsv-booleans-as-words", "src/uqchar/cli.py",
-        "[int(r[k]) if isinstance(r[k], bool) else r[k] for k in header]",
-        "[r[k] for k in header]",
-        ("tests/test_cli.py::test_label_lists_are_pinned",)),
+        "[int(c) if isinstance(c, bool) else c for c in r]",
+        "list(r)",
+        ("tests/test_cli.py::test_label_lists_are_pinned",
+         "tests/test_cli.py::test_listings_match_their_whole_document")),
+    Mutant(
+        "batch-separator-dropped", "src/uqchar/cli.py",
+        '        sep = ","\n',
+        '        sep = ""\n',
+        ("tests/test_cli.py::test_listings_match_their_whole_document",
+         "tests/test_cli.py::test_json_chunks_add_up_to_the_whole_document",
+         "tests/test_cli.py::test_listings_are_written_in_chunks")),
+    Mutant(
+        "last-batch-dropped", "src/uqchar/cli.py",
+        "range(0, len(items), BATCH)",
+        "range(0, len(items) - BATCH, BATCH)",
+        ("tests/test_cli.py::test_listings_match_their_whole_document",
+         "tests/test_cli.py::test_json_chunks_add_up_to_the_whole_document",
+         "tests/test_cli.py::test_listings_are_written_in_chunks")),
     Mutant(
         "verify-always-exits-zero", "src/uqchar/cli.py",
         '    return 1 if any(line.startswith("FAIL:") for line in lines) else 0\n',

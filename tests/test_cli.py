@@ -6,6 +6,7 @@ the output.
 
 import ast
 import hashlib
+import io
 import json
 import os
 import stat
@@ -23,6 +24,7 @@ from uqchar import (
     gf,
     multipartition,
     partitions,
+    selfdual,
     symfunc,
     torus,
 )
@@ -637,6 +639,163 @@ def test_out_into_a_fifo_writes_to_its_reader(tmp_path, capsys):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+def whole_text(command, q, n, tsv):
+    """What the CLI prints for a listing, built whole as records and rows
+    and encoded by one _json or _tsv call: the reference that the batched
+    writer must match."""
+    ctx = TorusContext(q, n)
+    if command in ("degrees", "fs"):
+        if command == "degrees":
+            name = "characters"
+            header = ("label", "degree", "real", "semisimple", "regular", "unipotent")
+            records = [
+                {"label": lam.to_key(), "degree": degree(ctx, lam),
+                 "real": characters.is_real(ctx, lam),
+                 "semisimple": characters.is_semisimple(lam),
+                 "regular": characters.is_regular(lam),
+                 "unipotent": characters.is_unipotent(lam)}
+                for lam in characters.family_labels(ctx, "all")]
+        else:
+            name, header = "indicators", ("label", "indicator", "route")
+            records = [
+                {"label": lam.to_key(), "indicator": indicator(ctx, lam, route),
+                 "route": route}
+                for lam in characters.family_labels(ctx, "all")
+                for route in [indicator_route(ctx, lam)]]
+        records.sort(key=lambda r: r["label"])
+        if tsv:
+            return cli._tsv([header] + [
+                [int(r[k]) if isinstance(r[k], bool) else r[k] for k in header]
+                for r in records])
+        return cli._json({"q": q, "n": n, "family": "all", name: records})
+    if command == "chartable":
+        table = symfunc.char_table(ctx)
+        if tsv:
+            return cli._tsv(
+                [("label",) + tuple(mu.to_key() for mu in table.classes)]
+                + [(lam.to_key(),) + tuple(map(cyclotomic.to_text, row))
+                   for lam, row in zip(table.chars, table.values)])
+        return cli._json(table.to_json(cyclotomic.to_text))
+    F = gf.GF(q)
+    rendered = [gf.poly_to_str(F, h) for h in selfdual.enumerate_self_dual(F, n)]
+    if tsv:
+        return cli._tsv([(s,) for s in rendered])
+    return cli._json({"q": q, "n": n, "constant": "any", "count": len(rendered),
+                      "polynomials": rendered})
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, None], ids=lambda b: f"batch-{b or 'default'}")
+@pytest.mark.parametrize("command,q,n", [
+    ("degrees", 3, 4), ("fs", 3, 3), ("chartable", 3, 3), ("selfdual", 3, 4)])
+@pytest.mark.parametrize("tsv", [False, True], ids=["json", "tsv"])
+def test_listings_match_their_whole_document(capsys, monkeypatch, batch,
+                                             command, q, n, tsv):
+    # batches of 1, 2 and 7 items, and the default: the chunks add up to the
+    # document encoded whole, byte for byte
+    if batch is not None:
+        monkeypatch.setattr(cli, "BATCH", batch)
+    argv = [command, "--q", str(q), "--n", str(n)] + ["--format", "tsv"] * tsv
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == whole_text(command, q, n, tsv)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, None], ids=lambda b: f"batch-{b or 'default'}")
+@pytest.mark.parametrize("doc,name", [
+    ({"a": 1, "x": [], "z": 2}, "x"),
+    ({"x": {}}, "x"),
+    ({"q": 3, "x": ["b", "a", "c"]}, "x"),
+    ({"w": None, "v": {"c": {"k": 1, "j": 2}, "a": {"k": 3}, "b": {}}}, "v"),
+], ids=["empty-list", "empty-dict", "list", "dict"])
+def test_json_chunks_add_up_to_the_whole_document(monkeypatch, batch, doc, name):
+    # a list keeps its order; a dict's keys are sorted at every level, as
+    # sort_keys sorts them; an empty entry keeps its brackets
+    if batch is not None:
+        monkeypatch.setattr(cli, "BATCH", batch)
+    assert "".join(cli._json_chunks(doc, name)) == cli._json(doc)
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["json", "tsv"])
+def test_an_empty_listing_keeps_its_brackets(capsys, monkeypatch, tsv):
+    monkeypatch.setattr(cli, "enumerate_self_dual", lambda F, n, want: [])
+    code, out, err = run(capsys, ["selfdual", "--q", "3", "--n", "2"]
+                         + ["--format", "tsv"] * tsv)
+    assert code == 0 and err == ""
+    assert out == ("" if tsv else cli._json(
+        {"q": 3, "n": 2, "constant": "any", "count": 0, "polynomials": []}))
+
+
+class ChunkRecorder(io.StringIO):
+    """A stdout that keeps every string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+
+def test_listings_are_written_in_chunks(monkeypatch):
+    # the 774056 bytes of degrees (3, 7) never exist as one string: joining
+    # the text back together before writing it makes one chunk of all of it
+    stdout = ChunkRecorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["degrees", "--q", "3", "--n", "7"]) == 0
+    text = "".join(stdout.chunks)
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE[
+        "degrees --q 3 --n 7"]["sha256"]
+    assert max(map(len, stdout.chunks)) < len(text) / 4
+
+
+def test_a_failure_on_the_last_label_prints_nothing(capsys, monkeypatch):
+    # every value is computed before the first chunk is written
+    labels = multipartition.label_count(TorusContext(3, 5))
+    calls = []
+
+    def failing(ctx, lam):
+        calls.append(lam)
+        if len(calls) == labels:
+            raise ValueError("no degree for the last label")
+        return degree(ctx, lam)
+
+    monkeypatch.setattr(cli, "degree", failing)
+    code, out, err = run(capsys, ["degrees", "--q", "3", "--n", "5"])
+    assert (code, out, err) == (1, "", "error: no degree for the last label\n")
+    assert len(calls) == labels
+
+
+def test_out_failing_on_the_third_chunk_keeps_the_old_file(tmp_path, capsys,
+                                                          monkeypatch):
+    target = tmp_path / "degrees.json"
+    target.write_text("old\n")
+    writes = []
+
+    def open_failing(*args, **kwargs):
+        # two chunks reach the temporary file, the third write fails
+        fh = open(*args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            writes.append(text)
+            if len(writes) == 3:
+                raise OSError(28, "No space left on device")
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_failing, raising=False)
+    code, out, err = run(capsys, ["degrees", "--q", "3", "--n", "4",
+                                  "--out", str(target)])
+    assert len(writes) == 3
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {target}: No space left on device\n"
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["degrees.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--q", "3", "--n", "4"],
     ["verify", "--q", "3", "--max-n", "2"],
@@ -646,6 +805,9 @@ def test_out_into_a_fifo_writes_to_its_reader(tmp_path, capsys):
     ["degrees", "--q", "4", "--n", "3"],
     # Q(zeta_560) through the Moebius product, and brute-force indicators
     ["fs", "--q", "3", "--n", "4"],
+    # listings of several batches
+    ["degrees", "--q", "3", "--n", "5"],
+    ["chartable", "--q", "4", "--n", "3", "--max-cells", "100000"],
 ])
 def test_same_output_under_python_O(argv):
     # python -O strips assert statements; the checks that decide the output

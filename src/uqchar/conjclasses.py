@@ -5,20 +5,29 @@ The centralizer order of the class labelled by mu is the Ennola-Wall value
     a_mu = (-1)^|mu| prod_f a_{mu^(f)}((-q)^|f|),
     a_lam(x) = x^(|lam| + 2 n(lam)) prod_i prod_{j=1}^{m_i} (1 - x^(-j)),
 
-evaluated exactly in Fractions and checked to be a positive integer.
-class_table computes it once per class and is cached, so the class data of
-one (q, n) are built once however many rows or labels read them.  Class
-squaring works orbit by orbit: the square of the orbit f = [alpha] is the
-orbit f' = [alpha^2], every element of f' has exactly |f| / |f'| preimages,
-so the partition on f is repeated that many times on f'.  For even q each
-part k is first split into (ceil(k/2), floor(k/2)), the Jordan type of the
-square of a unipotent block in characteristic two.
+m_i the multiplicity of the part i in lam.  It is computed in integers.  For
+x = (-q)^level, 1 - x^(-j) = x^(-j) (x^j - 1) and x^j - 1 = (-1)^(level j)
+M_(level j), M_k = q^k - (-1)^k, so
+
+    a_lam(x) = x^e prod_i prod_{j=1}^{m_i} (-1)^(level j) M_(level j),
+    e = |lam| + 2 n(lam) - sum_i m_i (m_i + 1) / 2.
+
+The exponent e is never negative: |lam| >= sum_i m_i and n(lam) >=
+sum_i C(m_i, 2), so e >= sum_i m_i (m_i - 1) / 2.  Each entry's factor
+depends only on (q, level, partition) and is cached, as degrees cache their
+entries' hook products, and the product over the entries is checked positive.
+class_table computes the orders once per class and is cached, so the class
+data of one (q, n) are built once however many rows or labels read them.
+Class squaring works orbit by orbit: the square of the orbit f = [alpha] is
+the orbit f' = [alpha^2], every element of f' has exactly |f| / |f'|
+preimages, so the partition on f is repeated that many times on f'.  For
+even q each part k is first split into (ceil(k/2), floor(k/2)), the Jordan
+type of the square of a unipotent block in characteristic two.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from math import prod
 from typing import NamedTuple
@@ -28,16 +37,15 @@ from .partitions import n_stat
 from .torus import PHI, OrbitLabel, TorusContext, frobenius_orbit, modulus_of
 
 
-def a_partition_poly(parts: tuple[int, ...], x: Fraction) -> Fraction:
-    """a_lam(x); the one-partition factor of the centralizer order."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("a_lam needs x != 0")
-    mult = Counter(parts)
-    val = x ** (sum(parts) + 2 * n_stat(parts))
-    for m in mult.values():
+@cache
+def _entry_centralizer(q: int, level: int, parts: tuple[int, ...]) -> int:
+    """a_lam((-q)^level) of one entry lam = parts, an int by construction."""
+    mult = Counter(parts).values()
+    e = sum(parts) + 2 * n_stat(parts) - sum(m * (m + 1) // 2 for m in mult)
+    val = (-q) ** (level * e)
+    for m in mult:
         for j in range(1, m + 1):
-            val *= 1 - x ** (-j)
+            val *= (-1) ** (level * j) * modulus_of(q, level * j)
     return val
 
 
@@ -54,29 +62,28 @@ def group_order(ctx: TorusContext) -> int:
 
 
 def centralizer_order(ctx: TorusContext, mu: MultiPartition) -> int:
-    """Exact centralizer order of the class mu; checked integral and positive."""
+    """Exact centralizer order of the class mu; checked positive."""
     if mu.side != PHI:
         raise ValueError("classes live on the phi side")
-    val = Fraction((-1) ** mu.size)
+    val = (-1) ** mu.size
     for orbit, parts in mu.entries:
-        val *= a_partition_poly(parts, Fraction(-ctx.q) ** orbit.level)
-    if val.denominator != 1 or val <= 0:
-        raise ValueError(f"centralizer order of {mu} is not a positive integer: {val}")
-    return int(val)
+        val *= _entry_centralizer(ctx.q, orbit.level, parts)
+    if val <= 0:
+        raise ValueError(f"centralizer order of {mu} is not positive: {val}")
+    return val
 
 
 class ClassData(NamedTuple):
     label: MultiPartition
-    centralizer: int
     size: int
 
 
 @cache
 def class_table(ctx: TorusContext) -> tuple[ClassData, ...]:
-    """All classes of U(n, F_q2), n = ctx.n, with centralizer orders and sizes.
+    """All classes of U(n, F_q2), n = ctx.n, with their sizes.
 
-    Built once per ctx; the size of a class is |G| / |C(K)|, checked to be
-    integral.
+    Built once per ctx; the size of a class is |G| / |C(K)|, and each
+    centralizer order is checked to divide |G|.
     """
     order = group_order(ctx)
     out = []
@@ -84,7 +91,7 @@ def class_table(ctx: TorusContext) -> tuple[ClassData, ...]:
         cent = centralizer_order(ctx, mu)
         if order % cent:
             raise ValueError(f"centralizer order {cent} of {mu} does not divide |G|")
-        out.append(ClassData(mu, cent, order // cent))
+        out.append(ClassData(mu, order // cent))
     return tuple(out)
 
 

@@ -19,6 +19,7 @@ subject of the census cross-check.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .characters import is_real, is_semisimple
@@ -97,9 +98,14 @@ def brute_force_self_dual(F, n: int, constant: int | None = None):
                         if h[0] in allowed and is_self_dual(F, h)))
 
 
+@cache
 def orbit_polynomial(ctx: TorusContext, orbit):
     """The F_q-rational factor of an element orbit: prod (x + gamma^e) over
-    the orbit joined with its conjugate, coefficients coerced to F_q."""
+    the orbit joined with its conjugate, coefficients coerced to F_q.
+
+    Cached per (ctx, orbit): every real label that holds the orbit reads
+    the one product in F_(q^(2d)).
+    """
     base = GF(ctx.q)
     d = orbit.level
     L = ext_field(base, 2 * d)

@@ -205,6 +205,17 @@ MUTANTS = (
         "for k in range(1, n))",
         ("tests/test_conjclasses.py::test_group_orders",)),
     Mutant(
+        "entry-centralizer-keyed-without-its-level", "src/uqchar/conjclasses.py",
+        "_entry_centralizer(ctx.q, orbit.level, parts)",
+        "_entry_centralizer(ctx.q, 1, parts)",
+        ("tests/test_conjclasses.py::test_centralizer_order_matches_the_fraction_formula",
+         "tests/test_conjclasses.py::test_class_table_computes_each_entry_factor_once")),
+    Mutant(
+        "entry-centralizer-sign-dropped", "src/uqchar/conjclasses.py",
+        "val *= (-1) ** (level * j) * modulus_of(q, level * j)",
+        "val *= modulus_of(q, level * j)",
+        ("tests/test_conjclasses.py::test_centralizer_order_matches_the_fraction_formula",)),
+    Mutant(
         "galois-rational-shortcut-before-unit-check", "src/uqchar/cyclotomic.py",
         "    if gcd(k, m) != 1:\n        raise ValueError(f\"{k} is not a unit mod {m}\")\n"
         "    if a.is_rational():  # sigma_k fixes Q\n        return a\n",

@@ -10,11 +10,14 @@ labels one label at a time.
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
 from functools import cache
 from math import gcd
 
 from uqchar.characters import fs_semisimple_regular, fs_via_sigma
 from uqchar.multipartition import MultiPartition
+from uqchar.partitions import n_stat
 from uqchar.torus import (
     THETA,
     OrbitLabel,
@@ -23,6 +26,12 @@ from uqchar.torus import (
     frobenius_orbit,
     orbits_up_to,
 )
+
+# the degrees n up to which each q's labels and classes are held against the
+# oracles: n stops where filtering every label would cost the suite more
+# than about a quarter second; the labels at q <= 5, n <= 6 are enumerated
+# (and cached) for test_multipartition's generating-function test as well
+ORACLE_MAX_N = {2: 8, 3: 6, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3}
 
 
 def sort_key(lam: MultiPartition):
@@ -110,3 +119,23 @@ def census_by_enumeration(ctx: TorusContext, real) -> dict:
         "symplectic": symplectic,
         "route_agreement": cross_checked,
     }
+
+
+def a_partition_poly(parts: tuple[int, ...], x: Fraction) -> Fraction:
+    """a_lam(x) = x^(|lam| + 2 n(lam)) prod_i prod_{j<=m_i} (1 - x^(-j))."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("a_lam needs x != 0")
+    val = x ** (sum(parts) + 2 * n_stat(parts))
+    for m in Counter(parts).values():
+        for j in range(1, m + 1):
+            val *= 1 - x ** (-j)
+    return val
+
+
+def centralizer_by_fractions(ctx: TorusContext, mu: MultiPartition) -> Fraction:
+    """(-1)^|mu| prod_f a_{mu^(f)}((-q)^|f|), multiplied out in Fractions."""
+    val = Fraction((-1) ** mu.size)
+    for orbit, parts in mu.entries:
+        val *= a_partition_poly(parts, Fraction(-ctx.q) ** orbit.level)
+    return val

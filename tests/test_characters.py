@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import (
+    ORACLE_MAX_N,
     census_by_enumeration,
     real_semisimple_labels,
     self_conjugate_orbits,
@@ -584,12 +585,6 @@ def test_census_even_q_has_no_symplectics():
     for q, n in [(2, 2), (4, 2)]:
         out = census_semisimple(TorusContext(q, n))
         assert out["symplectic"] == 0
-
-
-# n stops where filtering every label would cost the suite more than about
-# a quarter second; the labels at q <= 5, n <= 6 are enumerated (and
-# cached) for test_multipartition's generating-function test as well
-ORACLE_MAX_N = {2: 8, 3: 6, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3}
 
 
 @pytest.mark.parametrize("q", sorted(ORACLE_MAX_N))

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import ORACLE_MAX_N, a_partition_poly, centralizer_by_fractions
 from uqchar import conjclasses
 from uqchar.conjclasses import (
-    a_partition_poly,
     central_class,
     centralizer_order,
     class_square,
@@ -23,6 +23,7 @@ def mp(*pairs):
 
 
 def test_a_partition_poly():
+    # the oracle's one-partition factor, multiplied out in Fractions
     x = Fraction(-3)
     assert a_partition_poly((), x) == 1
     assert a_partition_poly((1,), x) == -4          # -3 * (1 + 1/3)
@@ -73,8 +74,37 @@ def test_classes_only_on_phi_side():
 def test_class_sum_identity(q, n):
     ctx = TorusContext(q, n)
     table = class_table(ctx)
-    assert all(row.size >= 1 and row.centralizer >= 1 for row in table)
-    assert sum(row.size for row in table) == group_order(ctx)
+    order = group_order(ctx)
+    assert all(row.size * centralizer_order(ctx, row.label) == order
+               for row in table)
+    assert sum(row.size for row in table) == order
+
+
+@pytest.mark.parametrize(
+    "q,max_n", [*sorted(ORACLE_MAX_N.items()), (27, 3), (101, 2)])
+def test_centralizer_order_matches_the_fraction_formula(q, max_n):
+    # the integer entry factors against the Ennola-Wall product multiplied
+    # out in Fractions, on every class up to max_n
+    for n in range(1, max_n + 1):
+        ctx = TorusContext(q, n)
+        for mu in enumerate_multipartitions(ctx, n, PHI):
+            assert centralizer_order(ctx, mu) == centralizer_by_fractions(ctx, mu), \
+                (q, n, mu)
+
+
+def test_class_table_computes_each_entry_factor_once():
+    # the 188 classes of U(4, F_9) hold 372 entries but only 16 distinct
+    # (level, partition) pairs: each pair's factor is computed once
+    ctx = TorusContext(3, 4)
+    class_table.cache_clear()
+    conjclasses._entry_centralizer.cache_clear()
+    table = class_table(ctx)
+    distinct = {(orbit.level, parts)
+                for row in table for orbit, parts in row.label.entries}
+    info = conjclasses._entry_centralizer.cache_info()
+    assert info.misses == len(distinct) == 16
+    assert info.hits + info.misses == sum(
+        len(row.label.entries) for row in table) == 372
 
 
 def test_class_count_q3_n2():
@@ -134,14 +164,12 @@ def test_class_square_even_q_splits_unipotent_blocks():
 # -- checks that survive python -O: each is fed a broken input ------------
 
 
-@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1)])
-def test_centralizer_order_rejects_a_value_that_is_not_a_positive_integer(
-        monkeypatch, bad):
-    # one orbit of size 1: the order is -a(-q), so 1/2 is not integral and 1
-    # makes it negative
-    monkeypatch.setattr(conjclasses, "a_partition_poly", lambda parts, x: bad)
+def test_centralizer_order_rejects_an_order_that_is_not_positive(monkeypatch):
+    # one orbit of size 1: the order is -a(-q), so a factor of 1 makes it -1
+    monkeypatch.setattr(conjclasses, "_entry_centralizer",
+                        lambda q, level, parts: 1)
     ctx = TorusContext(3, 1)
-    with pytest.raises(ValueError, match="not a positive integer"):
+    with pytest.raises(ValueError, match="is not positive: -1"):
         centralizer_order(ctx, mp((one_orbit(ctx, PHI), (1,))))
 
 

@@ -24,6 +24,7 @@ from uqchar.selfdual import (
 from uqchar.torus import (
     THETA,
     TorusContext,
+    conjugate_orbit,
     frobenius_orbit,
     one_orbit,
     sigma_orbit,
@@ -212,6 +213,7 @@ def test_each_subgroup_generator_is_found_once_per_level():
     # orbit_polynomial asks for the generator of order M_d in F_(q^(2d)) once
     # per orbit; the scan for a primitive root runs once per level
     ctx = TorusContext(5, 4)
+    selfdual.orbit_polynomial.cache_clear()
     gf.subgroup_generator.cache_clear()
     labels = _real_semisimple(ctx)
     for lam in labels:
@@ -219,6 +221,22 @@ def test_each_subgroup_generator_is_found_once_per_level():
     info = gf.subgroup_generator.cache_info()
     assert len(labels) > info.misses
     assert info.hits and info.misses <= ctx.n
+
+
+@pytest.mark.parametrize("q,n", [(5, 4), (27, 3)])
+def test_each_orbit_polynomial_is_computed_once_per_orbit(q, n):
+    # the real labels hold each orbit many times; its factor is multiplied
+    # out once per (ctx, orbit), for the smaller orbit of a conjugate pair
+    ctx = TorusContext(q, n)
+    selfdual.orbit_polynomial.cache_clear()
+    labels = _real_semisimple(ctx)
+    for lam in labels:
+        char_to_polynomial(ctx, lam)
+    held = [o for lam in labels for o, _ in lam.entries
+            if o <= conjugate_orbit(ctx, o)]
+    info = selfdual.orbit_polynomial.cache_info()
+    assert info.misses == len(set(held))
+    assert info.hits + info.misses == len(held) > info.misses
 
 
 def test_poly_rendering_for_cli():

@@ -499,13 +499,14 @@ def test_u2_column_orthogonality_identity_column(u2):
     assert acc2.is_zero()
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (3, 3), (2, 4), (9, 2)])
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (3, 3), (2, 4), (9, 2),
+                                 (4, 3), (5, 3), (3, 4)])
 def test_column_orthogonality(q, n):
     # sum_chi chi(g) conj(chi(h)) = |C(g)| [g == h], one column g at a time,
-    # against the centralizer orders of class_table
+    # against centralizer_order on the classes of class_table
     ctx = TorusContext(q, n)
     table = char_table(ctx, max_cells=10**5)
-    centralizer = {c.label: c.centralizer for c in class_table(ctx)}
+    centralizer = {c.label: centralizer_order(ctx, c.label) for c in class_table(ctx)}
     assert centralizer.keys() == set(table.classes)
     # character values are cyclotomic integers: their terms are over 1
     assert all(v.den == 1 for row in table.values for v in row)

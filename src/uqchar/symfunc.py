@@ -16,13 +16,13 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
      t = (-q)^(-|f|);
   4. the coefficient of prod_f P_{mu^(f)}, times the normalization
      (-q)^(n(mu)) of P_mu and the sign (-1)^(floor(n/2) + n(lam)), is the
-     character value chi^lam at the class mu: the group-ring elements of all
-     products that reach mu are summed with these rational weights and the
-     sum is reduced to the power basis of Q(zeta_M) once per cell.  The
-     Hall-Littlewood expansion of a power-sum product, with its
-     normalizations, depends only on (q, n) and the product
-     (_class_expansion), so it is computed once per product and shared by
-     every row; only the sign belongs to the character;
+     character value chi^lam at the class mu.  On one orbit f with power
+     sums p_rho, x = (-q)^|f|, the coefficient times x^(n(mu^(f))) is the
+     Green polynomial Q^(mu^(f))_rho(x), an integer (_green, once per
+     (q, |f|, rho)); a product's integer weight at mu is the product of its
+     orbits' Green values, once per product (_class_expansion), shared by
+     every row.  Each cell sums the group-ring elements of the products
+     that reach mu with these weights, over its row's one denominator;
   5. the torus character values of step 2 are the only irrational inputs,
      so for k prime to M the automorphism sigma_k: zeta_M -> zeta_M^k takes
      chi^lam to chi^(lam^k), where lam^k moves each orbit of exponent e to
@@ -35,12 +35,12 @@ Pipeline for one irreducible character, labelled by a Theta-multipartition lam:
 Hall-Littlewood functions expand into monomials by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'): a
 horizontal-strip recursion with each strip weighted by psi_{lam/nu}(t).  Power
-sums expand by counting the ways to drop their parts into rows.  All of it is
-exact: Fractions for t-coefficients and weights, integers from there on.
-Each cell's group-ring sum is integral over one common denominator, and
-cyclotomic.from_terms takes the sum and that denominator as integers; the
-character values come out as cyclotomic integers with denominator 1, so no
-Fraction is built per table cell.
+sums expand by counting the ways to drop their parts into rows.  Fractions
+appear only inside these cached Schur and Hall-Littlewood expansions.  Class
+expansions are integer Green values (Macdonald III.7), and each cell is an
+integral group-ring sum over its row's one denominator (the Schur weights'
+common denominator times the sign), which cyclotomic.from_terms takes as
+integers; the values come out as cyclotomic integers with denominator 1.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .partitions import (
     beta_set,
     check_partition,
     from_beta_set,
+    n_stat,
     partitions_of,
 )
 from .torus import (
@@ -278,35 +279,44 @@ def _transform_embedded(
 
 
 @cache
+def _green(
+    q: int, level: int, rho: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(shape, Q^shape_rho(x)) for p_rho in P_shape(t), x = (-q)^level, t = 1/x.
+
+    The Green value Q^shape_rho(x) is the coefficient times x^(n(shape)), an
+    int (Macdonald III.7), else refused; shared by every n at one q.
+    """
+    x = (-q) ** level
+    out = []
+    for shape, c in power_to_hl(rho, Fraction(1, x)).items():
+        val = c * x ** n_stat(shape)
+        if val.denominator != 1:
+            raise ValueError(f"Green value of {shape} at {rho} is not an integer: {val}")
+        out.append((shape, val.numerator))
+    return tuple(out)
+
+
+@cache
 def _class_expansion(
     ctx: TorusContext, key: tuple[tuple[OrbitLabel, int], ...]
-) -> tuple[tuple[MultiPartition, int, int], ...]:
+) -> tuple[tuple[MultiPartition, int], ...]:
     """The power-sum product prod p_r(X^(f)) over key's (f, r) by class.
 
-    Each (mu, a, b): a / b, in lowest terms, is the coefficient of
-    prod_f P_{mu^(f)}(X^(f); t), t = (-q)^(-|f|), times the normalization
-    (-q)^(n(mu)) of P_mu.  It depends only on (q, n) and the key, not on
-    the character.
+    Each (mu, a): a is the coefficient of prod_f P_{mu^(f)}(X^(f); t),
+    t = (-q)^(-|f|), times the normalization (-q)^(n(mu)) of P_mu, the
+    product of the entries' Green values (_green).  It depends only on
+    (q, n) and the key, not on the character.
     """
     by_orbit: dict[OrbitLabel, list[int]] = {}
     for f, r in key:
         by_orbit.setdefault(f, []).append(r)
-    expansions = []
-    for f, rs in sorted(by_orbit.items()):
-        t = Fraction(-ctx.q) ** (-f.level)
-        rho = tuple(sorted(rs, reverse=True))
-        expansions.append((f, list(power_to_hl(rho, t).items())))
-    out = []
-    for picks in iproduct(*(e for _, e in expansions)):
-        scalar = Fraction(1)
-        assignment = []
-        for (f, _), (shape, c) in zip(expansions, picks):
-            scalar *= c
-            assignment.append((f, shape))
-        mu = MultiPartition.make(PHI, assignment)
-        scalar *= Fraction(-ctx.q) ** mp_n_stat(mu)
-        out.append((mu, scalar.numerator, scalar.denominator))
-    return tuple(out)
+    greens = [[(f, shape, a) for shape, a in
+               _green(ctx.q, f.level, tuple(sorted(rs, reverse=True)))]
+              for f, rs in sorted(by_orbit.items())]
+    return tuple((MultiPartition.make(PHI, [(f, shape) for f, shape, _ in picks]),
+                  prod(a for _, _, a in picks))
+                 for picks in iproduct(*greens))
 
 
 @cache
@@ -396,22 +406,21 @@ def _row_sums(
     n = lam.size
     big = ctx.cyclo_modulus
 
-    # expand: per orbit, the (nu, weight) pairs of the Schur expansion, with
-    # the weights over one common denominator so the group ring stays integral
-    orbit_terms = [(phi, list(schur_to_power(parts).items()))
-                   for phi, parts in lam.entries]
-    den = prod(lcm(*(w.denominator for _, w in e)) for _, e in orbit_terms)
+    # expand: per orbit, the Schur expansion's (nu, weight) pairs, each weight
+    # made an integer by its orbit's common denominator; den is their product
+    orbit_terms, den = [], 1
+    for phi, parts in lam.entries:
+        weights = schur_to_power(parts).items()
+        d = lcm(*(w.denominator for _, w in weights))
+        orbit_terms.append((phi, [(nu, int(w * d)) for nu, w in weights]))
+        den *= d
 
     # transform: distribute each product of transforms over all (phi, k)
     # powers, summed per product key ((f, r), ...) of class power sums
     acc: dict[tuple, dict[int, int]] = {}
     for combo in iproduct(*(e for _, e in orbit_terms)):
-        weight = Fraction(den)
-        pairs: list[tuple[OrbitLabel, int]] = []
-        for (phi, _), (nu, w) in zip(orbit_terms, combo):
-            weight *= w
-            pairs.extend((phi, k) for k in nu)
-        terms: dict[tuple, dict[int, int]] = {(): {0: weight.numerator}}
+        pairs = [(phi, k) for (phi, _), (nu, _) in zip(orbit_terms, combo) for k in nu]
+        terms: dict[tuple, dict[int, int]] = {(): {0: prod(w for _, w in combo)}}
         for phi, k in pairs:
             nxt: dict[tuple, dict[int, int]] = {}
             for f, r, val in _transform_embedded(ctx, k, phi):
@@ -427,27 +436,18 @@ def _row_sums(
             for e, c in ring.items():
                 dst[e] = dst.get(e, 0) + c
 
-    # assemble: per class mu, the scalars of _class_expansion
-    cells: dict[MultiPartition, list[tuple[int, int, dict[int, int]]]] = {}
+    # assemble: per class mu, the sum of a * ring over the products that reach
+    # it, a their Green value at mu (_class_expansion), over den and the sign
+    cells: dict[MultiPartition, dict[int, int]] = {}
     for key, ring in acc.items():
-        for mu, a, b in _class_expansion(ctx, key):
-            cells.setdefault(mu, []).append((a, b, ring))
-
-    # sum: bring each cell's scalars to one denominator and sum its group-ring
-    # elements with integer coefficients, over that denominator, which also
-    # carries the row's sign
-    sign = (-1) ** (n // 2 + mp_n_stat(lam))
-    sums = []
-    for parts in cells.values():
-        common = lcm(*(b for _, b, _ in parts))
-        total: dict[int, int] = {}
-        for a, b, ring in parts:
-            c = a * (common // b)
+        for mu, a in _class_expansion(ctx, key):
+            total = cells.setdefault(mu, {})
             for e, x in ring.items():
-                total[e] = total.get(e, 0) + c * x
-        ring = tuple(sorted((e, x) for e, x in total.items() if x))
-        sums.append(_shared((ring, sign * common * den)))
-    return tuple(cells), tuple(sums)
+                total[e] = total.get(e, 0) + a * x
+    sign = (-1) ** (n // 2 + mp_n_stat(lam))
+    sums = tuple(_shared((tuple(sorted((e, x) for e, x in total.items() if x)),
+                          sign * den)) for total in cells.values())
+    return tuple(cells), sums
 
 
 class CharTable(NamedTuple):

@@ -318,6 +318,17 @@ MUTANTS = (
         "@_by_sum\ndef _reduced(",
         ("tests/test_symfunc.py::test_rows_are_galois_equivariant",
          "tests/test_cli.py::test_benchmark_cases_match_their_reference")),
+    Mutant(
+        "green-normalization-drops-the-level", "src/uqchar/symfunc.py",
+        "        val = c * x ** n_stat(shape)\n",
+        "        val = c * (-q) ** n_stat(shape)\n",
+        ("tests/test_symfunc.py::test_green_is_the_normalized_hall_littlewood_coefficient",
+         "tests/test_symfunc.py::test_green_values_are_orthogonal")),
+    Mutant(
+        "green-integrality-unchecked", "src/uqchar/symfunc.py",
+        "        if val.denominator != 1:\n",
+        "        if False:\n",
+        ("tests/test_symfunc.py::test_green_refuses_a_value_that_is_not_an_integer",)),
 )
 
 

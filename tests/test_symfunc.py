@@ -9,9 +9,11 @@ closed forms, and by substituting them back into power sums.  Character values
 for U(1) and U(2) over F_9 are checked against hand calculations.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from uqchar.multipartition import (
     enumerate_multipartitions,
     mp_galois,
 )
-from uqchar.partitions import conjugate, partitions_of
+from uqchar.nt import unit_generators
+from uqchar.partitions import conjugate, n_stat, partitions_of
 from uqchar.symfunc import (
     TableTooLarge,
     char_row,
@@ -260,6 +263,61 @@ def test_power_to_hl_rejects_a_remainder(monkeypatch):
     monkeypatch.setattr(symfunc, "power_m_vector", lambda rho: {(3,): 1})
     with pytest.raises(ValueError, match="left a remainder"):
         power_to_hl.__wrapped__((1, 1), Fraction(1, 3))
+
+
+# -- Green values: integer class expansions --------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_green_is_the_normalized_hall_littlewood_coefficient(q):
+    # the oracle: each coefficient of power_to_hl in Fractions, times x^(n(shape))
+    for level in (1, 2, 3):
+        x = (-q) ** level
+        for k in range(1, 7):
+            for rho in partitions_of(k):
+                expect = {shape: c * Fraction(x) ** n_stat(shape)
+                          for shape, c in power_to_hl(rho, Fraction(1, x)).items()}
+                found = symfunc._green(q, level, rho)
+                assert all(type(v) is int for _, v in found)
+                assert dict(found) == expect, (level, rho)
+
+
+@pytest.mark.parametrize("q,level", [(2, 1), (3, 2), (4, 3), (5, 1), (9, 2)])
+def test_green_closed_forms(q, level):
+    # Q^(k)_rho = 1 for every rho of k, and Q^lam_(k)(x) = prod_{i < l(lam)}
+    # (1 - x^i) (Macdonald III.7, Ex. 2)
+    x = (-q) ** level
+    for k in range(1, 7):
+        for rho in partitions_of(k):
+            assert dict(symfunc._green(q, level, rho))[(k,)] == 1
+        assert dict(symfunc._green(q, level, (k,))) == {
+            lam: prod(1 - x**i for i in range(1, len(lam))) for lam in partitions_of(k)}
+
+
+@pytest.mark.parametrize("q,level", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_green_values_are_orthogonal(q, level):
+    # sum_rho z_rho^-1 prod_i (1 - t^rho_i) X^lam_rho X^mu_rho = delta b_lam(t),
+    # X = Green value x^(-n(lam)), t = 1/x, b_lam(t) = prod_i phi_(m_i(lam))(t):
+    # <p_rho, p_sigma>_t = delta z_rho(t) and <P_lam, P_mu>_t = delta / b_lam(t)
+    x = (-q) ** level
+    t = Fraction(1, x)
+    for k in range(1, 7):
+        table = {rho: {lam: Fraction(v, x ** n_stat(lam))
+                       for lam, v in symfunc._green(q, level, rho)}
+                 for rho in partitions_of(k)}
+        weight = {rho: prod(1 - t**r for r in rho) / z_weight(rho) for rho in table}
+        for lam in partitions_of(k):
+            b = prod(1 - t**j for m in Counter(lam).values() for j in range(1, m + 1))
+            for mu in partitions_of(k):
+                total = sum(weight[rho] * row.get(lam, 0) * row.get(mu, 0)
+                            for rho, row in table.items())
+                assert total == (b if lam == mu else 0), (lam, mu)
+
+
+def test_green_refuses_a_value_that_is_not_an_integer(monkeypatch):
+    monkeypatch.setattr(symfunc, "power_to_hl", lambda rho, t: {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"Green value of \(1,\) at \(1,\) is not an integer"):
+        symfunc._green.__wrapped__(3, 1, (1,))
 
 
 # -- transform to class alphabets ------------------------------------------
@@ -570,17 +628,21 @@ def test_a_table_is_priced_before_any_label_is_built(monkeypatch):
         "raise the bound explicitly to proceed")
 
 
-@pytest.mark.parametrize("q,n,classes", [(4, 3, 110), (9, 2, 100)])
-def test_class_expansions_are_shared_by_all_rows(q, n, classes):
+@pytest.mark.parametrize("q,n,classes,greens", [(4, 3, 110, 8), (9, 2, 100, 4)],
+                         ids=["4-3-110", "9-2-100"])
+def test_class_expansions_are_shared_by_all_rows(q, n, classes, greens):
     # the Hall-Littlewood expansion of a power-sum product depends only on
-    # (q, n) and the product, and there is one product per class
+    # (q, n) and the product, and there is one product per class; its Green
+    # values are computed once per distinct (level, rho)
     ctx = TorusContext(q, n)
     char_row.cache_clear()
     symfunc._row_sums.cache_clear()
     symfunc._class_expansion.cache_clear()
+    symfunc._green.cache_clear()
     table = char_table(ctx, max_cells=classes**2)
     assert len(table.classes) == classes
     assert symfunc._class_expansion.cache_info().currsize == classes
+    assert symfunc._green.cache_info().misses == greens
 
 
 # -- Galois-conjugate rows -------------------------------------------------
@@ -644,6 +706,25 @@ def test_columns_are_galois_equivariant(q, n):
             image = column[mp_galois(ctx, mu, k)]
             for lam, row in zip(table.chars, table.values):
                 assert row[image] == cyclotomic.galois(row[j], k), (lam, mu, k)
+
+
+@pytest.mark.parametrize("q,n", [(7, 3), (2, 6)])
+def test_columns_are_galois_equivariant_under_generators(q, n):
+    # the identity above on the two largest tables, where one unit per coset
+    # is too slow: mp_galois on classes and sigma_k both compose, so -q and
+    # the units that generate (Z/M)^x with it cover every unit.  sigma_k is
+    # taken once per distinct value
+    ctx = TorusContext(q, n)
+    table = char_table(ctx, max_cells=10**7)
+    big = table.modulus
+    columns = list(zip(*table.values))
+    column = {mu: j for j, mu in enumerate(table.classes)}
+    distinct = set(chain.from_iterable(table.values))
+    for k in (-q % big,) + unit_generators(big, -q):
+        sigma = {v: cyclotomic.galois(v, k) for v in distinct}
+        for mu, values in zip(table.classes, columns):
+            image = columns[column[mp_galois(ctx, mu, k)]]
+            assert image == tuple(map(sigma.__getitem__, values)), (mu, k)
 
 
 @pytest.mark.parametrize("q,n,orbits", [(4, 3, 28), (9, 2, 27), (5, 3, 84), (3, 4, 99)])
